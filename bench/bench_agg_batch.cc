@@ -1,24 +1,18 @@
-// Fig-10-style aggregation benchmark for the batched executor + incremental
-// (two-stacks) MIN/MAX window aggregation: N MIN-window queries with
-// distinct windows over one perfmon-like source, merged by rule sα into a
-// single shared aggregation m-op.
+// Fig-10-style aggregation benchmark for the batched executor and the shared
+// window aggregation engine: N MIN-window queries with distinct windows over
+// one perfmon-like source, merged by rule sα into a single shared
+// aggregation m-op. Sweeps the dispatch mode: event-at-a-time PushSource
+// (batch 1) vs PushSourceBatch at several batch sizes.
 //
-// Sweeps the full (MIN/MAX implementation × dispatch mode) grid:
-//   * impl     — ordered  (the legacy std::multiset maintenance, i.e. the
-//                seed's event-at-a-time path) vs twostacks (HammerSlide-
-//                style incremental aggregation);
-//   * dispatch — event-at-a-time PushSource vs PushSourceBatch at several
-//                batch sizes.
-//
-// Prints a table and writes BENCH_agg_batch.json (machine-readable record;
-// speedups are relative to the seed configuration ordered × batch=1).
+// Prints a table and writes BENCH_agg_batch.json (machine-readable record
+// with the core count and build type; speedups are relative to batch 1).
 #include <cinttypes>
 #include <cstdio>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/figure_common.h"
-#include "mop/window.h"
 #include "query/builder.h"
 #include "workload/perfmon.h"
 
@@ -28,9 +22,9 @@ using namespace rumor::bench;
 namespace {
 
 struct Cell {
-  const char* impl;
   int64_t batch;  // 1 = event-at-a-time
   double events_per_sec = 0;
+  double outputs_per_sec = 0;
   int64_t outputs = 0;
 };
 
@@ -61,41 +55,40 @@ int main() {
             .Build("Q" + std::to_string(i)));
   }
 
+  const int cores = static_cast<int>(std::thread::hardware_concurrency());
   std::printf("# agg-batch — %d MIN-window queries (sα-merged), %" PRId64
-              " events, windows %" PRId64 "..%" PRId64 "\n",
+              " events, windows %" PRId64 "..%" PRId64 ", %d cores, %s\n",
               num_queries, static_cast<int64_t>(events.size()), base_window,
-              base_window + 37 * (num_queries - 1));
-  std::printf("%-12s %8s %16s %10s\n", "impl", "batch", "events/s", "speedup");
+              base_window + 37 * (num_queries - 1), cores, RUMOR_BUILD_TYPE);
+  std::printf("%8s %16s %16s %10s\n", "batch", "events/s", "outputs/s",
+              "speedup");
 
   std::vector<Cell> cells;
-  for (MinMaxImpl impl : {MinMaxImpl::kOrderedSet, MinMaxImpl::kTwoStacks}) {
-    SharedAggEngine::SetDefaultMinMaxImpl(impl);
-    const char* impl_name =
-        impl == MinMaxImpl::kOrderedSet ? "ordered" : "twostacks";
-    for (int64_t batch : {int64_t{1}, int64_t{16}, int64_t{64}, int64_t{256},
-                          int64_t{1024}}) {
-      // Best of 3 repetitions (steady-state throughput; shields the
-      // recorded numbers from scheduler noise).
-      Cell cell{impl_name, batch, 0, 0};
-      for (int rep = 0; rep < 3; ++rep) {
-        RumorRun run = batch == 1
-                           ? RunRumor(queries, OptimizerOptions{}, events,
-                                      warmup, {"CPU"})
-                           : RunRumorBatched(queries, OptimizerOptions{},
-                                             events, warmup, batch, {"CPU"});
-        cell.events_per_sec =
-            std::max(cell.events_per_sec, run.result.EventsPerSecond());
-        cell.outputs = run.result.outputs;
+  for (int64_t batch : {int64_t{1}, int64_t{16}, int64_t{64}, int64_t{256},
+                        int64_t{1024}}) {
+    // Best of 3 repetitions (steady-state throughput; shields the recorded
+    // numbers from scheduler noise).
+    Cell cell{batch};
+    for (int rep = 0; rep < 3; ++rep) {
+      RumorRun run = batch == 1
+                         ? RunRumor(queries, OptimizerOptions{}, events,
+                                    warmup, {"CPU"})
+                         : RunRumorBatched(queries, OptimizerOptions{},
+                                           events, warmup, batch, {"CPU"});
+      if (run.result.EventsPerSecond() > cell.events_per_sec) {
+        cell.events_per_sec = run.result.EventsPerSecond();
+        cell.outputs_per_sec = run.result.OutputsPerSecond();
       }
-      cells.push_back(cell);
+      cell.outputs = run.result.outputs;
     }
+    cells.push_back(cell);
   }
-  SharedAggEngine::SetDefaultMinMaxImpl(MinMaxImpl::kTwoStacks);
 
-  const double seed_baseline = cells[0].events_per_sec;  // ordered × batch=1
+  const double baseline = cells[0].events_per_sec;  // batch 1
   for (const Cell& c : cells) {
-    std::printf("%-12s %8" PRId64 " %16.0f %9.2fx\n", c.impl, c.batch,
-                c.events_per_sec, c.events_per_sec / seed_baseline);
+    std::printf("%8" PRId64 " %16.0f %16.0f %9.2fx\n", c.batch,
+                c.events_per_sec, c.outputs_per_sec,
+                c.events_per_sec / baseline);
   }
   for (size_t i = 1; i < cells.size(); ++i) {
     RUMOR_CHECK(cells[i].outputs == cells[0].outputs)
@@ -107,16 +100,19 @@ int main() {
       .KV("bench", "agg_batch")
       .KV("num_queries", num_queries)
       .KV("events", static_cast<int64_t>(events.size()))
-      .KV("baseline", "ordered impl, batch 1 (seed event-at-a-time path)");
+      .KV("cores", cores)
+      .KV("build_type", RUMOR_BUILD_TYPE)
+      .KV("baseline", "batch 1 (event-at-a-time dispatch)");
   w.Key("rows").BeginArray();
   for (const Cell& c : cells) {
     w.BeginObject()
-        .KV("impl", c.impl)
         .KV("batch", c.batch)
         .Key("events_per_sec")
         .Double(c.events_per_sec, 10)
+        .Key("outputs_per_sec")
+        .Double(c.outputs_per_sec, 10)
         .Key("speedup")
-        .Double(c.events_per_sec / seed_baseline, 4)
+        .Double(c.events_per_sec / baseline, 4)
         .EndObject();
   }
   w.EndArray().EndObject();

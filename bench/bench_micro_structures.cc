@@ -7,7 +7,7 @@
 #include "common/rng.h"
 #include "expr/program.h"
 #include "mop/predicate_index_mop.h"
-#include "mop/window.h"
+#include "mop/keyed_buffer.h"
 
 namespace rumor {
 namespace {

@@ -376,30 +376,60 @@ void StreamEngine::RefreshSourceIds() {
   if (static_cast<int>(source_ids_.size()) == plan.streams().num_sources()) {
     return;
   }
-  source_ids_.clear();
+  std::vector<IngressSource> sources;
   for (StreamId s : plan.streams().Sources()) {
-    source_ids_.push_back({plan.streams().Get(s).name, s});
+    const StreamDef& def = plan.streams().Get(s);
+    IngressSource src{def.name, s, def.schema.size()};
+    for (const IngressSource& known : source_ids_) {
+      if (known.name == def.name) src.last_ts = known.last_ts;
+    }
+    sources.push_back(std::move(src));
   }
+  source_ids_ = std::move(sources);
 }
 
-Result<StreamId> StreamEngine::FindSourceId(const std::string& source) const {
+Result<StreamId> StreamEngine::Admit(const std::string& source,
+                                     std::span<const Tuple> tuples) {
   if (!started()) return Status::Internal("call Start() first");
-  for (const auto& [name, id] : source_ids_) {
-    if (name == source) return id;
+  IngressSource* src = nullptr;
+  for (IngressSource& s : source_ids_) {
+    if (s.name == source) {
+      src = &s;
+      break;
+    }
   }
-  return Status::NotFound(
-      StrCat("source '", source, "' is not read by any query"));
+  if (src == nullptr) {
+    return Status::NotFound(
+        StrCat("source '", source, "' is not read by any query"));
+  }
+  if (sharded_ != nullptr && sharded_->busy()) {
+    return Status::Internal(
+        "re-entrant push from an output handler is unsupported when "
+        "sharded");
+  }
+  // The whole batch is checked before any of it is pushed.
+  Timestamp last = src->last_ts;
+  for (const Tuple& t : tuples) {
+    if (t.size() != src->arity) {
+      return Status::InvalidArgument(
+          StrCat("tuple for source '", source, "' has ", t.size(),
+                 " values, expected ", src->arity));
+    }
+    if (t.ts() < last) {
+      return Status::InvalidArgument(
+          StrCat("timestamp ", t.ts(), " for source '", source,
+                 "' is below its last timestamp ", last));
+    }
+    last = t.ts();
+  }
+  src->last_ts = last;
+  return src->id;
 }
 
 Status StreamEngine::Push(const std::string& source, const Tuple& tuple) {
-  auto id = FindSourceId(source);
+  auto id = Admit(source, std::span<const Tuple>(&tuple, 1));
   if (!id.ok()) return id.status();
   if (sharded_ != nullptr) {
-    if (sharded_->busy()) {
-      return Status::Internal(
-          "re-entrant push from an output handler is unsupported when "
-          "sharded");
-    }
     sharded_->PushSource(id.value(), tuple);
   } else {
     executor_->PushSource(id.value(), tuple);
@@ -411,14 +441,9 @@ Status StreamEngine::Push(const std::string& source, const Tuple& tuple) {
 
 Status StreamEngine::PushBatch(const std::string& source,
                                std::span<const Tuple> tuples) {
-  auto id = FindSourceId(source);
+  auto id = Admit(source, tuples);
   if (!id.ok()) return id.status();
   if (sharded_ != nullptr) {
-    if (sharded_->busy()) {
-      return Status::Internal(
-          "re-entrant push from an output handler is unsupported when "
-          "sharded");
-    }
     sharded_->PushSourceBatch(id.value(), tuples);
   } else {
     executor_->PushSourceBatch(id.value(), tuples);

@@ -30,6 +30,7 @@
 #include <condition_variable>
 #include <deque>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -104,7 +105,11 @@ class StreamEngine {
   Status Start();
 
   // --- runtime (after Start) -------------------------------------------------
-  // Pushes one tuple into a source stream (timestamps non-decreasing).
+  // Pushes one tuple into a source stream. Returns InvalidArgument, and
+  // pushes nothing, when the tuple's arity differs from the source schema
+  // or its timestamp is below the last one pushed to that source. The last
+  // timestamp is not part of a checkpoint: a restored engine accepts any
+  // first timestamp per source.
   Status Push(const std::string& source, const Tuple& tuple);
 
   // Pushes a run of consecutive tuples of one source in a single call.
@@ -113,7 +118,9 @@ class StreamEngine {
   // different queries* may differ within a batch — and the batch traverses
   // each operator of the shared plan once, amortizing dispatch overhead
   // (the executor falls back to per-tuple dispatch on plan shapes where
-  // batching could reorder stateful work).
+  // batching could reorder stateful work). Every tuple is checked as Push
+  // checks one, and a bad tuple rejects the whole batch before any of it
+  // is pushed.
   Status PushBatch(const std::string& source, std::span<const Tuple> tuples);
 
   // Blocks until every pushed tuple is fully processed and every output
@@ -206,8 +213,18 @@ class StreamEngine {
 
   // Index of the live query named `name` in queries_, or -1.
   int FindQuery(const std::string& name) const;
-  // Stream id of a registered source, or NotFound / not-started errors.
-  Result<StreamId> FindSourceId(const std::string& source) const;
+  // A source the running plan reads, with what ingress checks against.
+  struct IngressSource {
+    std::string name;
+    StreamId id = kInvalidStream;
+    int arity = 0;
+    Timestamp last_ts = std::numeric_limits<Timestamp>::min();
+  };
+  // Stream id of `source` for a push of `tuples`: NotFound / not-started
+  // errors, or InvalidArgument unless every tuple has the source's arity
+  // and no timestamp falls below the last one pushed to the source.
+  Result<StreamId> Admit(const std::string& source,
+                         std::span<const Tuple> tuples);
   // Shared implementation of the Add* methods; `text` is the query's RQL
   // source ("" for logical-object adds, which a checkpoint then rejects).
   Status AddQueryWithText(Query query, std::string text);
@@ -254,8 +271,8 @@ class StreamEngine {
   // merged) before the sink they deliver into is destroyed.
   int shard_count_ = 1;
   std::unique_ptr<ShardedExecutor> sharded_;
-  // Source name -> stream id (resolved at Start / refreshed on live adds).
-  std::vector<std::pair<std::string, StreamId>> source_ids_;
+  // Sources by name (resolved at Start / refreshed on live adds).
+  std::vector<IngressSource> source_ids_;
 
   // Published throughput counters (relaxed atomics: written by the pushing
   // thread, read by the ticker). The sink bumps outputs_total_ per routed

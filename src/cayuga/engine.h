@@ -28,7 +28,7 @@
 #include "cayuga/automaton.h"
 #include "expr/program.h"
 #include "expr/shape.h"
-#include "mop/window.h"
+#include "mop/keyed_buffer.h"
 
 namespace rumor {
 

@@ -45,7 +45,8 @@ AggregateMop::AggregateMop(std::vector<Member> members, Sharing sharing,
       }
       specs.push_back(m.spec);
     }
-    engines_.push_back(std::make_unique<SharedAggEngine>(std::move(specs)));
+    engines_.push_back(std::make_unique<SharedAggEngine>(
+        std::move(specs), sharing_ == Sharing::kFragment));
   }
   // Channel-mode output is only meaningful when member outputs can carry a
   // shared payload; aggregates emit member-specific values, so members map
@@ -110,37 +111,29 @@ bool AggregateMop::member_active(int i) const {
                                         : engines_[0]->member_active(i);
 }
 
+void AggregateMop::EmitResult(Emitter& out, int member, Tuple result) {
+  if (mode_ == OutputMode::kChannel) {
+    out.Emit(0, ChannelTuple{std::move(result),
+                             BitVector::Singleton(member, num_members())});
+  } else {
+    out.Emit(member,
+             ChannelTuple{std::move(result), BitVector::Singleton(0, 1)});
+  }
+  CountOut();
+}
+
 void AggregateMop::Process(int input_port, const ChannelTuple& ct,
                            Emitter& out) {
   RUMOR_DCHECK(input_port == 0);
   (void)input_port;
-  ProcessOne(ct, [&](int member, Tuple result) {
-    if (mode_ == OutputMode::kChannel) {
-      out.Emit(0, ChannelTuple{std::move(result),
-                               BitVector::Singleton(member, num_members())});
-    } else {
-      out.Emit(member,
-               ChannelTuple{std::move(result), BitVector::Singleton(0, 1)});
-    }
-    CountOut();
-  });
+  ProcessOne(ct, out);
 }
 
 void AggregateMop::ProcessBatch(int input_port, const ChannelTuple* tuples,
                                 size_t n, Emitter& out) {
   RUMOR_DCHECK(input_port == 0);
   (void)input_port;
-  const std::function<void(int, Tuple)> emit = [&](int member, Tuple result) {
-    if (mode_ == OutputMode::kChannel) {
-      out.Emit(0, ChannelTuple{std::move(result),
-                               BitVector::Singleton(member, num_members())});
-    } else {
-      out.Emit(member,
-               ChannelTuple{std::move(result), BitVector::Singleton(0, 1)});
-    }
-    CountOut();
-  };
-  for (size_t i = 0; i < n; ++i) ProcessOne(tuples[i], emit);
+  for (size_t i = 0; i < n; ++i) ProcessOne(tuples[i], out);
 }
 
 bool AggregateMop::SaveState(MopState* out) const {
@@ -299,31 +292,29 @@ Status AggregateMop::LoadState(const MopState& src,
   return engines_[0]->LoadState(merged, identity);
 }
 
-template <typename EmitFn>
-void AggregateMop::ProcessOne(const ChannelTuple& ct, const EmitFn& emit) {
+void AggregateMop::ProcessOne(const ChannelTuple& ct, Emitter& out) {
   if (sharing_ == Sharing::kIsolated) {
     for (int i = 0; i < num_members(); ++i) {
       if (engines_[i] == nullptr) continue;  // deactivated member
       if (!ct.membership.Test(members_[i].input_slot)) continue;
-      BitVector one = BitVector::AllOnes(1);
-      engines_[i]->Process(ct.tuple, one, [&](int, Tuple result) {
-        emit(i, std::move(result));
+      engines_[i]->Process(ct.tuple, nullptr, [&](int, Tuple result) {
+        EmitResult(out, i, std::move(result));
       });
     }
     return;
   }
-
-  BitVector membership(num_members());
+  auto emit = [&](int member, Tuple result) {
+    EmitResult(out, member, std::move(result));
+  };
   if (sharing_ == Sharing::kShared) {
     // All members read the same stream: the tuple applies to everyone.
     if (!ct.membership.Test(members_[0].input_slot)) return;
-    membership = BitVector::AllOnes(num_members());
+    engines_[0]->Process(ct.tuple, nullptr, emit);
   } else {
     // Fragment mode: member i <-> input slot i.
     RUMOR_DCHECK(ct.membership.size() == num_members());
-    membership = ct.membership;
+    engines_[0]->Process(ct.tuple, &ct.membership, emit);
   }
-  engines_[0]->Process(ct.tuple, membership, emit);
 }
 
 }  // namespace rumor

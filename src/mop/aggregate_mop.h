@@ -80,9 +80,9 @@ class AggregateMop : public Mop {
 
   void Process(int input_port, const ChannelTuple& tuple,
                Emitter& out) override;
-  // Batched path: type-erases the emission closure once per batch instead
-  // of once per tuple (the engines themselves are inherently per-tuple —
-  // every input advances expiry cursors and emits updated aggregates).
+  // Batched path: the engines are inherently per-tuple (every input
+  // advances expiry cursors and emits updated aggregates), so this only
+  // saves the per-tuple virtual dispatch.
   void ProcessBatch(int input_port, const ChannelTuple* tuples, size_t n,
                     Emitter& out) override;
 
@@ -93,10 +93,8 @@ class AggregateMop : public Mop {
  private:
   static MopType TypeFor(Sharing sharing);
 
-  // `emit` is any (int member, Tuple result) callable; a std::function
-  // lvalue passes through to the engines without re-wrapping.
-  template <typename EmitFn>
-  void ProcessOne(const ChannelTuple& tuple, const EmitFn& emit);
+  void ProcessOne(const ChannelTuple& tuple, Emitter& out);
+  void EmitResult(Emitter& out, int member, Tuple result);
 
   std::vector<Member> members_;
   Sharing sharing_;

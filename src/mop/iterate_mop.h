@@ -34,7 +34,7 @@
 #include "expr/program.h"
 #include "expr/shape.h"
 #include "mop/mop.h"
-#include "mop/window.h"
+#include "mop/keyed_buffer.h"
 
 namespace rumor {
 

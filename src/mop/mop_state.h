@@ -45,8 +45,8 @@ struct AggLogEntry {
 
 // Accumulators of one (member, group-key) pair. Numerics are saved
 // bit-exactly (dsum travels as raw IEEE-754 bits) so restored running sums
-// match the uninterrupted run to the last bit; extrema stacks and ordered
-// multisets are rebuilt by replaying the log entries at/after the cursor.
+// match the uninterrupted run to the last bit; MIN/MAX extrema queues are
+// rebuilt by replaying the log entries at/after the cursor.
 struct AggGroupState {
   std::vector<Value> key;
   int64_t count = 0;

@@ -1,5 +1,8 @@
 #include "mop/window.h"
 
+#include <algorithm>
+#include <limits>
+
 namespace rumor {
 
 uint64_t AggMemberSpec::Signature() const {
@@ -10,235 +13,322 @@ uint64_t AggMemberSpec::Signature() const {
   return h;
 }
 
-namespace {
-MinMaxImpl g_default_min_max_impl = MinMaxImpl::kTwoStacks;
-}  // namespace
+// --- group key table -----------------------------------------------------------
 
-void SharedAggEngine::SetDefaultMinMaxImpl(MinMaxImpl impl) {
-  g_default_min_max_impl = impl;
+size_t GroupKeyTable::KeyHash::operator()(const std::vector<Value>& key) const {
+  uint64_t h = Mix64(key.size());
+  for (const Value& v : key) h = HashCombine(h, v.Hash());
+  return h;
 }
 
-MinMaxImpl SharedAggEngine::default_min_max_impl() {
-  return g_default_min_max_impl;
+int32_t GroupKeyTable::Acquire(const Tuple& t) {
+  scratch_.clear();
+  for (int g : group_by_) scratch_.push_back(t.at(g));
+  auto [it, inserted] = ids_.try_emplace(scratch_);
+  Slot& slot = it->second;
+  if (inserted) {
+    if (free_.empty()) {
+      slot.id = static_cast<int32_t>(keys_.size());
+      keys_.push_back(nullptr);
+    } else {
+      slot.id = free_.back();
+      free_.pop_back();
+    }
+    keys_[slot.id] = &*it;
+  }
+  ++slot.refs;
+  return slot.id;
 }
 
-SharedAggEngine::SharedAggEngine(std::vector<AggMemberSpec> members)
+void GroupKeyTable::Release(int32_t id) {
+  if (--keys_[id]->second.refs > 0) return;
+  ids_.erase(ids_.find(keys_[id]->first));
+  keys_[id] = nullptr;
+  free_.push_back(id);
+}
+
+int32_t GroupKeyTable::Find(std::span<const Value> key) const {
+  auto it = ids_.find(std::vector<Value>(key.begin(), key.end()));
+  return it == ids_.end() ? -1 : it->second.id;
+}
+
+int64_t GroupKeyTable::ApproxBytes() const {
+  // Hash-node bookkeeping estimate (pointers, hash, allocator rounding).
+  constexpr size_t kNodeOverhead = 48;
+  return static_cast<int64_t>(
+      (scratch_.capacity() + ids_.size() * group_by_.size()) * sizeof(Value) +
+      ids_.size() * (kNodeOverhead + sizeof(Map::value_type)) +
+      ids_.bucket_count() * sizeof(void*) +
+      keys_.capacity() * sizeof(Map::value_type*) +
+      free_.capacity() * sizeof(int32_t));
+}
+
+// --- shared aggregation engine ---------------------------------------------------
+
+SharedAggEngine::SharedAggEngine(std::vector<AggMemberSpec> members,
+                                 bool fragment)
     : members_(std::move(members)),
       states_(members_.size()),
-      active_(members_.size(), 1),
-      impl_(g_default_min_max_impl) {
+      explicit_until_(fragment ? std::numeric_limits<int64_t>::max() : 0),
+      fragment_(fragment),
+      extrema_(!members_.empty() && (members_[0].fn == AggFn::kMin ||
+                                     members_[0].fn == AggFn::kMax)),
+      is_min_(!members_.empty() && members_[0].fn == AggFn::kMin) {
   RUMOR_CHECK(!members_.empty());
-  for (const AggMemberSpec& m : members_) {
-    RUMOR_CHECK(m.fn == members_[0].fn && m.attr == members_[0].attr)
+  for (int m = 0; m < num_members(); ++m) {
+    RUMOR_CHECK(members_[m].fn == members_[0].fn &&
+                members_[m].attr == members_[0].attr)
         << "shared aggregation requires identical fn and attribute";
-    RUMOR_CHECK(m.window > 0) << "aggregate window must be positive";
-    max_window_ = std::max(max_window_, m.window);
-    if (m.fn == AggFn::kMin || m.fn == AggFn::kMax) need_ordered_ = true;
+    RUMOR_CHECK(members_[m].window > 0) << "aggregate window must be positive";
+    states_[m].table = TableFor(members_[m].group_by);
   }
-  is_min_ = members_[0].fn == AggFn::kMin;
+  RebuildQueues();
 }
 
-void SharedAggEngine::Apply(int member, const Entry& e, int sign) {
-  const AggMemberSpec& spec = members_[member];
-  GroupState& g =
-      states_[member].groups[GroupKeyOf(e.tuple, spec.group_by)];
-  g.count += sign;
-  if (spec.fn != AggFn::kCount) {
-    if (e.value.type() == ValueType::kInt) {
-      g.isum += sign * e.value.AsInt();
+int SharedAggEngine::TableFor(const std::vector<int>& group_by) {
+  for (size_t k = 0; k < tables_.size(); ++k) {
+    if (tables_[k].group_by() == group_by) return static_cast<int>(k);
+  }
+  // A new GROUP BY list: re-lay the id log with one more id per entry.
+  tables_.emplace_back(group_by);
+  const size_t n = tables_.size();
+  Ring<int32_t> ids;
+  for (size_t i = 0; i < log_.size(); ++i) {
+    for (size_t k = 0; k + 1 < n; ++k) ids.push_back(ids_[i * (n - 1) + k]);
+    ids.push_back(tables_.back().Acquire(log_[i].tuple));
+  }
+  ids_ = std::move(ids);
+  return static_cast<int>(n - 1);
+}
+
+void SharedAggEngine::Append(const Tuple& t, const BitVector* membership) {
+  const int64_t abs = end();
+  RUMOR_DCHECK(log_.empty() || log_.back().tuple.ts() <= t.ts())
+      << "aggregate input out of timestamp order";
+  log_.push_back(
+      Entry{t, members_[0].attr >= 0 ? t.at(members_[0].attr) : Value()});
+  for (GroupKeyTable& table : tables_) ids_.push_back(table.Acquire(t));
+  if (abs < explicit_until_) {
+    memberships_.push_back(membership != nullptr
+                               ? *membership
+                               : BitVector::AllOnes(num_members()));
+  }
+  if (extrema_) PushExtremum(abs);
+}
+
+void SharedAggEngine::Apply(MemberState& st, int64_t abs, int sign) {
+  const int32_t g = id(abs, st.table);
+  if (static_cast<size_t>(g) >= st.acc.size()) {
+    st.acc.resize(tables_[st.table].capacity());
+  }
+  Acc& acc = st.acc[g];
+  const Value& v = entry(abs).value;
+  acc.count += sign;
+  if (members_[0].fn != AggFn::kCount) {
+    if (v.type() == ValueType::kInt) {
+      acc.isum += sign * v.AsInt();
     } else {
-      g.dsum += sign * e.value.ToNumeric();
-      g.double_count += sign;
+      acc.dsum += sign * v.ToNumeric();
+      acc.double_count += sign;
       // Drop the accumulated floating-point residue once no double entry is
       // left in the window, so the sum reverts to the exact integer form
       // instead of drifting (and staying double) forever.
-      if (g.double_count == 0) g.dsum = 0.0;
-    }
-    if (need_ordered_) {
-      // Per (member, group), entries enter and leave in timestamp order
-      // (insertions append to the shared log; the expiry cursor walks it
-      // front to back) — a FIFO discipline, which is what lets the
-      // two-stacks scheme replace the ordered multiset.
-      if (impl_ == MinMaxImpl::kTwoStacks) {
-        if (sign > 0) {
-          g.extrema.Push(e.value, is_min_);
-        } else {
-          g.extrema.PopFront(e.value, is_min_);
-        }
-      } else {
-        if (sign > 0) {
-          g.ordered.insert(e.value);
-        } else {
-          auto it = g.ordered.find(e.value);
-          RUMOR_DCHECK(it != g.ordered.end());
-          if (it != g.ordered.end()) g.ordered.erase(it);
-        }
-      }
+      if (acc.double_count == 0) acc.dsum = 0.0;
     }
   }
+  if (acc.count == 0) acc = Acc{};  // the group left the window
 }
 
-Value SharedAggEngine::Extract(const GroupState& g) const {
+bool SharedAggEngine::Step(int m, Timestamp now, const BitVector* membership,
+                           Value* result) {
+  MemberState& st = states_[m];
+  const int64_t newest = end() - 1;
+  if (!st.active) {
+    // Deactivated members hold no state and must not pin the shared log.
+    st.cursor = newest + 1;
+    return false;
+  }
+  // Expire entries that left this member's window: ts <= now - window.
+  const Timestamp horizon = now - members_[m].window;
+  while (st.cursor < newest && entry(st.cursor).tuple.ts() <= horizon) {
+    if (Has(m, st.cursor)) Apply(st, st.cursor, -1);
+    ++st.cursor;
+  }
+  if (membership != nullptr && !membership->Test(m)) return false;
+  Apply(st, newest, +1);
+  *result = Extract(m, id(newest, st.table));
+  return true;
+}
+
+Value SharedAggEngine::Extract(int m, int32_t g) const {
+  const MemberState& st = states_[m];
+  const Acc& acc = st.acc[g];
   switch (members_[0].fn) {
     case AggFn::kCount:
-      return Value(g.count);
+      return Value(acc.count);
     case AggFn::kSum:
-      if (g.double_count > 0) return Value(g.dsum + g.isum);
-      return Value(g.isum);
+      if (acc.double_count > 0) return Value(acc.dsum + acc.isum);
+      return Value(acc.isum);
     case AggFn::kAvg:
-      if (g.count == 0) return Value();
-      return Value((g.dsum + static_cast<double>(g.isum)) /
-                   static_cast<double>(g.count));
+      return Value((acc.dsum + static_cast<double>(acc.isum)) /
+                   static_cast<double>(acc.count));
     case AggFn::kMin:
-    case AggFn::kMax:
-      if (impl_ == MinMaxImpl::kTwoStacks) {
-        if (g.extrema.empty()) return Value();
-        return g.extrema.Best(is_min_);
+    case AggFn::kMax: {
+      // Queue items are in log order and the newest entry is the last, so
+      // the first item at or after the cursor is the window's extremum.
+      const ExtremaQueue& q = queues_[filtered() ? m : st.table][g];
+      size_t lo = 0, hi = q.size() - 1;
+      while (lo < hi) {
+        const size_t mid = (lo + hi) / 2;
+        if (q[mid].abs < st.cursor) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
+        }
       }
-      if (g.ordered.empty()) return Value();
-      return is_min_ ? *g.ordered.begin() : *g.ordered.rbegin();
+      return q[lo].value;
+    }
   }
   return Value();
 }
 
-void SharedAggEngine::Process(const Tuple& t, const BitVector& membership,
-                              const std::function<void(int, Tuple)>& emit) {
-  const Timestamp now = t.ts();
-
-  Entry entry;
-  entry.ts = now;
-  entry.value =
-      members_[0].attr >= 0 ? t.at(members_[0].attr) : Value();
-  entry.tuple = t;
-  entry.membership = membership;
-  entries_.push_back(entry);
-
-  for (int m = 0; m < num_members(); ++m) {
-    MemberState& st = states_[m];
-    if (!active_[m]) {
-      // Deactivated members hold no state and must not pin the shared log.
-      st.cursor = base_ + static_cast<int64_t>(entries_.size());
-      continue;
+void SharedAggEngine::PushExtremum(int64_t abs) {
+  const Value& v = entry(abs).value;
+  const bool filtered = this->filtered();
+  for (size_t o = 0; o < queues_.size(); ++o) {
+    const int owner = static_cast<int>(o);  // a member or a key table
+    if (filtered && (!states_[owner].active || !Has(owner, abs))) continue;
+    const int table = filtered ? states_[owner].table : owner;
+    const int32_t g = id(abs, table);
+    std::vector<ExtremaQueue>& by_id = queues_[o];
+    if (static_cast<size_t>(g) >= by_id.size()) {
+      by_id.resize(tables_[table].capacity());
     }
-    const int64_t member_window = members_[m].window;
-    // Expire entries that left this member's window: ts <= now - window.
-    while (st.cursor < base_ + static_cast<int64_t>(entries_.size())) {
-      const Entry& e = entries_[st.cursor - base_];
-      if (e.ts > now - member_window) break;
-      if (EntryHasMember(e, m)) {
-        Apply(m, e, -1);
-        // Drop groups whose window emptied (bounds state by the number of
-        // groups *live in the window*, not ever seen).
-        ValueVec key = GroupKeyOf(e.tuple, members_[m].group_by);
-        auto it = st.groups.find(key);
-        if (it != st.groups.end() && it->second.count == 0) {
-          st.groups.erase(it);
-        }
+    // Items the new value beats can never be a window's extremum again;
+    // equal ones stay, so the oldest of equal values wins.
+    ExtremaQueue& q = by_id[g];
+    while (!q.empty() && (is_min_ ? v < q.back().value : q.back().value < v)) {
+      q.pop_back();
+    }
+    q.push_back(Extremum{abs, v});
+  }
+}
+
+void SharedAggEngine::RebuildQueues() {
+  queues_.assign(filtered() ? members_.size() : tables_.size(), {});
+  if (!extrema_) return;
+  for (int64_t abs = base_; abs < end(); ++abs) PushExtremum(abs);
+}
+
+void SharedAggEngine::Trim() {
+  int64_t keep = end();
+  for (const MemberState& st : states_) keep = std::min(keep, st.cursor);
+  while (base_ < keep) {
+    if (extrema_) {
+      // Queues hold log entries only; the entry leaving is a queue front.
+      for (size_t owner = 0; owner < queues_.size(); ++owner) {
+        const int table =
+            filtered() ? states_[owner].table : static_cast<int>(owner);
+        const size_t g = id(base_, table);
+        if (g >= queues_[owner].size()) continue;
+        ExtremaQueue& q = queues_[owner][g];
+        if (!q.empty() && q.front().abs == base_) q.pop_front();
       }
-      ++st.cursor;
     }
-    if (!membership.Test(m)) continue;
-    // Add the new entry and emit the updated aggregate of its group.
-    Apply(m, entries_.back(), +1);
-    const AggMemberSpec& spec = members_[m];
-    ValueVec key = GroupKeyOf(t, spec.group_by);
-    const GroupState& g = st.groups[key];
-    std::vector<Value> out = key.values;
-    out.push_back(Extract(g));
-    emit(m, Tuple::Make(std::move(out), now));
-  }
-
-  // Entries no member can still need are dropped from the shared log.
-  int64_t min_cursor = base_ + static_cast<int64_t>(entries_.size());
-  for (const MemberState& st : states_) {
-    min_cursor = std::min(min_cursor, st.cursor);
-  }
-  while (base_ < min_cursor && !entries_.empty()) {
-    entries_.pop_front();
-    ++base_;
+    for (GroupKeyTable& table : tables_) {
+      table.Release(ids_.front());
+      ids_.pop_front();
+    }
+    if (filtered()) memberships_.pop_front();
+    log_.pop_front();
+    // The last entry with a membership left: members share queues again.
+    if (++base_ == explicit_until_) RebuildQueues();
   }
 }
 
 int SharedAggEngine::Backfill(int m) {
   MemberState& st = states_[m];
-  st.cursor = base_ + static_cast<int64_t>(entries_.size());
-  if (entries_.empty()) return 0;
-
-  // Backfill: retained entries inside the member's window (relative to the
-  // newest logged timestamp) are applied in log order — the same FIFO
-  // discipline live processing follows, so two-stacks extrema stay valid.
-  // The entries' membership vectors are widened to include the member,
-  // which is what lets the normal expiry path retract them later.
-  const Timestamp last_ts = entries_.back().ts;
+  const size_t tables = tables_.size();
+  st.table = TableFor(members_[m].group_by);
+  st.cursor = end();
+  // Retained entries inside the member's window (relative to the newest
+  // logged timestamp) are applied in log order, as live processing would.
   int backfilled = 0;
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    Entry& e = entries_[i];
-    if (e.ts <= last_ts - members_[m].window) continue;
-    if (backfilled == 0) st.cursor = base_ + static_cast<int64_t>(i);
-    if (e.membership.size() < num_members()) {
-      e.membership.Resize(num_members());
+  for (int64_t abs = base_; abs < end(); ++abs) {
+    if (entry(abs).tuple.ts() <= log_.back().tuple.ts() - members_[m].window) {
+      continue;
     }
-    e.membership.Set(m);
-    Apply(m, e, +1);
-    ++backfilled;
+    if (backfilled++ == 0) st.cursor = abs;
+    if (abs < explicit_until_) {
+      BitVector& bits = memberships_[abs - base_];
+      if (bits.size() < num_members()) bits.Resize(num_members());
+      bits.Set(m);
+    }
+    Apply(st, abs, +1);
   }
+  if (filtered() || tables_.size() != tables) RebuildQueues();
   return backfilled;
 }
 
 int SharedAggEngine::AddMember(const AggMemberSpec& spec) {
-  RUMOR_CHECK(spec.fn == members_[0].fn && spec.attr == members_[0].attr)
-      << "shared aggregation requires identical fn and attribute";
-  RUMOR_CHECK(spec.window > 0) << "aggregate window must be positive";
   members_.push_back(spec);
   states_.emplace_back();
-  active_.push_back(1);
-  max_window_ = std::max(max_window_, spec.window);
-  return Backfill(num_members() - 1);
+  states_.back().active = false;
+  return ReuseMember(num_members() - 1, spec);
 }
 
 void SharedAggEngine::DeactivateMember(int member) {
   RUMOR_DCHECK(member >= 0 && member < num_members());
-  active_[member] = 0;
-  states_[member].groups.clear();
-  states_[member].cursor = base_ + static_cast<int64_t>(entries_.size());
+  MemberState& st = states_[member];
+  st.active = false;
+  st.acc = {};
+  st.cursor = end();
+  if (filtered()) queues_[member] = {};
 }
 
 int SharedAggEngine::FindInactiveMember() const {
   for (int m = 0; m < num_members(); ++m) {
-    if (!active_[m]) return m;
+    if (!states_[m].active) return m;
   }
   return -1;
 }
 
 int SharedAggEngine::ReuseMember(int member, const AggMemberSpec& spec) {
   RUMOR_CHECK(member >= 0 && member < num_members());
-  RUMOR_CHECK(!active_[member]) << "slot is still in use";
+  RUMOR_CHECK(!states_[member].active) << "slot is still in use";
   RUMOR_CHECK(spec.fn == members_[0].fn && spec.attr == members_[0].attr)
       << "shared aggregation requires identical fn and attribute";
   RUMOR_CHECK(spec.window > 0) << "aggregate window must be positive";
   members_[member] = spec;
-  active_[member] = 1;
-  max_window_ = std::max(max_window_, spec.window);
-  RUMOR_DCHECK(states_[member].groups.empty());
+  states_[member].active = true;
   return Backfill(member);
+}
+
+size_t SharedAggEngine::group_count(int member) const {
+  size_t n = 0;
+  for (const Acc& acc : states_[member].acc) n += acc.count > 0;
+  return n;
+}
+
+size_t SharedAggEngine::key_count() const {
+  size_t n = 0;
+  for (const GroupKeyTable& table : tables_) n += table.live();
+  return n;
 }
 
 void SharedAggEngine::ExtractState(AggEngineState* out) const {
   out->entries.clear();
   out->members.assign(members_.size(), AggMemberState{});
-
-  for (size_t i = 0; i < entries_.size(); ++i) {
-    const Entry& e = entries_[i];
-    const int64_t abs = base_ + static_cast<int64_t>(i);
+  for (int64_t abs = base_; abs < end(); ++abs) {
     BitVector live(num_members());
     for (int m = 0; m < num_members(); ++m) {
-      if (active_[m] && abs >= states_[m].cursor && EntryHasMember(e, m)) {
-        live.Set(m);
-      }
+      const MemberState& st = states_[m];
+      if (st.active && abs >= st.cursor && Has(m, abs)) live.Set(m);
     }
     if (live.None()) continue;  // fully expired; nothing left to retract
+    const Entry& e = entry(abs);
     AggLogEntry saved;
-    saved.ts = e.ts;
+    saved.ts = e.tuple.ts();
     saved.value = e.value;
     saved.tuple.ts = e.tuple.ts();
     saved.tuple.values.assign(e.tuple.values().begin(),
@@ -257,108 +347,119 @@ void SharedAggEngine::ExtractState(AggEngineState* out) const {
         break;
       }
     }
-    if (!active_[m]) continue;
-    for (const auto& [key, g] : states_[m].groups) {
-      AggGroupState saved;
-      saved.key = key.values;
-      saved.count = g.count;
-      saved.isum = g.isum;
-      saved.double_count = g.double_count;
-      saved.dsum = g.dsum;
-      member.groups.push_back(std::move(saved));
+    const MemberState& st = states_[m];
+    for (size_t g = 0; g < st.acc.size(); ++g) {
+      const Acc& acc = st.acc[g];
+      if (acc.count == 0) continue;
+      std::span<const Value> key = tables_[st.table].key(g);
+      member.groups.push_back(AggGroupState{
+          {key.begin(), key.end()}, acc.count, acc.isum, acc.double_count,
+          acc.dsum});
     }
   }
 }
 
 Status SharedAggEngine::LoadState(const AggEngineState& state,
                                   const std::vector<int>& src_members) {
-  if (!entries_.empty()) {
+  if (!log_.empty()) {
     return Status::Internal("aggregate state restore needs an empty engine");
   }
-  if (src_members.size() != static_cast<size_t>(num_members())) {
+  const int n = num_members();
+  if (src_members.size() != static_cast<size_t>(n)) {
     return Status::Internal("aggregate member mapping size mismatch");
   }
-
-  // Re-log the saved entries that at least one restored member still needs.
-  for (const AggLogEntry& saved : state.entries) {
-    BitVector membership(num_members());
-    for (int r = 0; r < num_members(); ++r) {
-      const int s = src_members[r];
-      if (s >= 0 && s < saved.membership.size() && saved.membership.Test(s)) {
-        membership.Set(r);
-      }
-    }
-    if (membership.None()) continue;
-    Entry e;
-    e.ts = saved.ts;
-    e.value = saved.value;
-    e.tuple = Tuple::Make(saved.tuple.values, saved.tuple.ts);
-    e.membership = std::move(membership);
-    entries_.push_back(std::move(e));
+  int width = members_[0].attr + 1;
+  for (const AggMemberSpec& spec : members_) {
+    for (int g : spec.group_by) width = std::max(width, g + 1);
   }
 
-  for (int r = 0; r < num_members(); ++r) {
+  // The saved entries that at least one restored member still needs, with
+  // their memberships mapped onto the restored members.
+  std::vector<const AggLogEntry*> kept;
+  std::vector<BitVector> bits;
+  std::vector<char> seen(n, 0);
+  bool suffixes = true;  // each member's entries run to the end of the log
+  for (const AggLogEntry& saved : state.entries) {
+    BitVector b(n);
+    for (int r = 0; r < n; ++r) {
+      const int s = src_members[r];
+      if (states_[r].active && s >= 0 && s < saved.membership.size() &&
+          saved.membership.Test(s)) {
+        b.Set(r);
+      }
+    }
+    if (b.None()) continue;
+    if (static_cast<int>(saved.tuple.values.size()) < width ||
+        (!kept.empty() && saved.ts < kept.back()->ts)) {
+      return Status::InvalidArgument(
+          "snapshot aggregate state inconsistent: malformed log entry");
+    }
+    for (int r = 0; r < n; ++r) {
+      if (b.Test(r)) {
+        seen[r] = 1;
+      } else if (seen[r]) {
+        suffixes = false;
+      }
+    }
+    kept.push_back(&saved);
+    bits.push_back(std::move(b));
+  }
+  // Otherwise (e.g. logs merged from several shards) the entries keep their
+  // memberships until they leave the log.
+  if (!suffixes && !fragment_) {
+    explicit_until_ = base_ + static_cast<int64_t>(kept.size());
+  }
+  RebuildQueues();
+  for (MemberState& st : states_) st.cursor = base_ + kept.size();
+  for (size_t i = 0; i < kept.size(); ++i) {
+    const int64_t abs = end();
+    Append(Tuple::Make(kept[i]->tuple.values, kept[i]->ts), &bits[i]);
+    // Replay each member's entries to rebuild its group counts.
+    bits[i].ForEach([&](int r) {
+      states_[r].cursor = std::min(states_[r].cursor, abs);
+      Apply(states_[r], abs, +1);
+    });
+  }
+  // Cross-check the counts, then adopt the saved bit-exact numerics.
+  for (int r = 0; r < n; ++r) {
     MemberState& st = states_[r];
-    st.cursor = base_ + static_cast<int64_t>(entries_.size());
     const int s = src_members[r];
-    if (!active_[r] || s < 0) continue;
+    if (!st.active || s < 0) continue;
     if (s >= static_cast<int>(state.members.size())) {
       return Status::Internal("aggregate member mapping out of range");
     }
-    // Replay the member's live entries in log (timestamp) order. This
-    // rebuilds the extrema stacks / ordered multisets under the same FIFO
-    // discipline live processing follows, and recomputes the group
-    // numerics — which are then replaced by the saved bit-exact values so
-    // restored running sums match the uninterrupted run to the last bit.
-    for (size_t i = 0; i < entries_.size(); ++i) {
-      const Entry& e = entries_[i];
-      if (!e.membership.Test(r)) continue;
-      if (st.cursor > base_ + static_cast<int64_t>(i)) {
-        st.cursor = base_ + static_cast<int64_t>(i);
-      }
-      Apply(r, e, +1);
-    }
     const std::vector<AggGroupState>& saved_groups = state.members[s].groups;
-    if (st.groups.size() != saved_groups.size()) {
+    if (group_count(r) != saved_groups.size()) {
       return Status::InvalidArgument(
           "snapshot aggregate state inconsistent: replayed group count "
           "does not match the saved accumulators");
     }
     for (const AggGroupState& g : saved_groups) {
-      auto it = st.groups.find(ValueVec{g.key});
-      if (it == st.groups.end()) {
+      const int32_t gid = tables_[st.table].Find(g.key);
+      if (gid < 0 || static_cast<size_t>(gid) >= st.acc.size() ||
+          st.acc[gid].count != g.count) {
         return Status::InvalidArgument(
-            "snapshot aggregate state inconsistent: saved group key has no "
-            "live entries in the saved log");
+            "snapshot aggregate state inconsistent: saved group does not "
+            "match the saved log");
       }
-      if (it->second.count != g.count) {
-        return Status::InvalidArgument(
-            "snapshot aggregate state inconsistent: saved group count does "
-            "not match the saved log");
-      }
-      it->second.count = g.count;
-      it->second.isum = g.isum;
-      it->second.dsum = g.dsum;
-      it->second.double_count = g.double_count;
+      st.acc[gid] = Acc{g.count, g.isum, g.dsum, g.double_count};
     }
   }
   return Status::OK();
 }
 
 int64_t SharedAggEngine::ApproxBytes() const {
-  // Hash/tree node bookkeeping estimate (pointers, hash, allocator rounding).
-  constexpr int64_t kNodeOverhead = 48;
-  int64_t b = static_cast<int64_t>(entries_.size()) * sizeof(Entry);
-  for (const MemberState& state : states_) {
-    for (const auto& [key, group] : state.groups) {
-      b += kNodeOverhead + static_cast<int64_t>(sizeof(key)) +
-           static_cast<int64_t>(key.values.capacity() * sizeof(Value)) +
-           static_cast<int64_t>(sizeof(group));
-      // Two-stacks items live in two vectors; multiset values in tree nodes.
-      b += static_cast<int64_t>(group.extrema.size()) * 2 *
-           static_cast<int64_t>(sizeof(Value));
-      b += static_cast<int64_t>(group.ordered.size()) *
-           (static_cast<int64_t>(sizeof(Value)) + kNodeOverhead);
+  int64_t b = static_cast<int64_t>(log_.capacity() * sizeof(Entry) +
+                                   ids_.capacity() * sizeof(int32_t) +
+                                   memberships_.capacity() * sizeof(BitVector));
+  for (const GroupKeyTable& table : tables_) b += table.ApproxBytes();
+  for (const MemberState& st : states_) {
+    b += static_cast<int64_t>(st.acc.capacity() * sizeof(Acc));
+  }
+  for (const std::vector<ExtremaQueue>& by_id : queues_) {
+    b += static_cast<int64_t>(by_id.capacity() * sizeof(ExtremaQueue));
+    for (const ExtremaQueue& q : by_id) {
+      b += static_cast<int64_t>(q.capacity() * sizeof(Extremum));
     }
   }
   return b;

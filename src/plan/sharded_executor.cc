@@ -339,7 +339,10 @@ void ShardedExecutor::PushSourceBatch(StreamId stream,
           : StreamRoute{};
   if (static_cast<size_t>(stream) >= rr_.size()) rr_.resize(stream + 1, 0);
 
-  const uint64_t epoch = next_epoch_++;
+  // The epoch is published (next_epoch_ advanced) only once all of it has
+  // been routed: AcquireShell may run the ordered merge, which must not
+  // pass this epoch on a shard whose slice is still being staged.
+  const uint64_t epoch = next_epoch_;
 #if RUMOR_METRICS_ENABLED
   // Stamp every Nth epoch; the ordered merge records the latency when its
   // cursor passes the stamped epoch (lanes mode has no merge to finish, so
@@ -375,6 +378,7 @@ void ShardedExecutor::PushSourceBatch(StreamId stream,
     sh.staging = nullptr;
     sh.last_sent = epoch;
   }
+  next_epoch_ = epoch + 1;
   if (merge_sink_ != nullptr) DrainDeliveries();
 }
 

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
+#include <memory>
+#include <string>
 
 #include "mop_test_util.h"
 
@@ -15,61 +18,6 @@ AggregateMop::Member M(AggFn fn, int attr, std::vector<int> groups,
                        int64_t window, int slot = 0) {
   return {slot, AggMemberSpec{fn, attr, std::move(groups), window}};
 }
-
-// Brute-force oracle: aggregate over all pushed tuples with ts in
-// (t - window, t] and matching group, per the documented contract.
-class Oracle {
- public:
-  Oracle(AggFn fn, int attr, std::vector<int> groups, int64_t window)
-      : fn_(fn), attr_(attr), groups_(std::move(groups)), window_(window) {}
-
-  Tuple Push(const Tuple& t) {
-    history_.push_back(t);
-    Timestamp now = t.ts();
-    ValueVec key = GroupKeyOf(t, groups_);
-    int64_t count = 0, isum = 0;
-    double dsum = 0;
-    Value min_v, max_v;
-    bool first = true;
-    for (const Tuple& h : history_) {
-      if (h.ts() <= now - window_ || h.ts() > now) continue;
-      if (!(GroupKeyOf(h, groups_) == key)) continue;
-      ++count;
-      if (attr_ >= 0) {
-        const Value& v = h.at(attr_);
-        if (v.type() == ValueType::kInt) {
-          isum += v.AsInt();
-        } else {
-          dsum += v.ToNumeric();
-        }
-        if (first || v < min_v) min_v = v;
-        if (first || v > max_v) max_v = v;
-        first = false;
-      }
-    }
-    Value result;
-    switch (fn_) {
-      case AggFn::kCount: result = Value(count); break;
-      case AggFn::kSum: result = Value(isum); break;
-      case AggFn::kAvg:
-        result = Value((dsum + static_cast<double>(isum)) /
-                       static_cast<double>(count));
-        break;
-      case AggFn::kMin: result = min_v; break;
-      case AggFn::kMax: result = max_v; break;
-    }
-    std::vector<Value> out = key.values;
-    out.push_back(result);
-    return Tuple::Make(std::move(out), now);
-  }
-
- private:
-  AggFn fn_;
-  int attr_;
-  std::vector<int> groups_;
-  int64_t window_;
-  std::vector<Tuple> history_;
-};
 
 TEST(AggregateMopTest, CountNoGroup) {
   AggregateMop mop({M(AggFn::kCount, -1, {}, 10)}, Sharing::kIsolated,
@@ -280,29 +228,262 @@ TEST(AggregateMopTest, SumDoubleResidueDoesNotLeak) {
   EXPECT_EQ(out.port(0)[3].tuple.at(0).AsDouble(), 0.3);
 }
 
-// Unit coverage for the two-stacks extrema structure itself (FIFO windows
-// with arbitrary push/pop interleavings, both orderings).
-TEST(TwoStacksExtremaTest, MatchesNaiveWindowExtrema) {
-  for (bool min : {true, false}) {
-    Rng rng(min ? 11 : 12);
-    TwoStacksExtrema extrema;
-    std::vector<int64_t> window;
-    for (int step = 0; step < 2000; ++step) {
-      if (window.empty() || rng.UniformInt(0, 2) != 0) {
-        int64_t v = rng.UniformInt(0, 50);
-        extrema.Push(Value(v), min);
-        window.push_back(v);
-      } else {
-        extrema.PopFront(Value(window.front()), min);
-        window.erase(window.begin());
-      }
-      ASSERT_EQ(extrema.size(), window.size());
-      if (!window.empty()) {
-        int64_t expected = min ? *std::min_element(window.begin(), window.end())
-                               : *std::max_element(window.begin(), window.end());
-        ASSERT_EQ(extrema.Best(min).AsInt(), expected) << "step " << step;
+// --- differential test of the shared engine -----------------------------------
+
+// Renders a tuple exactly: the timestamp, then each value's type and bits.
+std::string Bytes(const Tuple& t) {
+  std::string out = std::to_string(t.ts());
+  for (const Value& v : t.values()) {
+    out += " " + std::to_string(static_cast<int>(v.type())) + ":";
+    if (v.type() == ValueType::kDouble) {
+      out += std::to_string(std::bit_cast<uint64_t>(v.AsDouble()));
+    } else {
+      out += v.ToString();
+    }
+  }
+  return out;
+}
+
+// (int key, string key, int-or-equal-double key, int/double value): the
+// third key and the value mix representations that compare equal.
+Tuple DiffTuple(Rng& rng, Timestamp ts) {
+  static const char* kNames[] = {"x", "y", "z"};
+  const int64_t k = rng.UniformInt(0, 2);
+  const int64_t v = rng.UniformInt(0, 5);
+  const int64_t kind = rng.UniformInt(0, 2);
+  return Tuple::Make(
+      {Value(rng.UniformInt(0, 2)), Value(kNames[rng.UniformInt(0, 2)]),
+       rng.Bernoulli(0.5) ? Value(k) : Value(static_cast<double>(k)),
+       kind == 0   ? Value(v)
+       : kind == 1 ? Value(static_cast<double>(v))
+                   : Value(v * 0.1)},
+      ts);
+}
+
+AggMemberSpec DiffSpec(Rng& rng, AggFn fn) {
+  AggMemberSpec spec{fn, fn == AggFn::kCount ? -1 : 3, {},
+                     1 + rng.UniformInt(0, 29)};
+  std::vector<int> attrs = {0, 1, 2};
+  for (int64_t i = rng.UniformInt(0, 2); i > 0; --i) {
+    const size_t pick = rng.UniformInt(0, attrs.size() - 1);
+    spec.group_by.push_back(attrs[pick]);
+    attrs.erase(attrs.begin() + pick);
+  }
+  return spec;
+}
+
+// Drives one engine with random input, live membership changes (sα only)
+// and a snapshot round trip, and checks every member's output against its
+// own Oracle. The harness mirrors the engine's expiry cursors to know which
+// entries the log retains, and so what a late member is backfilled with.
+class EngineDiff {
+ public:
+  EngineDiff(uint64_t seed, AggFn fn, bool fragment)
+      : rng_(seed), fn_(fn), fragment_(fragment) {
+    const AggMemberSpec shared = DiffSpec(rng_, fn_);  // cα: one definition
+    const int n = 1 + static_cast<int>(rng_.UniformInt(0, 4));
+    std::vector<AggMemberSpec> specs;
+    for (int m = 0; m < n; ++m) {
+      specs.push_back(fragment_ ? shared : DiffSpec(rng_, fn_));
+      members_.emplace_back();
+      members_.back().spec = specs.back();
+      members_.back().oracle = MakeOracle(specs.back());
+    }
+    engine_ = std::make_unique<SharedAggEngine>(specs, fragment_);
+  }
+
+  void Run(int steps) {
+    const int cut = static_cast<int>(rng_.UniformInt(steps / 4, steps - 1));
+    Timestamp ts = 0;
+    for (int step = 0; step < steps; ++step) {
+      if (!fragment_) ChangeMembers();
+      if (step == cut) RoundTrip();
+      ts += rng_.UniformInt(0, 3);
+      Push(DiffTuple(rng_, ts));
+      ASSERT_EQ(engine_->log_size(), history_.size() - retained_);
+    }
+    for (size_t m = 0; m < members_.size(); ++m) {
+      ASSERT_EQ(members_[m].got.size(), members_[m].want.size()) << m;
+      for (size_t i = 0; i < members_[m].got.size(); ++i) {
+        ASSERT_EQ(members_[m].got[i], members_[m].want[i])
+            << "member " << m << " output " << i;
       }
     }
+  }
+
+ private:
+  struct Member {
+    AggMemberSpec spec;
+    bool active = true;
+    size_t cursor = 0;  // first history entry inside the member's window
+    std::unique_ptr<Oracle> oracle;
+    std::vector<std::string> got, want;
+  };
+
+  static std::unique_ptr<Oracle> MakeOracle(const AggMemberSpec& spec) {
+    return std::make_unique<Oracle>(spec.fn, spec.attr, spec.group_by,
+                                    spec.window);
+  }
+
+  void Push(const Tuple& t) {
+    BitVector membership = RandomMembership(rng_, engine_->num_members());
+    engine_->Process(t, fragment_ ? &membership : nullptr,
+                     [&](int m, Tuple out) {
+                       members_[m].got.push_back(Bytes(out));
+                     });
+    history_.push_back(t);
+    size_t keep = history_.size();
+    for (size_t m = 0; m < members_.size(); ++m) {
+      Member& mem = members_[m];
+      if (!mem.active) {
+        mem.cursor = history_.size();
+      } else {
+        while (mem.cursor + 1 < history_.size() &&
+               history_[mem.cursor].ts() <= t.ts() - mem.spec.window) {
+          ++mem.cursor;
+        }
+        if (!fragment_ || membership.Test(static_cast<int>(m))) {
+          mem.want.push_back(Bytes(mem.oracle->Push(t)));
+        }
+      }
+      keep = std::min(keep, mem.cursor);
+    }
+    retained_ = std::max(retained_, keep);
+  }
+
+  // Adds (slot < 0) or re-arms a member and backfills its oracle with the
+  // retained entries inside its window.
+  void Attach(int slot, const AggMemberSpec& spec) {
+    size_t cursor = history_.size();
+    for (size_t i = retained_; i < history_.size(); ++i) {
+      if (history_[i].ts() > history_.back().ts() - spec.window) {
+        cursor = i;
+        break;
+      }
+    }
+    const int backfilled = slot < 0 ? engine_->AddMember(spec)
+                                    : engine_->ReuseMember(slot, spec);
+    EXPECT_EQ(backfilled, static_cast<int>(history_.size() - cursor));
+    if (slot < 0) {
+      slot = static_cast<int>(members_.size());
+      members_.emplace_back();
+    }
+    Member& mem = members_[slot];
+    mem.spec = spec;
+    mem.active = true;
+    mem.cursor = cursor;
+    mem.oracle = MakeOracle(spec);
+    for (size_t i = cursor; i < history_.size(); ++i) {
+      mem.oracle->Add(history_[i]);
+    }
+  }
+
+  void Deactivate(int m) {
+    engine_->DeactivateMember(m);
+    members_[m].active = false;
+    members_[m].cursor = history_.size();
+  }
+
+  void ChangeMembers() {
+    std::vector<int> active, inactive;
+    for (size_t m = 0; m < members_.size(); ++m) {
+      (members_[m].active ? active : inactive).push_back(static_cast<int>(m));
+    }
+    switch (rng_.UniformInt(0, 24)) {
+      case 0:
+        Attach(-1, DiffSpec(rng_, fn_));
+        break;
+      case 1:
+        if (!active.empty()) {
+          Deactivate(active[rng_.UniformInt(0, active.size() - 1)]);
+        }
+        break;
+      case 2:
+        if (!inactive.empty()) {
+          Attach(inactive[rng_.UniformInt(0, inactive.size() - 1)],
+                 DiffSpec(rng_, fn_));
+        }
+        break;
+      case 3: {
+        // Replace the widest window by a wider one before the log is
+        // trimmed again.
+        if (active.empty()) break;
+        int widest = active[0];
+        for (int m : active) {
+          if (members_[m].spec.window > members_[widest].spec.window) {
+            widest = m;
+          }
+        }
+        AggMemberSpec spec = DiffSpec(rng_, fn_);
+        spec.window = members_[widest].spec.window + rng_.UniformInt(1, 10);
+        Deactivate(widest);
+        Attach(-1, spec);
+        break;
+      }
+      default:
+        break;
+    }
+  }
+
+  // Checkpoints the engine and continues on a fresh one loaded from it.
+  void RoundTrip() {
+    AggEngineState state;
+    engine_->ExtractState(&state);
+    std::vector<AggMemberSpec> specs;
+    std::vector<int> src;
+    size_t keep = history_.size();
+    for (size_t m = 0; m < members_.size(); ++m) {
+      specs.push_back(members_[m].spec);
+      src.push_back(members_[m].active ? static_cast<int>(m) : -1);
+      if (members_[m].active) keep = std::min(keep, members_[m].cursor);
+    }
+    auto next = std::make_unique<SharedAggEngine>(specs, fragment_);
+    for (size_t m = 0; m < members_.size(); ++m) {
+      if (!members_[m].active) next->DeactivateMember(static_cast<int>(m));
+    }
+    Status status = next->LoadState(state, src);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    engine_ = std::move(next);
+    // Entries no active member still covers are not saved.
+    retained_ = std::max(retained_, keep);
+    ASSERT_EQ(engine_->log_size(), history_.size() - retained_);
+  }
+
+  Rng rng_;
+  AggFn fn_;
+  bool fragment_;
+  std::unique_ptr<SharedAggEngine> engine_;
+  std::vector<Member> members_;
+  std::vector<Tuple> history_;  // every input tuple
+  size_t retained_ = 0;         // history_[retained_..] is the engine's log
+};
+
+class SharedAggDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SharedAggDifferentialTest, MatchesOracleByteForByte) {
+  for (AggFn fn : {AggFn::kCount, AggFn::kSum, AggFn::kAvg, AggFn::kMin,
+                   AggFn::kMax}) {
+    for (bool fragment : {false, true}) {
+      SCOPED_TRACE(testing::Message() << "fn " << static_cast<int>(fn)
+                                      << (fragment ? " cα" : " sα"));
+      EngineDiff(GetParam() * 31 + static_cast<uint64_t>(fn), fn, fragment)
+          .Run(400);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SharedAggDifferentialTest,
+                         ::testing::Range<uint64_t>(0, 10));
+
+TEST(SharedAggEngineTest, MinMaxReturnOldestOfEqualValues) {
+  for (AggFn fn : {AggFn::kMin, AggFn::kMax}) {
+    SharedAggEngine engine({AggMemberSpec{fn, 0, {}, 10}});
+    std::vector<Tuple> out;
+    auto emit = [&](int, Tuple t) { out.push_back(std::move(t)); };
+    engine.Process(Tuple::Make({Value(2.0)}, 1), nullptr, emit);
+    engine.Process(Tuple::Make({Value(int64_t{2})}, 2), nullptr, emit);
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[1].at(0).type(), ValueType::kDouble);
   }
 }
 

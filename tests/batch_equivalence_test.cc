@@ -2,16 +2,15 @@
 // execution: for every workload, pushing the feed through PushSourceBatch
 // (grouped into maximal same-stream runs) must produce byte-identical
 // per-query sink output and the same number of m-op deliveries as pushing
-// tuple by tuple. Also cross-checks the two MIN/MAX aggregation
-// implementations (two-stacks vs legacy ordered multiset) against each
-// other under both dispatch modes.
+// tuple by tuple. Also checks shared MIN/MAX aggregation against the naive
+// per-query oracle under both dispatch modes.
 #include <gtest/gtest.h>
 
 #include <map>
 #include <string>
 #include <vector>
 
-#include "mop/window.h"
+#include "mop_test_util.h"
 #include "plan/compile.h"
 #include "plan/executor.h"
 #include "query/builder.h"
@@ -159,10 +158,10 @@ TEST(BatchEquivalenceTest, HybridPerfmonQueries) {
   ExpectBatchEquivalence(queries, events, {"CPU"});
 }
 
-TEST(BatchEquivalenceTest, SharedMinMaxAggregationAcrossImplementations) {
+TEST(BatchEquivalenceTest, SharedMinMaxAggregationMatchesOracle) {
   // N MIN + N MAX queries with distinct windows over one source; rule sα
-  // merges each function group into one shared engine. Compares every
-  // (dispatch mode, MIN/MAX implementation) combination.
+  // merges each function group into one shared engine. Every dispatch mode
+  // must deliver what the naive oracle computes for each query alone.
   PerfmonParams params;
   params.num_processes = 6;
   params.duration_seconds = 200;
@@ -171,23 +170,30 @@ TEST(BatchEquivalenceTest, SharedMinMaxAggregationAcrossImplementations) {
   for (const Tuple& t : trace) events.push_back(Event{0, t});
 
   std::vector<Query> queries;
+  std::map<std::string, std::vector<std::string>> expected;
   Schema schema = PerfmonSchema();
+  const int pid = *schema.IndexOf("pid");
+  const int load = *schema.IndexOf("load");
   for (int i = 0; i < 4; ++i) {
-    queries.push_back(QueryBuilder::FromSource("CPU", schema)
-                          .Aggregate(AggFn::kMin, "load", {"pid"}, 10 + 13 * i)
-                          .Build("MIN" + std::to_string(i)));
-    queries.push_back(QueryBuilder::FromSource("CPU", schema)
-                          .Aggregate(AggFn::kMax, "load", {"pid"}, 7 + 11 * i)
-                          .Build("MAX" + std::to_string(i)));
+    for (AggFn fn : {AggFn::kMin, AggFn::kMax}) {
+      const int64_t window = fn == AggFn::kMin ? 10 + 13 * i : 7 + 11 * i;
+      const std::string name =
+          (fn == AggFn::kMin ? "MIN" : "MAX") + std::to_string(i);
+      queries.push_back(QueryBuilder::FromSource("CPU", schema)
+                            .Aggregate(fn, "load", {"pid"}, window)
+                            .Build(name));
+      Oracle oracle(fn, load, {pid}, window);
+      for (const Event& e : events) {
+        expected[name].push_back(oracle.Push(e.tuple).ToString());
+      }
+    }
   }
 
-  SharedAggEngine::SetDefaultMinMaxImpl(MinMaxImpl::kOrderedSet);
-  RunResult ordered_reference = RunWorkload(queries, events, {"CPU"}, 0);
-  SharedAggEngine::SetDefaultMinMaxImpl(MinMaxImpl::kTwoStacks);
   ExpectBatchEquivalence(queries, events, {"CPU"});
-  RunResult two_stacks = RunWorkload(queries, events, {"CPU"}, 0);
-  EXPECT_EQ(two_stacks.outputs, ordered_reference.outputs)
-      << "two-stacks vs ordered-set MIN/MAX maintenance diverged";
+  for (int64_t batch : {0, 64}) {
+    EXPECT_EQ(RunWorkload(queries, events, {"CPU"}, batch).outputs, expected)
+        << "batch " << batch;
+  }
 }
 
 // A sink handler may push back into the executor from inside a batch; the

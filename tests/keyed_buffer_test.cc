@@ -1,8 +1,9 @@
-#include "mop/window.h"
+#include "mop/keyed_buffer.h"
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "mop/window.h"
 
 namespace rumor {
 namespace {
@@ -122,25 +123,33 @@ TEST_P(KeyedBufferPropertyTest, IndexedMatchesScanFiltered) {
 INSTANTIATE_TEST_SUITE_P(Seeds, KeyedBufferPropertyTest,
                          ::testing::Range<uint64_t>(0, 10));
 
-// Shared aggregation keeps only groups live in some member's window.
+// Shared aggregation keeps only groups live in some member's window: the
+// accumulators, the interned keys and the extrema queues stay bounded by
+// the groups in the window, not by the groups ever seen.
 TEST(SharedAggEngineTest, EmptyGroupsAreDropped) {
-  SharedAggEngine engine({AggMemberSpec{AggFn::kSum, 1, {0}, 5}});
-  auto feed = [&](int64_t group, int64_t value, Timestamp ts) {
-    engine.Process(Tuple::MakeInts({group, value}, ts),
-                   BitVector::AllOnes(1), [](int, Tuple) {});
-  };
-  for (int g = 0; g < 50; ++g) feed(g, 1, g);
-  // Groups 0..44 have long expired by ts=49 (window 5).
-  EXPECT_LE(engine.group_count(0), 6u);
-  EXPECT_LE(engine.log_size(), 7u);
+  for (AggFn fn : {AggFn::kSum, AggFn::kMax}) {
+    SharedAggEngine engine({AggMemberSpec{fn, 1, {0}, 5},
+                            AggMemberSpec{fn, 1, {0, 1}, 3}});
+    for (int64_t g = 0; g < 100000; ++g) {
+      engine.Process(Tuple::MakeInts({g, g % 7}, g), nullptr,
+                     [](int, Tuple) {});
+      // Groups g-4..g are live in the window of 5 at ts=g.
+      ASSERT_LE(engine.group_count(0), 5u);
+      ASSERT_LE(engine.group_count(1), 3u);
+      ASSERT_LE(engine.log_size(), 6u);
+      ASSERT_LE(engine.key_count(), 12u);  // two GROUP BY lists
+      // A handful of groups' keys, ids, accumulators and queue items.
+      ASSERT_GT(engine.ApproxBytes(), 0);
+      ASSERT_LE(engine.ApproxBytes(), 8 * 1024) << "g=" << g;
+    }
+  }
 }
 
 TEST(SharedAggEngineTest, LogBoundedByMaxWindow) {
   SharedAggEngine engine({AggMemberSpec{AggFn::kCount, -1, {}, 3},
                           AggMemberSpec{AggFn::kCount, -1, {}, 10}});
   for (Timestamp ts = 0; ts < 100; ++ts) {
-    engine.Process(Tuple::MakeInts({0}, ts), BitVector::AllOnes(2),
-                   [](int, Tuple) {});
+    engine.Process(Tuple::MakeInts({0}, ts), nullptr, [](int, Tuple) {});
   }
   EXPECT_LE(engine.log_size(), 11u);  // max window + current tuple
 }

@@ -1,6 +1,7 @@
-// Shared helpers for m-op unit/property tests: a collecting Emitter and
-// multiset output comparison. M-ops are driven directly through Process();
-// plan/executor integration is covered separately.
+// Shared helpers for m-op unit/property tests: a collecting Emitter,
+// multiset output comparison, and a naive windowed-aggregate oracle. M-ops
+// are driven directly through Process(); plan/executor integration is
+// covered separately.
 #ifndef RUMOR_TESTS_MOP_TEST_UTIL_H_
 #define RUMOR_TESTS_MOP_TEST_UTIL_H_
 
@@ -12,6 +13,7 @@
 
 #include "common/rng.h"
 #include "mop/mop.h"
+#include "query/query.h"
 
 namespace rumor {
 
@@ -88,6 +90,115 @@ inline BitVector RandomMembership(Rng& rng, int capacity) {
   if (bv.None()) bv.Set(static_cast<int>(rng.UniformInt(0, capacity - 1)));
   return bv;
 }
+
+
+// Naive reference for one windowed aggregate member: it keeps every tuple
+// the member has taken and rescans them for the window and the group (an
+// int and an equal double are one group). SUM/AVG accumulate in arrival
+// and retraction order, the order a member running alone follows, so
+// double results compare bit for bit; MIN/MAX return the oldest of equal
+// values in the window.
+class Oracle {
+ public:
+  Oracle(AggFn fn, int attr, std::vector<int> groups, int64_t window)
+      : fn_(fn), attr_(attr), groups_(std::move(groups)), window_(window) {}
+
+  // Takes `t` into the window without emitting (a late member's backfill).
+  void Add(const Tuple& t) {
+    items_.push_back(t);
+    Accumulate(t, +1);
+  }
+
+  // Expires the entries t's window no longer covers, takes `t`, and returns
+  // the member's output (t's group values..., aggregate) at t.ts().
+  Tuple Push(const Tuple& t) {
+    for (; expired_ < items_.size() &&
+           items_[expired_].ts() <= t.ts() - window_;
+         ++expired_) {
+      Accumulate(items_[expired_], -1);
+    }
+    Add(t);
+    const Group& g = *FindGroup(t);
+    Value result;
+    switch (fn_) {
+      case AggFn::kCount: result = Value(g.count); break;
+      case AggFn::kSum:
+        result = g.double_count > 0 ? Value(g.dsum + g.isum) : Value(g.isum);
+        break;
+      case AggFn::kAvg:
+        result = Value((g.dsum + static_cast<double>(g.isum)) /
+                       static_cast<double>(g.count));
+        break;
+      case AggFn::kMin:
+      case AggFn::kMax:
+        for (size_t i = expired_; i < items_.size(); ++i) {
+          if (!SameGroup(items_[i], t)) continue;
+          const Value& v = items_[i].at(attr_);
+          const bool better = fn_ == AggFn::kMin ? v < result : result < v;
+          if (result.type() == ValueType::kNull || better) result = v;
+        }
+        break;
+    }
+    std::vector<Value> out;
+    for (int a : groups_) out.push_back(t.at(a));
+    out.push_back(result);
+    return Tuple::Make(std::move(out), t.ts());
+  }
+
+ private:
+  struct Group {
+    Tuple key;  // any tuple of the group
+    int64_t count = 0;
+    int64_t isum = 0;
+    double dsum = 0;
+    int64_t double_count = 0;
+  };
+
+  bool SameGroup(const Tuple& a, const Tuple& b) const {
+    for (int g : groups_) {
+      if (!(a.at(g) == b.at(g))) return false;
+    }
+    return true;
+  }
+
+  Group* FindGroup(const Tuple& t) {
+    for (Group& g : groups_state_) {
+      if (SameGroup(g.key, t)) return &g;
+    }
+    return nullptr;
+  }
+
+  void Accumulate(const Tuple& t, int sign) {
+    Group* g = FindGroup(t);
+    if (g == nullptr) {
+      groups_state_.push_back(Group{t});
+      g = &groups_state_.back();
+    }
+    g->count += sign;
+    if (fn_ != AggFn::kCount) {
+      const Value& v = t.at(attr_);
+      if (v.type() == ValueType::kInt) {
+        g->isum += sign * v.AsInt();
+      } else {
+        g->dsum += sign * v.ToNumeric();
+        g->double_count += sign;
+        if (g->double_count == 0) g->dsum = 0;
+      }
+    }
+    if (g->count == 0) {
+      *g = groups_state_.back();
+      groups_state_.pop_back();
+    }
+  }
+
+  AggFn fn_;
+  int attr_;
+  std::vector<int> groups_;
+  int64_t window_;
+  std::vector<Tuple> items_;  // every tuple taken, in order
+  size_t expired_ = 0;        // items_[0, expired_) left the window
+  std::vector<Group> groups_state_;
+};
 
 }  // namespace rumor
 

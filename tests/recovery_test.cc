@@ -117,7 +117,7 @@ void Attach(StreamEngine& engine, Outputs* out) {
 }
 
 // A workload exercising every stateful operator: selections (stateless),
-// grouped AVG and MAX windows (two-stacks state), a windowed equi-join,
+// grouped AVG and MAX windows (extrema-queue state), a windowed equi-join,
 // a sequence, and an iterate over a derived aggregate stream.
 void AddWorkload(StreamEngine& engine) {
   ASSERT_TRUE(engine.RegisterSource("CPU", CpuSchema()).ok());

@@ -304,6 +304,57 @@ TEST(ShardedExecutorTest, BackpressureWithTinyRings) {
   exec.Stop();
 }
 
+// A one-shell in-ring makes the pusher wait for shells — running the
+// ordered merge — while it routes each epoch. The merge must not pass the
+// epoch being routed: every output arrives, in single-threaded order.
+TEST(ShardedExecutorTest, MergeWaitsForTheEpochBeingRouted) {
+  Schema schema = IntSchema(3);
+  std::vector<Query> queries = {
+      QueryBuilder::FromSource("S", schema).Select("a0 < 3").Build("SEL"),
+      QueryBuilder::FromSource("S", schema)
+          .Aggregate(AggFn::kSum, "a1", {"a0"}, 16)
+          .Build("AGG")};
+  auto factory = [&queries](Plan* plan, OptimizeStats* stats) {
+    auto compiled = CompileQueries(queries, plan);
+    if (!compiled.ok()) return compiled.status();
+    *stats = Optimize(plan);
+    return Status::OK();
+  };
+  struct LogSink : OutputSink {
+    std::vector<std::string> log;
+    void OnOutput(StreamId stream, const Tuple& t) override {
+      log.push_back(std::to_string(stream) + ":" + t.ToString());
+    }
+  };
+  Rng rng(7);
+  std::vector<Tuple> feed;
+  for (int i = 0; i < 2000; ++i) {
+    feed.push_back(Tuple::MakeInts(
+        {rng.UniformInt(0, 5), rng.UniformInt(0, 99), rng.UniformInt(0, 9)},
+        i));
+  }
+
+  Plan plan;
+  OptimizeStats stats;
+  ASSERT_TRUE(factory(&plan, &stats).ok());
+  LogSink reference;
+  Executor single(&plan, &reference);
+  single.Prepare();
+  for (const Tuple& t : feed) single.PushSource(SourceId(plan, "S"), t);
+
+  LogSink sink;
+  ShardedExecutor::Options options;
+  options.num_shards = 4;
+  options.in_ring = 1;
+  ShardedExecutor exec(options, factory, static_cast<OutputSink*>(&sink));
+  ASSERT_TRUE(exec.Prepare().ok());
+  const StreamId s = SourceId(exec.plan(0), "S");
+  for (const Tuple& t : feed) exec.PushSource(s, t);
+  exec.Flush();
+  EXPECT_EQ(sink.log, reference.log);
+  exec.Stop();
+}
+
 // --- shard-aware sinks (lanes mode) ------------------------------------------
 
 TEST(ShardedSinkTest, CountingAndCollectingLanesMerge) {

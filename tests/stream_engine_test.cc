@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <string>
+#include <vector>
 
 #include "query/builder.h"
 
@@ -94,6 +96,61 @@ TEST(StreamEngineTest, ErrorsAreSurfaced) {
   EXPECT_FALSE(engine.Start().ok());
   // Push before start.
   EXPECT_FALSE(engine.Push("CPU", Tuple::MakeInts({1, 1}, 0)).ok());
+}
+
+// Ingress rejects wrong-arity tuples and regressing timestamps with
+// InvalidArgument, checks a whole batch before pushing any of it, and keeps
+// working afterwards — single-threaded and sharded.
+TEST(StreamEngineTest, IngressRejectsBadTuples) {
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE(shards);
+    StreamEngine engine;
+    ASSERT_TRUE(engine.SetShardCount(shards).ok());
+    ASSERT_TRUE(engine.RegisterSource("CPU", CpuSchema()).ok());
+    ASSERT_TRUE(engine
+                    .AddQueryText(
+                        "SELECT pid, COUNT(*) FROM CPU [RANGE 100] GROUP BY pid",
+                        "C")
+                    .ok());
+    ASSERT_TRUE(engine.AddQueryText("SELECT * FROM CPU", "ALL").ok());
+    std::vector<std::string> seen;
+    engine.SetOutputHandler([&](const std::string& q, const Tuple& t) {
+      if (q == "ALL") seen.push_back(t.ToString());
+    });
+    ASSERT_TRUE(engine.Start().ok());
+    auto bad = [](const Status& s) {
+      return s.code() == StatusCode::kInvalidArgument;
+    };
+
+    ASSERT_TRUE(engine.Push("CPU", Tuple::MakeInts({1, 5}, 10)).ok());
+    EXPECT_TRUE(bad(engine.Push("CPU", Tuple::MakeInts({1, 5, 7}, 11))));
+    EXPECT_TRUE(bad(engine.Push("CPU", Tuple::MakeInts({1}, 11))));
+    EXPECT_TRUE(bad(engine.Push("CPU", Tuple::MakeInts({1, 5}, 9))));
+    // Equal timestamps are fine.
+    ASSERT_TRUE(engine.Push("CPU", Tuple::MakeInts({2, 5}, 10)).ok());
+
+    // A bad tuple anywhere in a batch rejects all of it.
+    std::vector<Tuple> regress = {Tuple::MakeInts({3, 1}, 12),
+                                  Tuple::MakeInts({3, 2}, 11)};
+    EXPECT_TRUE(bad(engine.PushBatch("CPU", regress)));
+    std::vector<Tuple> narrow = {Tuple::MakeInts({4, 1}, 12),
+                                 Tuple::MakeInts({4}, 13)};
+    EXPECT_TRUE(bad(engine.PushBatch("CPU", narrow)));
+    std::vector<Tuple> stale = {Tuple::MakeInts({5, 1}, 8)};
+    EXPECT_TRUE(bad(engine.PushBatch("CPU", stale)));
+    // Rejected batches did not advance the source's last timestamp.
+    std::vector<Tuple> good = {Tuple::MakeInts({6, 1}, 11),
+                               Tuple::MakeInts({6, 2}, 11)};
+    ASSERT_TRUE(engine.PushBatch("CPU", good).ok());
+    EXPECT_TRUE(bad(engine.Push("CPU", Tuple::MakeInts({7, 1}, 10))));
+    engine.Flush();
+    EXPECT_EQ(seen, (std::vector<std::string>{
+                        Tuple::MakeInts({1, 5}, 10).ToString(),
+                        Tuple::MakeInts({2, 5}, 10).ToString(),
+                        Tuple::MakeInts({6, 1}, 11).ToString(),
+                        Tuple::MakeInts({6, 2}, 11).ToString()}));
+    EXPECT_EQ(engine.OutputCount("C"), 4);
+  }
 }
 
 TEST(StreamEngineTest, LifecycleGuards) {
