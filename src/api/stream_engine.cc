@@ -651,28 +651,34 @@ Status StreamEngine::Restore(std::string_view snapshot) {
   if (!merged_or.ok()) return merged_or.status();
   const std::vector<MopState> merged = std::move(merged_or).value();
 
-  // Stage 2: rebuild the engine — sources, queries (replaying the
-  // incremental merge onto this engine's shard count), then the plan(s).
-  for (RegisteredSource& src : sources) {
-    RUMOR_RETURN_IF_ERROR(
-        RegisterSource(src.name, std::move(src.schema), src.sharable_label));
-  }
-  for (const SavedQuery& q : saved_queries) {
-    RUMOR_RETURN_IF_ERROR(AddQueryText(q.text, q.name));
-  }
-  RUMOR_RETURN_IF_ERROR(Start());
-
+  // Stage 2: rebuild the engine — sources and query texts, then Start(),
+  // whose batch Optimize builds the plan(s) as for a fresh engine (shaped
+  // differently from the saved plan where queries were added live).
   // Stage 3: load the merged state image into the fresh plan(s). Every
   // shard replica receives the full image ("lazy shedding"): partitioned
   // routing only ever feeds a shard the keys it owns, so foreign-key state
-  // sits inert and ages out of the windows.
-  if (sharded_ != nullptr) {
-    RUMOR_RETURN_IF_ERROR(sharded_->MutateShards(
-        [&](int, Plan& plan, Executor&) -> Status {
-          return LoadPlanState(plan, merged);
-        }));
-  } else {
-    RUMOR_RETURN_IF_ERROR(LoadPlanState(plan_, merged));
+  // sits inert and ages out of the windows. A failure in either stage puts
+  // the engine back the way Restore found it.
+  auto rebuild = [&]() -> Status {
+    for (RegisteredSource& src : sources) {
+      RUMOR_RETURN_IF_ERROR(
+          RegisterSource(src.name, std::move(src.schema), src.sharable_label));
+    }
+    for (const SavedQuery& q : saved_queries) {
+      RUMOR_RETURN_IF_ERROR(AddQueryText(q.text, q.name));
+    }
+    RUMOR_RETURN_IF_ERROR(Start());
+    if (sharded_ != nullptr) {
+      return sharded_->MutateShards(
+          [&](int, Plan& plan, Executor&) -> Status {
+            return LoadPlanState(plan, merged);
+          });
+    }
+    return LoadPlanState(plan_, merged);
+  };
+  if (Status st = rebuild(); !st.ok()) {
+    ResetToFresh();
+    return st;
   }
 
   // Stage 4: carry the observable counters across the crash.
@@ -683,6 +689,22 @@ Status StreamEngine::Restore(std::string_view snapshot) {
     sink_->SeedCount(q.name, q.delivered);
   }
   return Status::OK();
+}
+
+void StreamEngine::ResetToFresh() {
+  shard_indexes_.clear();
+  share_index_.reset();
+  sharded_.reset();  // joins the workers while the sink still exists
+  executor_.reset();
+  sink_.reset();
+  plan_ = Plan();
+  stats_ = OptimizeStats();
+  catalog_ = Catalog();
+  queries_.clear();
+  query_texts_.clear();
+  sources_.clear();
+  query_index_.clear();
+  source_ids_.clear();
 }
 
 Status StreamEngine::RestoreFromFile(const std::string& path) {

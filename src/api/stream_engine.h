@@ -139,13 +139,19 @@ class StreamEngine {
   // the call must not come from inside an output handler.
   Status Checkpoint(std::string* out) const;
   Status CheckpointToFile(const std::string& path) const;
-  // Rebuilds this (fresh: not started, no queries added) engine from a
-  // snapshot: re-registers the saved sources, re-adds the saved queries —
-  // replaying the incremental merge, so the restored shared plan may be
-  // shaped differently — starts the engine, and loads the saved operator
-  // state into the matching members (matched by structural fingerprint,
-  // plan/fingerprint.h). The snapshot is fully validated before any engine
-  // state is touched. The restored engine may run any shard count (call
+  // Rebuilds this (fresh: not started, no sources or queries) engine from a
+  // snapshot: re-registers the saved sources, queues the saved query texts,
+  // starts the engine (so the batch Optimize builds the restored plan, which
+  // may be shaped differently from the saved one where queries were added
+  // live), and loads the saved operator state into the matching members
+  // (matched by structural fingerprint, plan/fingerprint.h). A restored
+  // shared m-op whose members' state lives in several saved m-ops
+  // (live-added ;/µ/⋈ queries that differ only in window, which the batch
+  // Optimize now merges) fails with Unimplemented before any state is
+  // loaded. The snapshot is fully validated before any engine state is
+  // touched, and a restore that fails later puts the engine back the way it
+  // found it: fresh, with its settings (options, shard count, handler,
+  // metrics) kept. The restored engine may run any shard count (call
   // SetShardCount first): a sharded checkpoint is merged into one logical
   // image and re-partitioned onto the new layout.
   Status Restore(std::string_view snapshot);
@@ -232,6 +238,9 @@ class StreamEngine {
   Status AddQueryLive(Query query, std::string text);
   // Re-derives the source name -> stream id table from the plan.
   void RefreshSourceIds();
+  // Drops the sources, queries and plan(s): the engine is fresh again
+  // (not started), with its settings kept. Undoes a failed Restore.
+  void ResetToFresh();
   // The plan queries run against: shard 0's replica when sharded (callers
   // must quiesce first), the engine-owned plan otherwise.
   const Plan& ActivePlan() const;

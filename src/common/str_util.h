@@ -4,6 +4,7 @@
 
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace rumor {
@@ -25,6 +26,10 @@ bool StartsWith(const std::string& s, const std::string& prefix);
 
 // Lowercase ASCII copy.
 std::string ToLower(const std::string& s);
+
+// ASCII case-insensitive equality (ToLower(a) == ToLower(b), without the
+// copies).
+bool EqualsIgnoreCase(std::string_view a, std::string_view b);
 
 // Copy of `s` with leading/trailing ASCII whitespace removed.
 std::string Trim(const std::string& s);

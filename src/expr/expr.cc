@@ -41,7 +41,7 @@ ExprPtr Expr::Const(Value v) {
   auto e = RUMOR_NEW_EXPR();
   e->kind_ = ExprKind::kConst;
   e->const_ = std::move(v);
-  return e;
+  return Seal(std::move(e));
 }
 
 ExprPtr Expr::Attr(Side side, int index, std::string name) {
@@ -50,14 +50,14 @@ ExprPtr Expr::Attr(Side side, int index, std::string name) {
   e->side_ = side;
   e->attr_index_ = index;
   e->attr_name_ = std::move(name);
-  return e;
+  return Seal(std::move(e));
 }
 
 ExprPtr Expr::Ts(Side side) {
   auto e = RUMOR_NEW_EXPR();
   e->kind_ = ExprKind::kTs;
   e->side_ = side;
-  return e;
+  return Seal(std::move(e));
 }
 
 ExprPtr Expr::Arith(ArithOp op, ExprPtr l, ExprPtr r) {
@@ -65,7 +65,7 @@ ExprPtr Expr::Arith(ArithOp op, ExprPtr l, ExprPtr r) {
   e->kind_ = ExprKind::kArith;
   e->arith_op_ = op;
   e->children_ = {std::move(l), std::move(r)};
-  return e;
+  return Seal(std::move(e));
 }
 
 ExprPtr Expr::Cmp(CmpOp op, ExprPtr l, ExprPtr r) {
@@ -73,28 +73,28 @@ ExprPtr Expr::Cmp(CmpOp op, ExprPtr l, ExprPtr r) {
   e->kind_ = ExprKind::kCmp;
   e->cmp_op_ = op;
   e->children_ = {std::move(l), std::move(r)};
-  return e;
+  return Seal(std::move(e));
 }
 
 ExprPtr Expr::And(ExprPtr l, ExprPtr r) {
   auto e = RUMOR_NEW_EXPR();
   e->kind_ = ExprKind::kAnd;
   e->children_ = {std::move(l), std::move(r)};
-  return e;
+  return Seal(std::move(e));
 }
 
 ExprPtr Expr::Or(ExprPtr l, ExprPtr r) {
   auto e = RUMOR_NEW_EXPR();
   e->kind_ = ExprKind::kOr;
   e->children_ = {std::move(l), std::move(r)};
-  return e;
+  return Seal(std::move(e));
 }
 
 ExprPtr Expr::Not(ExprPtr c) {
   auto e = RUMOR_NEW_EXPR();
   e->kind_ = ExprKind::kNot;
   e->children_ = {std::move(c)};
-  return e;
+  return Seal(std::move(e));
 }
 
 ExprPtr Expr::AndAll(const std::vector<ExprPtr>& terms) {
@@ -172,7 +172,8 @@ bool Expr::EvalBool(const ExprContext& ctx) const {
 }
 
 bool Expr::Equals(const Expr& other) const {
-  if (kind_ != other.kind_) return false;
+  if (this == &other) return true;
+  if (signature_ != other.signature_ || kind_ != other.kind_) return false;
   switch (kind_) {
     case ExprKind::kConst:
       if (const_.type() != other.const_.type()) return false;
@@ -201,31 +202,32 @@ bool Expr::Equals(const Expr& other) const {
   return true;
 }
 
-uint64_t Expr::Signature() const {
-  uint64_t h = Mix64(static_cast<uint64_t>(kind_));
-  switch (kind_) {
+ExprPtr Expr::Seal(std::shared_ptr<Expr> e) {
+  uint64_t h = Mix64(static_cast<uint64_t>(e->kind_));
+  switch (e->kind_) {
     case ExprKind::kConst:
-      h = HashCombine(h, static_cast<uint64_t>(const_.type()));
-      h = HashCombine(h, const_.Hash());
+      h = HashCombine(h, static_cast<uint64_t>(e->const_.type()));
+      h = HashCombine(h, e->const_.Hash());
       break;
     case ExprKind::kAttr:
-      h = HashCombine(h, static_cast<uint64_t>(side_));
-      h = HashCombine(h, static_cast<uint64_t>(attr_index_));
+      h = HashCombine(h, static_cast<uint64_t>(e->side_));
+      h = HashCombine(h, static_cast<uint64_t>(e->attr_index_));
       break;
     case ExprKind::kTs:
-      h = HashCombine(h, static_cast<uint64_t>(side_));
+      h = HashCombine(h, static_cast<uint64_t>(e->side_));
       break;
     case ExprKind::kArith:
-      h = HashCombine(h, static_cast<uint64_t>(arith_op_));
+      h = HashCombine(h, static_cast<uint64_t>(e->arith_op_));
       break;
     case ExprKind::kCmp:
-      h = HashCombine(h, static_cast<uint64_t>(cmp_op_));
+      h = HashCombine(h, static_cast<uint64_t>(e->cmp_op_));
       break;
     default:
       break;
   }
-  for (const ExprPtr& c : children_) h = HashCombine(h, c->Signature());
-  return h;
+  for (const ExprPtr& c : e->children_) h = HashCombine(h, c->signature_);
+  e->signature_ = h;
+  return e;
 }
 
 ValueType Expr::InferType(const Schema& left, const Schema* right) const {

@@ -85,8 +85,9 @@ class Expr {
   // --- structure -----------------------------------------------------------
   // Deep structural equality (definition identity for m-rules).
   bool Equals(const Expr& other) const;
-  // Hash consistent with Equals.
-  uint64_t Signature() const;
+  // Hash consistent with Equals, computed once by the factory (expressions
+  // are immutable).
+  uint64_t Signature() const { return signature_; }
   // Result type given the input schemas (`right` may be null).
   ValueType InferType(const Schema& left, const Schema* right) const;
   // e.g. "(l.a0 = 5 AND r.a1 > l.a2)".
@@ -97,6 +98,9 @@ class Expr {
 
  private:
   Expr() = default;
+  // Hashes the node and its children's cached signatures; each factory ends
+  // with it.
+  static ExprPtr Seal(std::shared_ptr<Expr> e);
 
   ExprKind kind_ = ExprKind::kConst;
   Value const_;
@@ -106,6 +110,7 @@ class Expr {
   ArithOp arith_op_ = ArithOp::kAdd;
   CmpOp cmp_op_ = CmpOp::kEq;
   std::vector<ExprPtr> children_;
+  uint64_t signature_ = 0;
 };
 
 // Evaluates a possibly-null predicate: null means "true".

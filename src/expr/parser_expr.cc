@@ -110,7 +110,7 @@ Result<std::vector<Token>> Tokenize(const std::string& text) {
 namespace {
 
 bool IsKeyword(const Token& t, const char* kw) {
-  return t.kind == TokenKind::kIdent && ToLower(t.text) == ToLower(kw);
+  return t.kind == TokenKind::kIdent && EqualsIgnoreCase(t.text, kw);
 }
 
 bool IsSymbol(const Token& t, const char* s) {
@@ -296,7 +296,7 @@ class ExprParser {
                           const std::string& attr) {
     const std::vector<ExprBinding> bindings = ctx_.EffectiveBindings();
     auto make = [&](const ExprBinding& b) -> Result<ExprPtr> {
-      if (ToLower(attr) == "ts") return Expr::Ts(b.side);
+      if (EqualsIgnoreCase(attr, "ts")) return Expr::Ts(b.side);
       auto idx = b.schema->IndexOf(attr);
       if (!idx.has_value()) {
         return Status::NotFound(StrCat("unknown attribute '", attr,
@@ -306,7 +306,7 @@ class ExprParser {
     };
     if (!qualifier.empty()) {
       for (const ExprBinding& b : bindings) {
-        if (ToLower(b.alias) == ToLower(qualifier)) return make(b);
+        if (EqualsIgnoreCase(b.alias, qualifier)) return make(b);
       }
       // Fallback: schemas derived from concatenations name attributes with
       // embedded dots (e.g. "last.a3"); try the joined spelling.
@@ -321,7 +321,7 @@ class ExprParser {
     }
     // Bare name: first binding that knows the attribute wins.
     for (const ExprBinding& b : bindings) {
-      if (ToLower(attr) == "ts") return Expr::Ts(b.side);
+      if (EqualsIgnoreCase(attr, "ts")) return Expr::Ts(b.side);
       if (b.schema->IndexOf(attr).has_value()) return make(b);
     }
     return Status::NotFound(StrCat("unknown attribute '", attr, "'"));

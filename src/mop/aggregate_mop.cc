@@ -96,13 +96,14 @@ AggregateMop::AttachResult AggregateMop::AttachMember(const Member& m) {
   return {num_members() - 1, false};
 }
 
-void AggregateMop::DeactivateMember(int i) {
+bool AggregateMop::DeactivateMember(int i) {
   RUMOR_DCHECK(i >= 0 && i < num_members());
   if (sharing_ == Sharing::kIsolated) {
     engines_[i].reset();
   } else {
     engines_[0]->DeactivateMember(i);
   }
+  return true;
 }
 
 bool AggregateMop::member_active(int i) const {
@@ -139,10 +140,6 @@ void AggregateMop::ProcessBatch(int input_port, const ChannelTuple* tuples,
 bool AggregateMop::SaveState(MopState* out) const {
   out->kind = MopState::Kind::kAggregate;
   out->shared_state = sharing_ != Sharing::kIsolated;
-  out->member_active.resize(num_members());
-  for (int i = 0; i < num_members(); ++i) {
-    out->member_active[i] = member_active(i) ? 1 : 0;
-  }
   out->engines.clear();
   if (sharing_ == Sharing::kIsolated) {
     for (int i = 0; i < num_members(); ++i) {

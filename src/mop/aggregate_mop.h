@@ -63,8 +63,8 @@ class AggregateMop : public Mop {
   AttachResult AttachMember(const Member& m);
   // Deactivates a member whose query was removed; its port stays bound but
   // the member no longer computes or emits, and its state is released.
-  void DeactivateMember(int i);
-  bool member_active(int i) const;
+  bool DeactivateMember(int i) override;
+  bool member_active(int i) const override;
 
   // Size of the shared entry log (for tests/ablation; isolated mode sums
   // per-member logs).

@@ -1,7 +1,5 @@
 #include "mop/iterate_mop.h"
 
-#include "mop/mop_state.h"
-
 namespace rumor {
 
 MopType IterateMop::TypeFor(Sharing sharing) {
@@ -15,50 +13,32 @@ MopType IterateMop::TypeFor(Sharing sharing) {
 
 IterateMop::IterateMop(std::vector<Member> members, Sharing sharing,
                        OutputMode mode)
-    : Mop(TypeFor(sharing), /*num_inputs=*/2,
-          /*num_outputs=*/mode == OutputMode::kChannel
-              ? 1
-              : static_cast<int>(members.size())),
-      members_(std::move(members)),
-      sharing_(sharing),
-      mode_(mode) {
-  RUMOR_CHECK(!members_.empty());
-  const Member& first = members_[0];
-  const int n = sharing_ == Sharing::kIsolated ? num_members() : 1;
-  for (int i = 0; i < n; ++i) {
-    const Member& m = members_[i];
-    match_programs_.push_back(Program::Compile(m.def.match));
-    rebind_programs_.push_back(Program::Compile(m.def.rebind));
-    shapes_.push_back(AnalyzeJoin(m.def.match));
-    stores_.push_back(std::make_unique<Store>(!shapes_.back().equi.empty()));
-  }
-  indexed_ = !shapes_[0].equi.empty();
-  if (sharing_ != Sharing::kIsolated) {
-    for (int i = 0; i < num_members(); ++i) {
-      const Member& m = members_[i];
-      RUMOR_CHECK(m.def.Signature() == first.def.Signature())
-          << "shared µ members must have identical definitions";
-      RUMOR_CHECK(m.right_slot == first.right_slot)
-          << "shared µ members must read the same event stream";
-      if (sharing_ == Sharing::kShared) {
-        RUMOR_CHECK(m.left_slot == first.left_slot)
-            << "sµ members must read the same left stream";
-      } else {
-        RUMOR_CHECK(m.left_slot == i)
-            << "cµ member " << i << " must read left channel slot " << i;
-      }
+    : PatternMop(TypeFor(sharing), MopState::Kind::kIterate, sharing, mode,
+                 WiringOf(members)),
+      members_(std::move(members)) {
+  const IterateDef& first = members_[0].def;
+  for (const Member& m : members_) {
+    if (sharing == Sharing::kShared) {
+      RUMOR_CHECK(ExprEquals(m.def.match, first.match) &&
+                  ExprEquals(m.def.rebind, first.rebind) &&
+                  m.def.left_size == first.left_size &&
+                  m.def.right_size == first.right_size)
+          << "sµ members must share the match and rebind predicates";
+    } else if (sharing == Sharing::kChannel) {
+      RUMOR_CHECK(m.def.Signature() == first.Signature())
+          << "cµ members must have identical definitions";
     }
   }
-}
-
-size_t IterateMop::instance_count() const {
-  size_t n = 0;
-  for (const auto& s : stores_) n += s->live_size();
-  return n;
+  const size_t stores = sharing == Sharing::kIsolated ? members_.size() : 1;
+  for (size_t k = 0; k < stores; ++k) {
+    match_programs_.push_back(Program::Compile(members_[k].def.match));
+    rebind_programs_.push_back(Program::Compile(members_[k].def.rebind));
+    AddStore(AnalyzeJoin(members_[k].def.match));
+  }
 }
 
 Tuple IterateMop::MakeInitialConcat(const Tuple& start,
-                                    const IterateDef& def) const {
+                                    const IterateDef& def) {
   RUMOR_DCHECK(start.size() == def.left_size);
   std::vector<Value> values;
   values.reserve(def.left_size + def.right_size);
@@ -73,150 +53,37 @@ Tuple IterateMop::MakeInitialConcat(const Tuple& start,
   return Tuple::Make(std::move(values), start.ts());
 }
 
-bool IterateMop::SaveState(MopState* out) const {
-  out->kind = MopState::Kind::kIterate;
-  out->shared_state = sharing_ != Sharing::kIsolated;
-  out->member_filtered = out->shared_state;
-  out->member_active.assign(num_members(), 1);
-  out->stores.clear();
-  for (const auto& store : stores_) {
-    // The slot keeps the start timestamp; the concat's own timestamp (which
-    // rebinds advance) travels inside the tuple record.
-    out->stores.push_back(ExtractLiveSlots(
-        *store, [](const Instance& inst) -> const Tuple& {
-          return inst.concat;
-        }));
-  }
-  return true;
-}
-
-Status IterateMop::LoadState(const MopState& src,
-                             const MopStateBinding& binding) {
-  if (src.kind != MopState::Kind::kIterate) {
-    return Status::Internal("iterate m-op handed non-iterate state");
-  }
-  if (sharing_ != Sharing::kIsolated) {
-    return Status::Unimplemented(
-        "restored plans build isolated iterates only (sµ/cµ are batch "
-        "rules)");
-  }
-  if (binding.saved_slot.size() != static_cast<size_t>(num_members())) {
-    return Status::Internal("iterate state binding size mismatch");
-  }
-  for (int r = 0; r < num_members(); ++r) {
-    const int s = binding.saved_slot[r];
-    if (s < 0) continue;
-    const bool filter = src.shared_state && src.member_filtered;
-    const int store_idx = src.shared_state ? 0 : s;
-    if (store_idx >= static_cast<int>(src.stores.size())) {
-      return Status::InvalidArgument(
-          "snapshot iterate state lacks the matched member's store");
-    }
-    for (const BufferSlotState& slot : src.stores[store_idx].slots) {
-      if (filter && !StateSlotHasMember(slot, s)) continue;
-      stores_[r]->Add(
-          Instance{Tuple::Make(slot.tuple.values, slot.tuple.ts),
-                   BitVector::Singleton(0, 1)},
-          slot.key, slot.ts);
-    }
-  }
-  return Status::OK();
-}
-
 void IterateMop::Process(int input_port, const ChannelTuple& ct,
                          Emitter& out) {
   if (input_port == 0) {
-    ProcessLeft(ct);
-  } else {
-    RUMOR_DCHECK(input_port == 1);
-    ProcessRight(ct, out);
-  }
-}
-
-void IterateMop::ProcessLeft(const ChannelTuple& ct) {
-  const Tuple& t = ct.tuple;
-  if (sharing_ == Sharing::kIsolated) {
-    for (int i = 0; i < num_members(); ++i) {
-      if (!ct.membership.Test(members_[i].left_slot)) continue;
-      Tuple concat = MakeInitialConcat(t, members_[i].def);
-      Value key;
-      if (!shapes_[i].equi.empty()) {
-        key = concat.at(shapes_[i].equi[0].left_attr);
-      }
-      stores_[i]->Add(Instance{std::move(concat), BitVector::Singleton(0, 1)},
-                      key, t.ts());
-    }
-    return;
-  }
-  BitVector membership =
-      sharing_ == Sharing::kShared
-          ? (ct.membership.Test(members_[0].left_slot)
-                 ? BitVector::AllOnes(num_members())
-                 : BitVector(num_members()))
-          : ct.membership;
-  if (membership.None()) return;
-  Tuple concat = MakeInitialConcat(t, members_[0].def);
-  Value key;
-  if (indexed_) key = concat.at(shapes_[0].equi[0].left_attr);
-  stores_[0]->Add(Instance{std::move(concat), std::move(membership)}, key,
-                  t.ts());
-}
-
-void IterateMop::ProcessRight(const ChannelTuple& ct, Emitter& out) {
-  const Tuple& e = ct.tuple;
-  auto run = [&](int idx, const Member& m) {
-    Store& store = *stores_[idx];
-    const IterateDef& def = m.def;
-    if (def.window > 0) store.ExpireBefore(e.ts() - def.window);
-    Value key;
-    const Value* key_ptr = nullptr;
-    if (!shapes_[idx].equi.empty()) {
-      key = e.at(shapes_[idx].equi[0].right_attr);
-      key_ptr = &key;
-    }
-    store.ForCandidates(key_ptr, [&](int64_t abs, auto& slot) {
-      Instance& inst = slot.item;
-      if (slot.ts >= e.ts()) return;  // start must precede the event
-      ExprContext ctx{&inst.concat, &e};
-      if (!match_programs_[idx].EvalBool(ctx)) return;  // irrelevant event
-      if (!rebind_programs_[idx].EvalBool(ctx)) {
-        store.Kill(abs);  // run broken
-        return;
-      }
-      // Rebind: replace the last-part with the event, emit the new concat.
-      std::vector<Value> values;
-      values.reserve(def.left_size + def.right_size);
-      for (int k = 0; k < def.left_size; ++k) {
-        values.push_back(inst.concat.at(k));
-      }
-      values.insert(values.end(), e.values().begin(), e.values().end());
-      Tuple updated = Tuple::Make(std::move(values), e.ts());
-      if (sharing_ == Sharing::kIsolated) {
-        EmitForMembers(mode_, BitVector::Singleton(idx, num_members()),
-                       updated, out);
-        CountOut();
-      } else if (sharing_ == Sharing::kShared) {
-        EmitForMembers(mode_, BitVector::AllOnes(num_members()), updated,
-                       out);
-        CountOut(mode_ == OutputMode::kChannel ? 1 : num_members());
-      } else {
-        EmitForMembers(mode_, inst.membership, updated, out);
-        CountOut(mode_ == OutputMode::kChannel ? 1
-                                               : inst.membership.Count());
-      }
-      inst.concat = std::move(updated);
+    StartInstances(ct, [&](int k) {
+      return MakeInitialConcat(ct.tuple, members_[k].def);
     });
-  };
-
-  if (sharing_ == Sharing::kIsolated) {
-    for (int i = 0; i < num_members(); ++i) {
-      if (!ct.membership.Test(members_[i].right_slot)) continue;
-      run(i, members_[i]);
-    }
     return;
   }
-  if (!ct.membership.Test(members_[0].right_slot)) return;
-  run(0, members_[0]);
+  RUMOR_DCHECK(input_port == 1);
+  const Tuple& e = ct.tuple;
+  ForCandidates(ct, [&](int k, Store& store, int64_t abs, auto& slot) {
+    Instance& inst = slot.item;
+    if (slot.ts >= e.ts()) return;  // start must precede the event
+    ExprContext ctx{&inst.tuple, &e};
+    if (!match_programs_[k].EvalBool(ctx)) return;  // irrelevant event
+    if (!rebind_programs_[k].EvalBool(ctx)) {
+      store.Kill(abs);  // run broken
+      return;
+    }
+    // Rebind: replace the last-part with the event, emit the new concat.
+    const IterateDef& def = members_[k].def;
+    std::vector<Value> values;
+    values.reserve(def.left_size + def.right_size);
+    for (int a = 0; a < def.left_size; ++a) {
+      values.push_back(inst.tuple.at(a));
+    }
+    values.insert(values.end(), e.values().begin(), e.values().end());
+    Tuple updated = Tuple::Make(std::move(values), e.ts());
+    EmitCounted(mode_, Recipients(k, slot, e.ts()), updated, out);
+    inst.tuple = std::move(updated);
+  });
 }
 
 }  // namespace rumor

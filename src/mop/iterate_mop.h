@@ -20,21 +20,17 @@
 // the group referencing the last-part (see SplitIteratePredicate). Stop
 // conditions are downstream selections on the emitted concatenations.
 //
-// Sharing modes mirror SequenceMop: kIsolated (reference), kShared (sµ /
-// prefix merging), kChannel (cµ — instances carry channel memberships; the
-// Fig. 6(c) strategy). An `start.attr = event.attr` match conjunct
-// hash-indexes the store (AI index analogue); the key lives in the start
-// part and is stable across rebinds.
+// The sharing modes (isolated, sµ across windows, cµ), the stores and their
+// save/load come from PatternMop (mop/pattern_mop.h). An
+// `start.attr = event.attr` match conjunct hash-indexes a store; the key
+// lives in the start part and is stable across rebinds.
 #ifndef RUMOR_MOP_ITERATE_MOP_H_
 #define RUMOR_MOP_ITERATE_MOP_H_
 
-#include <memory>
 #include <vector>
 
 #include "expr/program.h"
-#include "expr/shape.h"
-#include "mop/mop.h"
-#include "mop/keyed_buffer.h"
+#include "mop/pattern_mop.h"
 
 namespace rumor {
 
@@ -53,12 +49,18 @@ struct IterateDef {
     h = HashCombine(h, static_cast<uint64_t>(right_size));
     return h;
   }
+  // The definition without its window (sµ allows different windows).
+  uint64_t PredicateOnlySignature() const {
+    uint64_t h = Mix64(PredicateSignature(match));
+    h = HashCombine(h, PredicateSignature(rebind));
+    h = HashCombine(h, static_cast<uint64_t>(left_size));
+    h = HashCombine(h, static_cast<uint64_t>(right_size));
+    return h;
+  }
 };
 
-class IterateMop : public Mop {
+class IterateMop : public PatternMop {
  public:
-  enum class Sharing : uint8_t { kIsolated, kShared, kChannel };
-
   struct Member {
     int left_slot = 0;
     int right_slot = 0;
@@ -68,44 +70,21 @@ class IterateMop : public Mop {
   // Input port 0 = left (instance-creating) channel, port 1 = events.
   IterateMop(std::vector<Member> members, Sharing sharing, OutputMode mode);
 
-  int num_members() const override {
-    return static_cast<int>(members_.size());
-  }
   uint64_t MemberSignature(int i) const override {
     return members_[i].def.Signature();
   }
   const Member& member(int i) const { return members_[i]; }
-  Sharing sharing() const { return sharing_; }
-  bool indexed() const { return indexed_; }
-  size_t instance_count() const;
 
   void Process(int input_port, const ChannelTuple& tuple,
                Emitter& out) override;
 
-  bool SaveState(MopState* out) const override;
-  Status LoadState(const MopState& src,
-                   const MopStateBinding& binding) override;
-
  private:
-  struct Instance {
-    Tuple concat;  // start ⊕ last
-    BitVector membership;
-  };
-  using Store = KeyedBuffer<Instance>;
-
   static MopType TypeFor(Sharing sharing);
-  Tuple MakeInitialConcat(const Tuple& start, const IterateDef& def) const;
-  void ProcessLeft(const ChannelTuple& ct);
-  void ProcessRight(const ChannelTuple& ct, Emitter& out);
+  static Tuple MakeInitialConcat(const Tuple& start, const IterateDef& def);
 
   std::vector<Member> members_;
-  Sharing sharing_;
-  OutputMode mode_;
-  std::vector<Program> match_programs_;
-  std::vector<Program> rebind_programs_;
-  std::vector<JoinShape> shapes_;  // of the match predicate
-  bool indexed_ = false;
-  std::vector<std::unique_ptr<Store>> stores_;
+  std::vector<Program> match_programs_;   // per store
+  std::vector<Program> rebind_programs_;  // per store
 };
 
 }  // namespace rumor

@@ -15,16 +15,6 @@ MopType JoinMop::TypeFor(Sharing sharing) {
   return MopType::kJoin;
 }
 
-BitVector JoinMop::WindowRouting::MembersCovering(int64_t age,
-                                                  int num_members) const {
-  // First rank whose window covers the age; all larger windows cover too.
-  auto it = std::lower_bound(sorted_windows.begin(), sorted_windows.end(),
-                             age);
-  size_t rank = it - sorted_windows.begin();
-  if (rank >= suffix_members.size()) return BitVector(num_members);
-  return suffix_members[rank];
-}
-
 JoinMop::JoinMop(std::vector<Member> members, Sharing sharing,
                  OutputMode mode)
     : Mop(TypeFor(sharing), /*num_inputs=*/2,
@@ -49,6 +39,7 @@ JoinMop::JoinMop(std::vector<Member> members, Sharing sharing,
   }
 
   // Shared modes: one predicate, one state.
+  std::vector<int64_t> left_windows, right_windows;
   for (int i = 0; i < num_members(); ++i) {
     const Member& m = members_[i];
     if (sharing_ == Sharing::kShared) {
@@ -63,38 +54,22 @@ JoinMop::JoinMop(std::vector<Member> members, Sharing sharing,
       RUMOR_CHECK(m.left_slot == i && m.right_slot == i)
           << "c⋈ member " << i << " must read channel slot " << i;
     }
-    max_left_window_ = std::max(max_left_window_, m.def.left_window);
-    max_right_window_ = std::max(max_right_window_, m.def.right_window);
+    left_windows.push_back(m.def.left_window);
+    right_windows.push_back(m.def.right_window);
   }
   program_ = Program::Compile(first.def.predicate);
   shape_ = AnalyzeJoin(first.def.predicate);
   indexed_ = !shape_.equi.empty();
   states_.push_back(std::make_unique<MemberState>(indexed_));
+  left_routing_ = WindowRouting(std::move(left_windows));
+  right_routing_ = WindowRouting(std::move(right_windows));
+}
 
-  if (sharing_ == Sharing::kShared) {
-    auto build_routing = [this](bool left) {
-      WindowRouting routing;
-      std::vector<std::pair<int64_t, int>> by_window;
-      for (int i = 0; i < num_members(); ++i) {
-        by_window.push_back({left ? members_[i].def.left_window
-                                  : members_[i].def.right_window,
-                             i});
-      }
-      std::sort(by_window.begin(), by_window.end());
-      routing.sorted_windows.resize(by_window.size());
-      routing.suffix_members.assign(by_window.size(),
-                                    BitVector(num_members()));
-      BitVector acc(num_members());
-      for (int k = static_cast<int>(by_window.size()) - 1; k >= 0; --k) {
-        acc.Set(by_window[k].second);
-        routing.sorted_windows[k] = by_window[k].first;
-        routing.suffix_members[k] = acc;
-      }
-      return routing;
-    };
-    left_routing_ = build_routing(/*left=*/true);
-    right_routing_ = build_routing(/*left=*/false);
-  }
+bool JoinMop::DeactivateMember(int i) {
+  if (sharing_ != Sharing::kShared) return false;
+  left_routing_.Deactivate(i);
+  right_routing_.Deactivate(i);
+  return true;
 }
 
 bool JoinMop::SaveState(MopState* out) const {
@@ -104,15 +79,14 @@ bool JoinMop::SaveState(MopState* out) const {
   // every member wholesale; c⋈ slots belong to the members in their stored
   // membership.
   out->member_filtered = sharing_ == Sharing::kPrecision;
-  out->member_active.assign(num_members(), 1);
   out->left.clear();
   out->right.clear();
   for (const auto& state : states_) {
     const auto tuple_of = [](const StoredTuple& st) -> const Tuple& {
       return st.tuple;
     };
-    out->left.push_back(ExtractLiveSlots(state->left.buffer, tuple_of));
-    out->right.push_back(ExtractLiveSlots(state->right.buffer, tuple_of));
+    out->left.push_back(ExtractLiveSlots(state->left, tuple_of));
+    out->right.push_back(ExtractLiveSlots(state->right, tuple_of));
   }
   return true;
 }
@@ -121,63 +95,45 @@ Status JoinMop::LoadState(const MopState& src, const MopStateBinding& binding) {
   if (src.kind != MopState::Kind::kJoin) {
     return Status::Internal("join m-op handed non-join state");
   }
-  if (sharing_ != Sharing::kIsolated) {
+  if (sharing_ == Sharing::kPrecision) {
     return Status::Unimplemented(
-        "restored plans build isolated joins only (s⋈/c⋈ are batch rules)");
+        "restored plans build no c⋈ (it is a batch rule over channels)");
   }
   if (binding.saved_slot.size() != static_cast<size_t>(num_members()) ||
       binding.input_capacities.size() < 2) {
     return Status::Internal("join state binding size mismatch");
   }
+  // Loads one state (a member's, or the s⋈ m-op's one) from `source`. The
+  // stored membership is the one the live path would store: the tuple's
+  // slot on the restored input channel (inert unless a later batch
+  // re-optimize ever precision-merges this m-op). A source buffer can hold
+  // tuples outside the restored windows (another saved member's window was
+  // wider); that superset is harmless, as ExpireBefore runs ahead of every
+  // probe.
+  auto load = [&](MemberState& st, const Member& m, BufferSource source) {
+    const BitVector left_membership =
+        BitVector::Singleton(m.left_slot, binding.input_capacities[0]);
+    const BitVector right_membership =
+        BitVector::Singleton(m.right_slot, binding.input_capacities[1]);
+    RUMOR_RETURN_IF_ERROR(LoadSlots(
+        src.left, source, &st.left, [&](const BufferSlotState& slot) {
+          return StoredTuple{Tuple::Make(slot.tuple.values, slot.tuple.ts),
+                             left_membership};
+        }));
+    return LoadSlots(
+        src.right, source, &st.right, [&](const BufferSlotState& slot) {
+          return StoredTuple{Tuple::Make(slot.tuple.values, slot.tuple.ts),
+                             right_membership};
+        });
+  };
+  if (sharing_ == Sharing::kShared) {
+    BufferSource source;
+    RUMOR_RETURN_IF_ERROR(SharedBufferSource(src, binding, &source));
+    return load(*states_[0], members_[0], source);
+  }
   for (int r = 0; r < num_members(); ++r) {
-    const int s = binding.saved_slot[r];
-    if (s < 0) continue;
-    const BufferState* left = nullptr;
-    const BufferState* right = nullptr;
-    bool filter = false;
-    if (!src.shared_state) {
-      if (s >= static_cast<int>(src.left.size()) ||
-          s >= static_cast<int>(src.right.size())) {
-        return Status::InvalidArgument(
-            "snapshot join state lacks the matched member's buffers");
-      }
-      left = &src.left[s];
-      right = &src.right[s];
-    } else {
-      if (src.left.empty() || src.right.empty()) {
-        return Status::InvalidArgument(
-            "snapshot shared-join state holds no buffers");
-      }
-      left = &src.left[0];
-      right = &src.right[0];
-      filter = src.member_filtered;
-    }
-    // The restored member stores the membership the live path would: the
-    // tuple's slot on the restored input channel. (Stored memberships are
-    // inert in isolated mode; they matter only if a later batch re-optimize
-    // ever precision-merges this m-op.)
-    const BitVector left_membership = BitVector::Singleton(
-        members_[r].left_slot, binding.input_capacities[0]);
-    const BitVector right_membership = BitVector::Singleton(
-        members_[r].right_slot, binding.input_capacities[1]);
-    MemberState& st = *states_[r];
-    // A shared source buffer can hold tuples outside this member's window
-    // (another saved member's window was wider); that superset is harmless —
-    // ExpireBefore runs ahead of every probe.
-    for (const BufferSlotState& slot : left->slots) {
-      if (filter && !StateSlotHasMember(slot, s)) continue;
-      st.left.buffer.Add(
-          StoredTuple{Tuple::Make(slot.tuple.values, slot.tuple.ts),
-                      left_membership},
-          slot.key, slot.ts);
-    }
-    for (const BufferSlotState& slot : right->slots) {
-      if (filter && !StateSlotHasMember(slot, s)) continue;
-      st.right.buffer.Add(
-          StoredTuple{Tuple::Make(slot.tuple.values, slot.tuple.ts),
-                      right_membership},
-          slot.key, slot.ts);
-    }
+    RUMOR_RETURN_IF_ERROR(load(*states_[r], members_[r],
+                               BufferSourceOf(src, binding.saved_slot[r])));
   }
   return Status::OK();
 }
@@ -185,10 +141,8 @@ Status JoinMop::LoadState(const MopState& src, const MopStateBinding& binding) {
 void JoinMop::EmitMatch(const BitVector& members, const Tuple& left,
                         const Tuple& right, Emitter& out) {
   if (members.None()) return;
-  Tuple result =
-      ConcatTuples(left, right, std::max(left.ts(), right.ts()));
-  EmitForMembers(mode_, members, result, out);
-  CountOut(mode_ == OutputMode::kChannel ? 1 : members.Count());
+  EmitCounted(mode_, members,
+              ConcatTuples(left, right, std::max(left.ts(), right.ts())), out);
 }
 
 void JoinMop::Process(int input_port, const ChannelTuple& ct, Emitter& out) {
@@ -210,10 +164,8 @@ void JoinMop::ProcessIsolated(int port, const ChannelTuple& ct,
     if (!ct.membership.Test(slot)) continue;
     MemberState& st = *states_[i];
     const JoinShape& shape = shapes_[i];
-    KeyedBuffer<StoredTuple>& store = from_left ? st.left.buffer
-                                                : st.right.buffer;
-    KeyedBuffer<StoredTuple>& probe = from_left ? st.right.buffer
-                                                : st.left.buffer;
+    KeyedBuffer<StoredTuple>& store = from_left ? st.left : st.right;
+    KeyedBuffer<StoredTuple>& probe = from_left ? st.right : st.left;
     // Partner tuples older than the window cannot match this or any later
     // arrival (timestamps are non-decreasing).
     const int64_t partner_window =
@@ -246,13 +198,10 @@ void JoinMop::ProcessSharedOrPrecision(int port, const ChannelTuple& ct,
   const bool from_left = port == 0;
   const Tuple& t = ct.tuple;
   MemberState& st = *states_[0];
-  KeyedBuffer<StoredTuple>& store = from_left ? st.left.buffer
-                                              : st.right.buffer;
-  KeyedBuffer<StoredTuple>& probe = from_left ? st.right.buffer
-                                              : st.left.buffer;
-  const int64_t partner_window =
-      from_left ? max_right_window_ : max_left_window_;
-  probe.ExpireBefore(t.ts() - partner_window);
+  KeyedBuffer<StoredTuple>& store = from_left ? st.left : st.right;
+  KeyedBuffer<StoredTuple>& probe = from_left ? st.right : st.left;
+  probe.ExpireBefore((from_left ? right_routing_ : left_routing_)
+                         .OldestKept(t.ts()));
 
   Value key;
   const Value* key_ptr = nullptr;
@@ -268,18 +217,15 @@ void JoinMop::ProcessSharedOrPrecision(int port, const ChannelTuple& ct,
     const Tuple& r = from_left ? stored.tuple : t;
     ExprContext ctx{&l, &r};
     if (!program_.EvalBool(ctx)) return;
-    BitVector members(num_members());
     if (sharing_ == Sharing::kShared) {
-      const int64_t age = t.ts() - stored.tuple.ts();
       // The stored tuple must lie inside the member's window for the side
       // it was stored on.
-      members = from_left
-                    ? right_routing_.MembersCovering(age, num_members())
-                    : left_routing_.MembersCovering(age, num_members());
+      const int64_t age = t.ts() - stored.tuple.ts();
+      EmitMatch((from_left ? right_routing_ : left_routing_).Covering(age), l,
+                r, out);
     } else {  // kPrecision: AND of the two membership components
-      members = stored.membership & ct.membership;
+      EmitMatch(stored.membership & ct.membership, l, r, out);
     }
-    EmitMatch(members, l, r, out);
   });
   store.Add(StoredTuple{t, ct.membership}, key, t.ts());
 }

@@ -4,8 +4,8 @@
 //  * kShared    — target of rule s⋈ [Hammad 03]: members read the same two
 //    streams with the same predicate but different window lengths; one
 //    shared state serves all members, and each match is routed to exactly
-//    the members whose windows cover the partner tuple's age (computed with
-//    sorted windows + precomputed suffix member sets).
+//    the members whose windows cover the partner tuple's age
+//    (WindowRouting, shared with s; and sµ).
 //  * kPrecision — target of rule c⋈ [Krishnamurthy 04] (precision sharing):
 //    same-definition members whose left/right inputs are encoded in
 //    channels (member i = slot i on both sides); stored tuples carry
@@ -24,8 +24,9 @@
 
 #include "expr/program.h"
 #include "expr/shape.h"
-#include "mop/mop.h"
 #include "mop/keyed_buffer.h"
+#include "mop/mop.h"
+#include "mop/window_routing.h"
 
 namespace rumor {
 
@@ -69,6 +70,13 @@ class JoinMop : public Mop {
   Sharing sharing() const { return sharing_; }
   bool indexed() const { return indexed_; }
 
+  // s⋈ only: a deactivated member is skipped by the routing, and the
+  // buffers keep only the widest active windows.
+  bool member_active(int i) const override {
+    return sharing_ != Sharing::kShared || left_routing_.active(i);
+  }
+  bool DeactivateMember(int i) override;
+
   void Process(int input_port, const ChannelTuple& tuple,
                Emitter& out) override;
 
@@ -80,8 +88,7 @@ class JoinMop : public Mop {
     int64_t b = 0;
     for (const auto& state : states_) {
       if (state == nullptr) continue;
-      b += state->left.buffer.ApproxBytes() +
-           state->right.buffer.ApproxBytes();
+      b += state->left.ApproxBytes() + state->right.ApproxBytes();
     }
     return b;
   }
@@ -91,14 +98,10 @@ class JoinMop : public Mop {
     Tuple tuple;
     BitVector membership;  // meaningful for kPrecision
   };
-  struct SideState {
-    KeyedBuffer<StoredTuple> buffer;
-    explicit SideState(bool indexed) : buffer(indexed) {}
-  };
   struct MemberState {
-    SideState left;
-    SideState right;
-    MemberState(bool indexed) : left(indexed), right(indexed) {}
+    KeyedBuffer<StoredTuple> left;
+    KeyedBuffer<StoredTuple> right;
+    explicit MemberState(bool indexed) : left(indexed), right(indexed) {}
   };
 
   static MopType TypeFor(Sharing sharing);
@@ -118,19 +121,10 @@ class JoinMop : public Mop {
   bool indexed_ = false;
   // kIsolated: one state per member; shared modes: states_[0].
   std::vector<std::unique_ptr<MemberState>> states_;
-  // kShared: member indexes sorted by window, and for each rank the set of
-  // members whose window is >= the rank's window (suffix sets).
-  struct WindowRouting {
-    std::vector<int64_t> sorted_windows;   // ascending
-    std::vector<BitVector> suffix_members;  // [k] = members with window >=
-                                            // sorted_windows[k]
-    // Members whose window covers `age` (age >= 0).
-    BitVector MembersCovering(int64_t age, int num_members) const;
-  };
-  WindowRouting left_routing_;   // keyed by member.left_window
-  WindowRouting right_routing_;  // keyed by member.right_window
-  int64_t max_left_window_ = 0;
-  int64_t max_right_window_ = 0;
+  // Shared modes: routing by member.left_window / member.right_window (c⋈
+  // members' windows are equal; it reads only the expiry bound).
+  WindowRouting left_routing_;
+  WindowRouting right_routing_;
 };
 
 }  // namespace rumor

@@ -37,6 +37,13 @@ Status Mop::LoadState(const MopState&, const MopStateBinding&) {
       StrCat("m-op ", name(), " does not carry restorable state"));
 }
 
+void Mop::EmitCounted(OutputMode mode, const BitVector& members,
+                      const Tuple& tuple, Emitter& out) {
+  if (members.None()) return;
+  EmitForMembers(mode, members, tuple, out);
+  CountOut(mode == OutputMode::kChannel ? 1 : members.Count());
+}
+
 void EmitForMembers(OutputMode mode, const BitVector& members,
                     const Tuple& tuple, Emitter& out) {
   if (members.None()) return;

@@ -61,6 +61,12 @@ class Emitter {
   virtual void Emit(int output_port, ChannelTuple tuple) = 0;
 };
 
+// How a multi-member m-op exposes its member outputs.
+enum class OutputMode : uint8_t {
+  kPerMemberPorts,  // member i -> output port i (capacity-1 channels)
+  kChannel,         // all members -> port 0; member i -> channel slot i
+};
+
 class Mop {
  public:
   Mop(MopType type, int num_inputs, int num_outputs)
@@ -81,6 +87,14 @@ class Mop {
   // not input identity). Two operators are mergeable by a c-rule only if
   // these match.
   virtual uint64_t MemberSignature(int i) const = 0;
+
+  // Member lifecycle of the shared-state targets (sα/cα, s⋈, s;, sµ): a
+  // member whose query was removed is deactivated in place. It stops
+  // emitting, stops holding state and reads inactive here, so its
+  // fingerprint leaves snapshots. DeactivateMember returns false on m-ops
+  // that cannot deactivate members.
+  virtual bool member_active(int /*i*/) const { return true; }
+  virtual bool DeactivateMember(int /*i*/) { return false; }
 
   // Processes one tuple arriving on `input_port`.
   virtual void Process(int input_port, const ChannelTuple& tuple,
@@ -130,6 +144,10 @@ class Mop {
   void CountBatch() { RUMOR_METRIC(++metrics_.batches); }
 
  protected:
+  // Emits `tuple` for `members` (see EmitForMembers) and counts it.
+  void EmitCounted(OutputMode mode, const BitVector& members,
+                   const Tuple& tuple, Emitter& out);
+
   void set_num_outputs(int n) { num_outputs_ = n; }
   // For m-ops whose sharing mode changes in place (e.g. a warm isolated
   // aggregate absorbing a second member becomes an sα target).
@@ -141,12 +159,6 @@ class Mop {
   int num_outputs_;
   MopId id_ = kInvalidMop;
   MopMetrics metrics_;
-};
-
-// How a multi-member m-op exposes its member outputs.
-enum class OutputMode : uint8_t {
-  kPerMemberPorts,  // member i -> output port i (capacity-1 channels)
-  kChannel,         // all members -> port 0; member i -> channel slot i
 };
 
 // Emits `tuple` for the member set `members` according to `mode`:

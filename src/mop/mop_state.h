@@ -6,13 +6,13 @@
 // projections, predicate indexes, zips) have nothing to save: their members
 // are rebuilt from the query definitions on restore.
 //
-// The saved plan and the restored plan are generally *different* shared
-// plans (restore replays the incremental merge, which applies only the
-// state-preserving rule subset), so state never moves m-op-to-m-op by id.
-// Instead every *member* gets a structural fingerprint (plan/fingerprint.h)
-// and state moves member-to-member: a MopStateBinding tells the restored
-// m-op, for each of its members, which saved member slot (in which saved
-// record) its state comes from.
+// The saved plan and the restored plan can be *different* shared plans
+// (restore re-adds every saved query before Start(), whose batch Optimize
+// merges queries that live adds left unshared), so state never moves
+// m-op-to-m-op by id. Instead every *member* gets a structural fingerprint
+// (plan/fingerprint.h) and state moves member-to-member: a MopStateBinding
+// tells the restored m-op, for each of its members, which saved member slot
+// (in which saved record) its state comes from.
 #ifndef RUMOR_MOP_MOP_STATE_H_
 #define RUMOR_MOP_MOP_STATE_H_
 
@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/bitvector.h"
+#include "common/status.h"
 #include "common/tuple.h"
 #include "common/value.h"
 
@@ -92,18 +93,18 @@ struct MopState {
     kIterate = 4,
   };
   Kind kind = Kind::kAggregate;
-  // Structural fingerprint of each member slot (0 for inactive slots);
-  // filled by the snapshot layer from the saved plan.
+  // Structural fingerprint of each member slot (0 for inactive slots) and
+  // whether the slot is active (Mop::member_active); filled by the snapshot
+  // layer from the saved plan, not by SaveState.
   std::vector<uint64_t> member_fps;
   std::vector<char> member_active;
   // True when the saved m-op ran its members against shared state (shared
   // aggregate engine, shared join buffers, channel-membership stores).
   bool shared_state = false;
   // Meaningful with shared_state: true when a stored slot belongs to saved
-  // member s iff its membership bit s is set (c⋈, c;/cµ channel stores, and
-  // s;/sµ whose all-ones memberships filter trivially). False for s⋈, whose
-  // single shared buffer belongs to every member wholesale (matches are
-  // routed by window age, not membership).
+  // member s iff its membership bit s is set (c⋈, c;/cµ channel stores).
+  // False for s⋈, s; and sµ, whose single shared buffer belongs to every
+  // member wholesale (matches are routed by window age, not membership).
   bool member_filtered = false;
 
   // kAggregate: one engine per isolated member, or a single shared engine.
@@ -151,6 +152,59 @@ struct MopStateBinding {
   // needed to rebuild stored membership vectors of the restored plan.
   std::vector<int> input_capacities;
 };
+
+// Where the state of one restored KeyedBuffer lives in a saved record: the
+// index of the saved buffer (-1: none) and the membership bit its slots are
+// filtered by (-1: every slot).
+struct BufferSource {
+  int buffer = -1;
+  int bit = -1;
+  bool operator==(const BufferSource&) const = default;
+};
+
+inline BufferSource BufferSourceOf(const MopState& src, int saved_slot) {
+  if (saved_slot < 0) return {};
+  return {src.shared_state ? 0 : saved_slot,
+          src.shared_state && src.member_filtered ? saved_slot : -1};
+}
+
+// The one source of a restored s⋈/s;/sµ buffer, which all of the m-op's
+// members read. Fails when their saved state lives in several buffers:
+// per-member buffers cannot merge into one, because each has its own
+// consumption history.
+inline Status SharedBufferSource(const MopState& src,
+                                 const MopStateBinding& binding,
+                                 BufferSource* out) {
+  *out = {};
+  for (int s : binding.saved_slot) {
+    const BufferSource b = BufferSourceOf(src, s);
+    if (b.buffer < 0) continue;
+    if (out->buffer >= 0 && !(b == *out)) {
+      return Status::Unimplemented(
+          "members of a restored shared m-op draw state from several saved "
+          "buffers");
+    }
+    *out = b;
+  }
+  return Status::OK();
+}
+
+// Adds the slots of `source` among `saved` to `into` in timestamp order;
+// make(slot) builds the stored item.
+template <typename Buffer, typename Make>
+Status LoadSlots(const std::vector<BufferState>& saved, BufferSource source,
+                 Buffer* into, const Make& make) {
+  if (source.buffer < 0) return Status::OK();
+  if (source.buffer >= static_cast<int>(saved.size())) {
+    return Status::InvalidArgument(
+        "snapshot lacks the saved buffer of a restored member");
+  }
+  for (const BufferSlotState& slot : saved[source.buffer].slots) {
+    if (source.bit >= 0 && !StateSlotHasMember(slot, source.bit)) continue;
+    into->Add(make(slot), slot.key, slot.ts);
+  }
+  return Status::OK();
+}
 
 }  // namespace rumor
 

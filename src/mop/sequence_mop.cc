@@ -1,7 +1,5 @@
 #include "mop/sequence_mop.h"
 
-#include "mop/mop_state.h"
-
 namespace rumor {
 
 MopType SequenceMop::TypeFor(Sharing sharing) {
@@ -15,186 +13,44 @@ MopType SequenceMop::TypeFor(Sharing sharing) {
 
 SequenceMop::SequenceMop(std::vector<Member> members, Sharing sharing,
                          OutputMode mode)
-    : Mop(TypeFor(sharing), /*num_inputs=*/2,
-          /*num_outputs=*/mode == OutputMode::kChannel
-              ? 1
-              : static_cast<int>(members.size())),
-      members_(std::move(members)),
-      sharing_(sharing),
-      mode_(mode) {
-  RUMOR_CHECK(!members_.empty());
-  const Member& first = members_[0];
-  if (sharing_ == Sharing::kIsolated) {
-    for (const Member& m : members_) {
-      programs_.push_back(Program::Compile(m.def.predicate));
-      shapes_.push_back(AnalyzeJoin(m.def.predicate));
-      stores_.push_back(
-          std::make_unique<Store>(!shapes_.back().equi.empty()));
-    }
-    indexed_ = !shapes_[0].equi.empty();
-    return;
-  }
-  for (int i = 0; i < num_members(); ++i) {
-    const Member& m = members_[i];
-    RUMOR_CHECK(m.def.Signature() == first.def.Signature())
-        << "shared ; members must have identical definitions";
-    RUMOR_CHECK(m.right_slot == first.right_slot)
-        << "shared ; members must read the same right stream";
-    if (sharing_ == Sharing::kShared) {
-      RUMOR_CHECK(m.left_slot == first.left_slot)
-          << "s; members must read the same left stream";
-    } else {
-      RUMOR_CHECK(m.left_slot == i)
-          << "c; member " << i << " must read left channel slot " << i;
+    : PatternMop(TypeFor(sharing), MopState::Kind::kSequence, sharing, mode,
+                 WiringOf(members)),
+      members_(std::move(members)) {
+  const SequenceDef& first = members_[0].def;
+  for (const Member& m : members_) {
+    if (sharing == Sharing::kShared) {
+      RUMOR_CHECK(ExprEquals(m.def.predicate, first.predicate))
+          << "s; members must share the predicate";
+    } else if (sharing == Sharing::kChannel) {
+      RUMOR_CHECK(m.def.Signature() == first.Signature())
+          << "c; members must have identical definitions";
     }
   }
-  programs_.push_back(Program::Compile(first.def.predicate));
-  shapes_.push_back(AnalyzeJoin(first.def.predicate));
-  indexed_ = !shapes_[0].equi.empty();
-  stores_.push_back(std::make_unique<Store>(indexed_));
-}
-
-size_t SequenceMop::instance_count() const {
-  size_t n = 0;
-  for (const auto& s : stores_) n += s->live_size();
-  return n;
-}
-
-bool SequenceMop::SaveState(MopState* out) const {
-  out->kind = MopState::Kind::kSequence;
-  out->shared_state = sharing_ != Sharing::kIsolated;
-  // s; stores all-ones memberships and c; channel memberships — in both,
-  // bit s selects saved member s's instances.
-  out->member_filtered = out->shared_state;
-  out->member_active.assign(num_members(), 1);
-  out->stores.clear();
-  for (const auto& store : stores_) {
-    out->stores.push_back(ExtractLiveSlots(
-        *store, [](const Instance& inst) -> const Tuple& {
-          return inst.start;
-        }));
+  const size_t stores = sharing == Sharing::kIsolated ? members_.size() : 1;
+  for (size_t k = 0; k < stores; ++k) {
+    programs_.push_back(Program::Compile(members_[k].def.predicate));
+    AddStore(AnalyzeJoin(members_[k].def.predicate));
   }
-  return true;
-}
-
-Status SequenceMop::LoadState(const MopState& src,
-                              const MopStateBinding& binding) {
-  if (src.kind != MopState::Kind::kSequence) {
-    return Status::Internal("sequence m-op handed non-sequence state");
-  }
-  if (sharing_ != Sharing::kIsolated) {
-    return Status::Unimplemented(
-        "restored plans build isolated sequences only (s;/c; are batch "
-        "rules)");
-  }
-  if (binding.saved_slot.size() != static_cast<size_t>(num_members())) {
-    return Status::Internal("sequence state binding size mismatch");
-  }
-  for (int r = 0; r < num_members(); ++r) {
-    const int s = binding.saved_slot[r];
-    if (s < 0) continue;
-    const bool filter = src.shared_state && src.member_filtered;
-    const int store_idx = src.shared_state ? 0 : s;
-    if (store_idx >= static_cast<int>(src.stores.size())) {
-      return Status::InvalidArgument(
-          "snapshot sequence state lacks the matched member's store");
-    }
-    for (const BufferSlotState& slot : src.stores[store_idx].slots) {
-      if (filter && !StateSlotHasMember(slot, s)) continue;
-      stores_[r]->Add(
-          Instance{Tuple::Make(slot.tuple.values, slot.tuple.ts),
-                   BitVector::Singleton(0, 1)},
-          slot.key, slot.ts);
-    }
-  }
-  return Status::OK();
 }
 
 void SequenceMop::Process(int input_port, const ChannelTuple& ct,
                           Emitter& out) {
   if (input_port == 0) {
-    ProcessLeft(ct, out);
-  } else {
-    RUMOR_DCHECK(input_port == 1);
-    ProcessRight(ct, out);
-  }
-}
-
-void SequenceMop::ProcessLeft(const ChannelTuple& ct, Emitter& out) {
-  (void)out;
-  const Tuple& t = ct.tuple;
-  if (sharing_ == Sharing::kIsolated) {
-    for (int i = 0; i < num_members(); ++i) {
-      if (!ct.membership.Test(members_[i].left_slot)) continue;
-      Value key;
-      if (!shapes_[i].equi.empty()) {
-        key = t.at(shapes_[i].equi[0].left_attr);
-      }
-      stores_[i]->Add(Instance{t, BitVector::Singleton(0, 1)}, key, t.ts());
-    }
+    StartInstances(ct, [&](int) { return ct.tuple; });
     return;
   }
-  Value key;
-  if (indexed_) key = t.at(shapes_[0].equi[0].left_attr);
-  BitVector membership =
-      sharing_ == Sharing::kShared
-          ? (ct.membership.Test(members_[0].left_slot)
-                 ? BitVector::AllOnes(num_members())
-                 : BitVector(num_members()))
-          : ct.membership;  // kChannel: member i <-> slot i
-  if (membership.None()) return;
-  stores_[0]->Add(Instance{t, std::move(membership)}, key, t.ts());
-}
-
-void SequenceMop::ProcessRight(const ChannelTuple& ct, Emitter& out) {
+  RUMOR_DCHECK(input_port == 1);
   const Tuple& r = ct.tuple;
-  auto run = [&](int store_idx, int program_idx, const Member& m) {
-    Store& store = *stores_[store_idx];
-    const SequenceDef& def = m.def;
-    if (def.window > 0) store.ExpireBefore(r.ts() - def.window);
-    Value key;
-    const Value* key_ptr = nullptr;
-    const JoinShape& shape = shapes_[program_idx];
-    if (!shape.equi.empty()) {
-      key = r.at(shape.equi[0].right_attr);
-      key_ptr = &key;
-    }
-    store.ForCandidates(key_ptr, [&](int64_t abs, auto& slot) {
-      const Instance& inst = slot.item;
-      // A left tuple can only be followed by a strictly later right tuple.
-      if (inst.start.ts() >= r.ts()) return;
-      ExprContext ctx{&inst.start, &r};
-      if (!programs_[program_idx].EvalBool(ctx)) return;
-      Tuple result = ConcatTuples(inst.start, r, r.ts());
-      if (sharing_ == Sharing::kIsolated) {
-        // Member index == store index in isolated mode.
-        EmitForMembers(mode_, BitVector::Singleton(store_idx, num_members()),
-                       result, out);
-        CountOut();
-      } else if (sharing_ == Sharing::kShared) {
-        // Multiplex to every member.
-        EmitForMembers(mode_, BitVector::AllOnes(num_members()), result,
-                       out);
-        CountOut(mode_ == OutputMode::kChannel ? 1 : num_members());
-      } else {  // kChannel: the instance's membership says which queries
-        EmitForMembers(mode_, inst.membership, result, out);
-        CountOut(mode_ == OutputMode::kChannel ? 1
-                                               : inst.membership.Count());
-      }
-      // Consume-on-match.
-      store.Kill(abs);
-    });
-  };
-
-  if (sharing_ == Sharing::kIsolated) {
-    for (int i = 0; i < num_members(); ++i) {
-      if (!ct.membership.Test(members_[i].right_slot)) continue;
-      run(i, i, members_[i]);
-    }
-    return;
-  }
-  if (!ct.membership.Test(members_[0].right_slot)) return;
-  run(0, 0, members_[0]);
+  ForCandidates(ct, [&](int k, Store& store, int64_t abs, auto& slot) {
+    const Tuple& start = slot.item.tuple;
+    // A left tuple can only be followed by a strictly later right tuple.
+    if (start.ts() >= r.ts()) return;
+    ExprContext ctx{&start, &r};
+    if (!programs_[k].EvalBool(ctx)) return;
+    EmitCounted(mode_, Recipients(k, slot, r.ts()),
+                ConcatTuples(start, r, r.ts()), out);
+    store.Kill(abs);  // consume-on-match
+  });
 }
 
 }  // namespace rumor

@@ -109,17 +109,6 @@ MemberInputs InputsOf(const Mop& m, int i) {
   return {{}, {}};
 }
 
-bool MemberActive(const Mop& m, int i) {
-  switch (m.type()) {
-    case MopType::kAggregate:
-    case MopType::kSharedAggregate:
-    case MopType::kFragmentAggregate:
-      return static_cast<const AggregateMop&>(m).member_active(i);
-    default:
-      return true;
-  }
-}
-
 class FingerprintBuilder {
  public:
   explicit FingerprintBuilder(const Plan& plan) : plan_(plan) {}
@@ -131,7 +120,7 @@ class FingerprintBuilder {
       const Mop& m = plan_.mop(id);
       out.members[id].resize(m.num_members(), 0);
       for (int i = 0; i < m.num_members(); ++i) {
-        if (!MemberActive(m, i)) continue;
+        if (!m.member_active(i)) continue;
         uint64_t fp = 0;
         RUMOR_RETURN_IF_ERROR(MemberFp(id, i, &fp));
         out.members[id][i] = fp;

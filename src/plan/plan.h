@@ -75,6 +75,10 @@ class Plan {
   Plan() = default;
   Plan(const Plan&) = delete;
   Plan& operator=(const Plan&) = delete;
+  // Moving is for replacing a whole plan (e.g. `plan = Plan()`); executors
+  // and indexes over the old plan must be gone first.
+  Plan(Plan&&) = default;
+  Plan& operator=(Plan&&) = default;
 
   StreamRegistry& streams() { return streams_; }
   const StreamRegistry& streams() const { return streams_; }

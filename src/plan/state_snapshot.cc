@@ -309,12 +309,11 @@ Result<std::string> SavePlanState(const Plan& plan) {
   std::vector<MopState> records;
   for (MopId id : plan.LiveMops()) {
     MopState ms;
-    if (!plan.mop(id).SaveState(&ms)) continue;
+    const Mop& m = plan.mop(id);
+    if (!m.SaveState(&ms)) continue;
     ms.member_fps = fps.members[id];
-    if (ms.member_fps.size() != ms.member_active.size()) {
-      return Status::Internal(
-          StrCat("m-op ", plan.mop(id).name(),
-                 " saved a member count that disagrees with the plan"));
+    for (int i = 0; i < m.num_members(); ++i) {
+      ms.member_active.push_back(m.member_active(i) ? 1 : 0);
     }
     records.push_back(std::move(ms));
   }

@@ -7,10 +7,11 @@
 // section payload.
 //
 // Restore side: the restored engine re-parses the saved query texts and
-// replays the incremental merge, producing a generally different shared
-// plan. LoadPlanState matches saved members to restored members by
-// fingerprint (FIFO in occurrence order among equal fingerprints — equal
-// fingerprints imply identical state content, so ties are interchangeable)
+// runs the batch Optimize over them at Start(), which can produce a
+// different shared plan (queries added live were merged incrementally).
+// LoadPlanState matches saved members to restored members by fingerprint
+// (FIFO in occurrence order among equal fingerprints — equal fingerprints
+// imply identical state content, so ties are interchangeable)
 // and applies Mop::LoadState with the resulting bindings. A sharded
 // checkpoint is first collapsed by MergeShardStates into one logical image;
 // restore onto n shards loads the full image into every replica and lets

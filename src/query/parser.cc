@@ -34,9 +34,8 @@ const char* kKeywords[] = {"select", "from",    "where", "group", "by",
                            "range",  "as",      "and",   "or",    "not"};
 
 bool IsReserved(const std::string& ident) {
-  std::string low = ToLower(ident);
   for (const char* kw : kKeywords) {
-    if (low == kw) return true;
+    if (EqualsIgnoreCase(ident, kw)) return true;
   }
   return false;
 }
@@ -97,7 +96,7 @@ class QueryParser {
     return t.kind == TokenKind::kSymbol && t.text == s;
   }
   static bool IsKw(const Token& t, const char* kw) {
-    return t.kind == TokenKind::kIdent && ToLower(t.text) == kw;
+    return t.kind == TokenKind::kIdent && EqualsIgnoreCase(t.text, kw);
   }
 
   const Token& Peek() const { return tokens_[*pos_]; }
@@ -189,7 +188,7 @@ class QueryParser {
       for (const std::string& g : out_groups) {
         bool present = false;
         for (const std::string& existing : group_names) {
-          present |= ToLower(existing) == ToLower(g);
+          present |= EqualsIgnoreCase(existing, g);
         }
         if (!present) group_names.push_back(g);
       }

@@ -9,7 +9,6 @@
 #include "common/hash.h"
 #include "common/trace.h"
 #include "mop/aggregate_mop.h"
-#include "mop/join_mop.h"
 #include "mop/predicate_index_mop.h"
 #include "mop/selection_mop.h"
 #include "rules/rule.h"
@@ -33,12 +32,7 @@ int MemberCse(Plan* plan) {
     const Mop& m = plan->mop(id);
     if (m.num_members() != 1 || m.num_outputs() != 1) continue;
     MopType shared_type;
-    switch (m.type()) {
-      case MopType::kSelection: shared_type = MopType::kPredicateIndex; break;
-      case MopType::kAggregate: shared_type = MopType::kSharedAggregate; break;
-      case MopType::kJoin: shared_type = MopType::kSharedJoin; break;
-      default: continue;
-    }
+    if (!MemberCseTargetType(m.type(), &shared_type)) continue;
     for (MopId tid : live) {
       if (tid == id || !plan->IsLive(tid)) continue;
       const Mop& t = plan->mop(tid);
@@ -54,34 +48,7 @@ int MemberCse(Plan* plan) {
       if (!same_inputs) continue;
       int match = -1;
       for (int i = 0; i < t.num_members() && match < 0; ++i) {
-        if (t.MemberSignature(i) != m.MemberSignature(0)) continue;
-        switch (shared_type) {
-          case MopType::kPredicateIndex:
-            if (static_cast<const SelectionMop&>(m).member(0).input_slot == 0) {
-              match = i;
-            }
-            break;
-          case MopType::kSharedAggregate: {
-            const auto& target = static_cast<const AggregateMop&>(t);
-            const auto& fresh = static_cast<const AggregateMop&>(m);
-            if (target.member(i).input_slot == fresh.member(0).input_slot &&
-                target.member_active(i)) {
-              match = i;
-            }
-            break;
-          }
-          case MopType::kSharedJoin: {
-            const auto& target = static_cast<const JoinMop&>(t);
-            const auto& fresh = static_cast<const JoinMop&>(m);
-            if (target.member(i).left_slot == fresh.member(0).left_slot &&
-                target.member(i).right_slot == fresh.member(0).right_slot) {
-              match = i;
-            }
-            break;
-          }
-          default:
-            break;
-        }
+        if (MemberCseMatches(t, i, m)) match = i;
       }
       if (match < 0) continue;
       ChannelId fresh_out = plan->output_channel(id, 0);
@@ -455,13 +422,12 @@ PruneStats PruneUnreachable(Plan* plan) {
         all_needed &= needed[plan->output_channel(id, i)] != 0;
       }
       if (!all_needed) index_rebuilds.push_back(id);
-    } else if (m.type() == MopType::kSharedAggregate ||
-               m.type() == MopType::kFragmentAggregate) {
-      auto& agg = static_cast<AggregateMop&>(m);
-      if (agg.output_mode() != OutputMode::kPerMemberPorts) continue;
-      for (int i = 0; i < agg.num_members(); ++i) {
-        if (!needed[plan->output_channel(id, i)] && agg.member_active(i)) {
-          agg.DeactivateMember(i);
+    } else if (m.num_members() > 1 && m.num_outputs() == m.num_members()) {
+      // Shared-state targets with per-member ports (sα/cα, s⋈, s;, sµ)
+      // deactivate the members no surviving query reads.
+      for (int i = 0; i < m.num_members(); ++i) {
+        if (!needed[plan->output_channel(id, i)] && m.member_active(i) &&
+            m.DeactivateMember(i)) {
           ++stats.deactivated_members;
         }
       }

@@ -86,7 +86,7 @@ IncrementalMergeStats MergeNewQueryIndexed(Plan* plan, ShareIndex* index,
 struct PruneStats {
   int removed_mops = 0;          // m-ops no surviving query reaches
   int pruned_index_members = 0;  // members dropped from stateless sσ targets
-  int deactivated_members = 0;   // shared-aggregate members deactivated
+  int deactivated_members = 0;   // sα/cα, s⋈, s;, sµ members deactivated
   int collected_channels = 0;    // channels garbage-collected
 
   std::string ToString() const;

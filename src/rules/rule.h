@@ -10,7 +10,9 @@
 //   PredicateIndexRule  — sσ: selections on one stream -> predicate index
 //                         (the Cayuga FR/AN index translation).
 //   SharedAggregateRule — sα: same-stream aggregates, shared state.
-//   SharedJoinRule      — s⋈: same-stream joins, different windows.
+//   SharedJoinRule      — s⋈, and s; and sµ across windows: same-stream
+//                         joins, sequences or iterates that differ only in
+//                         the window share one state routed by window.
 //   ChannelRule         — the c-family (cσ, cπ, cα, c⋈, c;, cµ): maps
 //                         sharable streams from one producer onto a channel
 //                         and merges the same-definition consumers
@@ -58,7 +60,7 @@ class SharedAggregateRule : public MRule {
 
 class SharedJoinRule : public MRule {
  public:
-  std::string name() const override { return "s⋈"; }
+  std::string name() const override { return "s⋈/s;/sµ"; }
   int ApplyAll(Plan* plan, const SharableAnalysis* sharable) override;
 };
 

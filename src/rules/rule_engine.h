@@ -4,7 +4,7 @@
 //
 // Default priority order (matches the derivation of §4.4):
 //   1. CSE (s;/sµ + exact duplicates of every operator type),
-//   2. same-stream rules (sσ, sα, s⋈),
+//   2. same-stream rules (sσ, sα, s⋈/s;/sµ),
 //   3. channel mapping + channel rules (cσ, cπ, cα, c⋈, c;, cµ).
 #ifndef RUMOR_RULES_RULE_ENGINE_H_
 #define RUMOR_RULES_RULE_ENGINE_H_
@@ -23,7 +23,7 @@ struct OptimizerOptions {
   bool enable_cse = true;
   bool enable_predicate_index = true;  // sσ
   bool enable_shared_aggregate = true;  // sα
-  bool enable_shared_join = true;       // s⋈
+  bool enable_shared_join = true;       // s⋈, and s;/sµ across windows
   bool enable_channels = true;          // the c-family
   // Paper §3.3: several m-rules can be applicable to the same operators
   // (the shaded region X of Fig. 2/3), and different application orders can
@@ -42,7 +42,7 @@ struct OptimizeStats {
   int cse_merges = 0;
   int predicate_index_merges = 0;
   int shared_aggregate_merges = 0;
-  int shared_join_merges = 0;
+  int shared_join_merges = 0;  // s⋈, s; and sµ groups merged
   int channel_merges = 0;
   int rounds = 0;
 

@@ -6,9 +6,11 @@
 
 #include "common/hash.h"
 #include "mop/aggregate_mop.h"
+#include "mop/iterate_mop.h"
 #include "mop/join_mop.h"
 #include "mop/predicate_index_mop.h"
 #include "mop/selection_mop.h"
+#include "mop/sequence_mop.h"
 
 namespace rumor {
 namespace {
@@ -61,22 +63,52 @@ uint64_t AggKey(const Plan& plan, MopId id, const AggregateMop& agg) {
   return key;
 }
 
-// The per-member-port merged target type a single-member m-op can join.
-bool SharedTypeFor(MopType type, MopType* shared) {
+bool IsMemberTargetType(MopType type) {
+  return type == MopType::kPredicateIndex ||
+         type == MopType::kSharedAggregate || type == MopType::kSharedJoin ||
+         type == MopType::kSharedSequence || type == MopType::kSharedIterate;
+}
+
+template <typename M>
+bool SameSlots(const Mop& target, int i, const Mop& fresh) {
+  const auto& t = static_cast<const M&>(target).member(i);
+  const auto& f = static_cast<const M&>(fresh).member(0);
+  return t.left_slot == f.left_slot && t.right_slot == f.right_slot;
+}
+
+}  // namespace
+
+bool MemberCseTargetType(MopType type, MopType* shared) {
   switch (type) {
     case MopType::kSelection: *shared = MopType::kPredicateIndex; return true;
     case MopType::kAggregate: *shared = MopType::kSharedAggregate; return true;
     case MopType::kJoin: *shared = MopType::kSharedJoin; return true;
+    case MopType::kSequence: *shared = MopType::kSharedSequence; return true;
+    case MopType::kIterate: *shared = MopType::kSharedIterate; return true;
     default: return false;
   }
 }
 
-bool IsMemberTargetType(MopType type) {
-  return type == MopType::kPredicateIndex ||
-         type == MopType::kSharedAggregate || type == MopType::kSharedJoin;
+bool MemberCseMatches(const Mop& target, int i, const Mop& fresh) {
+  if (target.MemberSignature(i) != fresh.MemberSignature(0) ||
+      !target.member_active(i)) {
+    return false;
+  }
+  switch (target.type()) {
+    case MopType::kPredicateIndex:
+      return static_cast<const SelectionMop&>(fresh).member(0).input_slot ==
+             0;
+    case MopType::kSharedAggregate:
+      return static_cast<const AggregateMop&>(target).member(i).input_slot ==
+             static_cast<const AggregateMop&>(fresh).member(0).input_slot;
+    case MopType::kSharedJoin: return SameSlots<JoinMop>(target, i, fresh);
+    case MopType::kSharedSequence:
+      return SameSlots<SequenceMop>(target, i, fresh);
+    case MopType::kSharedIterate:
+      return SameSlots<IterateMop>(target, i, fresh);
+    default: return false;
+  }
 }
-
-}  // namespace
 
 ShareIndex::ShareIndex(Plan* plan) : plan_(plan) {
   cursor_ = plan_->mutation_seq();
@@ -109,25 +141,29 @@ void ShareIndex::Sync() {
     int grew = 0;
     bool other = false;
   };
+  // Entries are merged per m-op by sorting: looking each event's m-op up in
+  // the list was quadratic when a rule pass removes a hundred m-ops at once.
+  // An m-op's events mostly come in a run, which folds into one entry.
   std::vector<DirtyMop> dirty;
-  auto dirty_of = [&dirty](MopId id) -> DirtyMop& {
-    for (DirtyMop& d : dirty) {
-      if (d.id == id) return d;
+  auto mark = [&dirty](MopId id, int grew, bool other) {
+    if (!dirty.empty() && dirty.back().id == id) {
+      dirty.back().grew += grew;
+      dirty.back().other |= other;
+    } else {
+      dirty.push_back({id, grew, other});
     }
-    dirty.push_back({id, 0, false});
-    return dirty.back();
   };
   for (const PlanEvent& e : events) {
     switch (e.kind) {
       case PlanEvent::kMopGrew:
-        ++dirty_of(e.a).grew;
+        mark(e.a, 1, false);
         break;
       case PlanEvent::kMopAdded:
       case PlanEvent::kMopRemoved:
       case PlanEvent::kMopMutated:
       case PlanEvent::kInputBound:
       case PlanEvent::kOutputBound:
-        dirty_of(e.a).other = true;
+        mark(e.a, 0, true);
         break;
       default:
         break;  // channel/output-mark events do not change index content
@@ -135,7 +171,12 @@ void ShareIndex::Sync() {
   }
   std::sort(dirty.begin(), dirty.end(),
             [](const DirtyMop& a, const DirtyMop& b) { return a.id < b.id; });
-  for (const DirtyMop& d : dirty) {
+  for (size_t i = 0; i < dirty.size();) {
+    DirtyMop d = dirty[i];
+    while (++i < dirty.size() && dirty[i].id == d.id) {
+      d.grew += dirty[i].grew;
+      d.other |= dirty[i].other;
+    }
     if (d.other || !GrowMop(d.id, d.grew)) ReindexMop(d.id);
   }
 }
@@ -357,7 +398,7 @@ ShareIndex::Candidate ShareIndex::Probe(MopId fresh,
   // the first match a LiveMops-ascending scan would find).
   MopType shared_type;
   if ((kind_mask & MaskOf(Candidate::kCseMember)) &&
-      SharedTypeFor(m.type(), &shared_type)) {
+      MemberCseTargetType(m.type(), &shared_type)) {
     auto bucket =
         member_.find(MemberKey(shared_type, m.MemberSignature(0), ins));
     if (bucket != member_.end()) {
@@ -380,34 +421,7 @@ ShareIndex::Candidate ShareIndex::Probe(MopId fresh,
               plan_->input_channel(ref.mop, p) == plan_->input_channel(fresh, p);
         }
         if (!same_inputs) continue;
-        if (t.MemberSignature(ref.member) != m.MemberSignature(0)) continue;
-        bool match = false;
-        switch (shared_type) {
-          case MopType::kPredicateIndex:
-            match = static_cast<const SelectionMop&>(m).member(0).input_slot ==
-                    0;
-            break;
-          case MopType::kSharedAggregate: {
-            const auto& target = static_cast<const AggregateMop&>(t);
-            const auto& sel = static_cast<const AggregateMop&>(m);
-            match = target.member(ref.member).input_slot ==
-                        sel.member(0).input_slot &&
-                    target.member_active(ref.member);
-            break;
-          }
-          case MopType::kSharedJoin: {
-            const auto& target = static_cast<const JoinMop&>(t);
-            const auto& sel = static_cast<const JoinMop&>(m);
-            match = target.member(ref.member).left_slot ==
-                        sel.member(0).left_slot &&
-                    target.member(ref.member).right_slot ==
-                        sel.member(0).right_slot;
-            break;
-          }
-          default:
-            break;
-        }
-        if (!match) continue;
+        if (!MemberCseMatches(t, ref.member, m)) continue;
         best = ref.mop;
         best_member = ref.member;
       }

@@ -7,12 +7,13 @@
 // log, so each fresh m-op resolves its best merge with O(1) probes:
 //
 //   exact     (m-op type, input channels, member signature) -> single-member
-//             m-ops — CSE duplicates (rule s;/sµ and exact duplicates of
-//             every type). The key is bit-identical to CseRule's group key,
-//             so probe results match the scan-based rule exactly.
+//             m-ops — CSE duplicates (exact duplicates of every type, the
+//             paper's s;/sµ included). The key is bit-identical to
+//             CseRule's group key, so probe results match the scan-based
+//             rule exactly.
 //   member    (shared type, input channels, member signature) -> members of
-//             per-member-port merged targets — member-level CSE (a new σ/α/⋈
-//             identical to a warm member reuses its output port).
+//             per-member-port merged targets — member-level CSE (a new
+//             σ/α/⋈/;/µ identical to a warm member reuses its output port).
 //   σ-target  input channel -> per-member-port predicate indexes (sσ attach
 //             targets; the probe picks the oldest = lowest MopId).
 //   σ-single  input channel -> single-member slot-0 selections (sσ formation
@@ -41,6 +42,16 @@
 #include "plan/plan.h"
 
 namespace rumor {
+
+// Member-level CSE, the one rule both MemberCse (rules/incremental.cc) and
+// ShareIndex::Probe apply: a single-member m-op of `type` can collapse onto
+// a member of a per-member-port merged m-op of type *shared (sσ, sα, s⋈,
+// s;, sµ targets) that reads the same input channels. MemberCseMatches
+// tells whether member `i` of `target` computes exactly what `fresh`'s one
+// member computes: the same member signature and input slots, and the
+// member still active (a deactivated member no longer emits).
+bool MemberCseTargetType(MopType type, MopType* shared);
+bool MemberCseMatches(const Mop& target, int i, const Mop& fresh);
 
 class ShareIndex {
  public:

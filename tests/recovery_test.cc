@@ -1,7 +1,8 @@
 // Durability: snapshot round-trips, crash-recovery equivalence (the restored
 // engine's suffix outputs are byte-identical to an uninterrupted run's),
-// re-partitioned sharded restore, checkpoint/churn interleaving, and
-// corrupted-snapshot rejection.
+// re-partitioned sharded restore, checkpoint/churn interleaving, shared
+// ⋈/;/µ state across windows (Fig. 10 mixes), and corrupted-snapshot
+// rejection.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -174,14 +175,17 @@ std::map<std::string, size_t> CountsOf(const Outputs& o) {
   return c;
 }
 
+using WorkloadFn = void (*)(StreamEngine&);
+
 // Runs the workload uninterrupted at `shards`, recording the outputs of
 // tuples [split, total) separately.
-Outputs ReferenceSuffix(int shards, int split, int total) {
+Outputs ReferenceSuffix(int shards, int split, int total,
+                        WorkloadFn add = AddWorkload) {
   StreamEngine engine;
   EXPECT_TRUE(engine.SetShardCount(shards).ok());
   Outputs all;
   Attach(engine, &all);
-  AddWorkload(engine);
+  add(engine);
   EXPECT_TRUE(engine.Start().ok());
   PushRange(engine, 0, split);
   engine.Flush();
@@ -195,14 +199,14 @@ Outputs ReferenceSuffix(int shards, int split, int total) {
 // engine), restores into a fresh engine at `restore_shards`, and replays
 // the suffix there.
 Outputs RecoveredSuffix(int save_shards, int restore_shards, int split,
-                        int total) {
+                        int total, WorkloadFn add = AddWorkload) {
   std::string snapshot;
   {
     StreamEngine engine;
     EXPECT_TRUE(engine.SetShardCount(save_shards).ok());
     Outputs ignored;
     Attach(engine, &ignored);
-    AddWorkload(engine);
+    add(engine);
     EXPECT_TRUE(engine.Start().ok());
     PushRange(engine, 0, split);
     EXPECT_TRUE(engine.Checkpoint(&snapshot).ok());
@@ -217,6 +221,47 @@ Outputs RecoveredSuffix(int save_shards, int restore_shards, int split,
   PushRange(restored, split, total);
   restored.Flush();
   return suffix;
+}
+
+using PrefixFn = void (*)(StreamEngine&, Outputs*);
+
+// Runs `prefix` (which attaches `out`, builds the engine and pushes up to
+// tuple `split`) and then tuples [split, total) on one engine; runs it
+// again up to a checkpoint, restores that at `restore_shards` and replays
+// the suffix there. The two suffixes must be byte-identical and non-empty.
+void ExpectRestoreReplaysSuffix(PrefixFn prefix, int split, int total,
+                                int restore_shards) {
+  SCOPED_TRACE(testing::Message() << "restored at " << restore_shards
+                                  << " shards");
+  Outputs ref;
+  std::map<std::string, size_t> ref_prefix;
+  {
+    StreamEngine engine;
+    prefix(engine, &ref);
+    engine.Flush();
+    ref_prefix = CountsOf(ref);
+    PushRange(engine, split, total);
+    engine.Flush();
+  }
+  const Outputs expected = SuffixOf(ref, ref_prefix);
+  EXPECT_FALSE(expected.empty());
+
+  std::string snapshot;
+  {
+    StreamEngine engine;
+    Outputs ignored;
+    prefix(engine, &ignored);
+    ASSERT_TRUE(engine.Checkpoint(&snapshot).ok());
+  }
+  StreamEngine restored;
+  ASSERT_TRUE(restored.SetShardCount(restore_shards).ok());
+  Outputs actual;
+  Attach(restored, &actual);
+  const Status st = restored.Restore(snapshot);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  PushRange(restored, split, total);
+  restored.Flush();
+  EXPECT_EQ(actual, expected);
 }
 
 TEST(RecoveryTest, CrashRecoveryEquivalenceSingleThreaded) {
@@ -301,6 +346,155 @@ TEST(RecoveryTest, ChurnAroundCheckpointEquivalence) {
   EXPECT_EQ(actual, expected);
   EXPECT_FALSE(expected.at("COLD").empty());
   EXPECT_FALSE(expected.at("HOT2").empty());
+}
+
+// --- Fig. 10 mixes: ;, µ and ⋈ queries that differ only in window ---------
+
+// Four SEQ, four ITERATE and four JOIN queries over CPU and NET that differ
+// only in the window (0 = no WITHIN); s⋈/s;/sµ fold each kind into one
+// shared m-op. The widest member of each kind is listed first.
+constexpr const char* kFig10Mix =
+    "S0: SELECT * FROM CPU SEQ NET ON CPU.pid = NET.pid;"
+    "S1: SELECT * FROM CPU SEQ NET ON CPU.pid = NET.pid WITHIN 6;"
+    "S2: SELECT * FROM CPU SEQ NET ON CPU.pid = NET.pid WITHIN 17;"
+    "S3: SELECT * FROM CPU SEQ NET ON CPU.pid = NET.pid WITHIN 6;"
+    "I0: SELECT * FROM CPU ITERATE NET ON CPU.pid = NET.pid AND "
+    "NET.bytes > last.bytes WITHIN 40;"
+    "I1: SELECT * FROM CPU ITERATE NET ON CPU.pid = NET.pid AND "
+    "NET.bytes > last.bytes WITHIN 7;"
+    "I2: SELECT * FROM CPU ITERATE NET ON CPU.pid = NET.pid AND "
+    "NET.bytes > last.bytes WITHIN 16;"
+    "I3: SELECT * FROM CPU ITERATE NET ON CPU.pid = NET.pid AND "
+    "NET.bytes > last.bytes WITHIN 26;"
+    "J0: SELECT * FROM CPU [RANGE 40] JOIN NET [RANGE 35] "
+    "ON CPU.pid = NET.pid;"
+    "J1: SELECT * FROM CPU [RANGE 6] JOIN NET [RANGE 6] ON CPU.pid = NET.pid;"
+    "J2: SELECT * FROM CPU [RANGE 16] JOIN NET [RANGE 5] "
+    "ON CPU.pid = NET.pid;"
+    "J3: SELECT * FROM CPU [RANGE 5] JOIN NET [RANGE 25] "
+    "ON CPU.pid = NET.pid;";
+
+void AddFig10Mix(StreamEngine& engine) {
+  ASSERT_TRUE(engine.RegisterSource("CPU", CpuSchema()).ok());
+  ASSERT_TRUE(engine.RegisterSource("NET", NetSchema()).ok());
+  ASSERT_TRUE(engine.AddScript(kFig10Mix).ok());
+}
+
+TEST(RecoveryTest, Fig10WindowMixRestoresAtOneAndFourShards) {
+  {
+    StreamEngine engine;
+    AddFig10Mix(engine);
+    ASSERT_TRUE(engine.Start().ok());
+    EXPECT_EQ(engine.optimize_stats().shared_join_merges, 3);
+    EXPECT_EQ(engine.optimize_stats().live_mops, 3);
+  }
+  const Outputs expected = ReferenceSuffix(1, 120, 240, AddFig10Mix);
+  EXPECT_EQ(expected.size(), 12u);  // every query has suffix outputs
+  for (int shards : {1, 4}) {
+    EXPECT_EQ(RecoveredSuffix(1, shards, 120, 240, AddFig10Mix), expected)
+        << "restored at " << shards << " shards";
+  }
+  EXPECT_EQ(RecoveredSuffix(4, 1, 120, 240, AddFig10Mix), expected);
+}
+
+// Removing the widest member of each shared m-op deactivates it: it stops
+// emitting, the shared state shrinks to the widest remaining window, and
+// its fingerprint leaves the snapshot, so the restored plan (built from the
+// surviving queries) matches every saved member.
+TEST(RecoveryTest, Fig10WindowMixSurvivesRemovingTheWidestMembers) {
+  const PrefixFn prefix = [](StreamEngine& engine, Outputs* out) {
+    Attach(engine, out);
+    AddFig10Mix(engine);
+    ASSERT_TRUE(engine.Start().ok());
+    PushRange(engine, 0, 80);
+    for (const char* q : {"S0", "I0", "J0"}) {
+      ASSERT_TRUE(engine.RemoveQuery(q).ok()) << q;
+    }
+    EXPECT_EQ(engine.optimize_stats().pruned_members, 3);
+    PushRange(engine, 80, 120);
+  };
+  for (int shards : {1, 4}) {
+    ExpectRestoreReplaysSuffix(prefix, 120, 240, shards);
+  }
+}
+
+// A live-added twin of an s;/sµ member is member-CSE'd onto the member's
+// port, so it carries the member's fingerprint and history. The restored
+// plan, whose CSE merges the twin into the same member, replays it byte for
+// byte (a twin left as its own m-op would hand its fingerprint's saved
+// state to the merged member twice and lose its own).
+TEST(RecoveryTest, LiveTwinOfASharedPatternMemberRestores) {
+  const PrefixFn prefix = [](StreamEngine& engine, Outputs* out) {
+    Attach(engine, out);
+    ASSERT_TRUE(engine.RegisterSource("CPU", CpuSchema()).ok());
+    ASSERT_TRUE(engine.RegisterSource("NET", NetSchema()).ok());
+    const std::string seq = "SELECT * FROM CPU SEQ NET ON CPU.pid = NET.pid";
+    const std::string iter =
+        "SELECT * FROM CPU ITERATE NET ON CPU.pid = NET.pid AND "
+        "NET.bytes > last.bytes";
+    ASSERT_TRUE(engine.AddQueryText(seq, "S0").ok());
+    ASSERT_TRUE(engine.AddQueryText(seq + " WITHIN 6", "S1").ok());
+    ASSERT_TRUE(engine.AddQueryText(iter, "I0").ok());
+    ASSERT_TRUE(engine.AddQueryText(iter + " WITHIN 6", "I1").ok());
+    ASSERT_TRUE(engine.Start().ok());
+    EXPECT_EQ(engine.optimize_stats().live_mops, 2);
+    PushRange(engine, 0, 61);
+    ASSERT_TRUE(engine.AddQueryText(seq, "S0TWIN").ok());
+    ASSERT_TRUE(engine.AddQueryText(iter, "I0TWIN").ok());
+    EXPECT_EQ(engine.optimize_stats().incremental_cse_merges, 2);
+    PushRange(engine, 61, 120);
+  };
+  for (int shards : {1, 4}) {
+    ExpectRestoreReplaysSuffix(prefix, 120, 240, shards);
+  }
+}
+
+// Pattern queries added after Start() stay isolated m-ops, each with its own
+// consumption history; the restore's batch Optimize merges them into one
+// shared m-op, which cannot take state from several saved m-ops. The
+// restore fails with a Status instead of loading a wrong state.
+TEST(RecoveryTest, RestoreRejectsMergingLiveAddedPatternQueries) {
+  std::string snapshot;
+  {
+    StreamEngine engine;
+    ASSERT_TRUE(engine.RegisterSource("CPU", CpuSchema()).ok());
+    ASSERT_TRUE(engine.RegisterSource("NET", NetSchema()).ok());
+    ASSERT_TRUE(engine
+                    .AddQueryText("SELECT * FROM CPU SEQ NET ON CPU.pid = "
+                                  "NET.pid WITHIN 6",
+                                  "A")
+                    .ok());
+    ASSERT_TRUE(engine.Start().ok());
+    PushRange(engine, 0, 40);
+    ASSERT_TRUE(engine
+                    .AddQueryText("SELECT * FROM CPU SEQ NET ON CPU.pid = "
+                                  "NET.pid WITHIN 17",
+                                  "B")
+                    .ok());
+    PushRange(engine, 40, 80);
+    ASSERT_TRUE(engine.Checkpoint(&snapshot).ok());
+  }
+  StreamEngine restored;
+  Outputs actual;
+  Attach(restored, &actual);
+  const Status st = restored.Restore(snapshot);
+  EXPECT_EQ(st.code(), StatusCode::kUnimplemented) << st.ToString();
+  // The failed restore put the engine back the way it found it, so another
+  // restore into it works.
+  EXPECT_FALSE(restored.started());
+  EXPECT_EQ(restored.num_queries(), 0);
+  std::string good;
+  {
+    StreamEngine engine;
+    AddFig10Mix(engine);
+    ASSERT_TRUE(engine.Start().ok());
+    PushRange(engine, 0, 120);
+    ASSERT_TRUE(engine.Checkpoint(&good).ok());
+  }
+  const Status retry = restored.Restore(good);
+  ASSERT_TRUE(retry.ok()) << retry.ToString();
+  PushRange(restored, 120, 240);
+  EXPECT_EQ(actual, ReferenceSuffix(1, 120, 240, AddFig10Mix));
 }
 
 TEST(RecoveryTest, RestoredCountersAndCountsCarryOver) {
