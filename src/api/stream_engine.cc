@@ -21,62 +21,130 @@ int64_t TickerNowNs() {
 }  // namespace
 
 // Routes output-stream tuples to the per-query handler. One stream may
-// serve several (CSE-merged) queries. StreamIds are small and contiguous,
-// so routes live in a dense StreamId-indexed table.
+// serve several (CSE-merged) queries. A result reads one dense
+// StreamId-indexed run {begin, count, delivered} and the run's slice of one
+// flat array of query-name pointers. Nothing per query is written per
+// result: a query's delivered count is its stream's counter minus the value
+// at bind, plus what it carried in from an earlier binding or a restore.
 class StreamEngine::HandlerSink : public OutputSink {
  public:
-  void Bind(StreamId stream, std::string query_name) {
-    if (stream >= static_cast<StreamId>(routes_.size())) {
-      routes_.resize(stream + 1);
+  void Bind(StreamId stream, const std::string& query_name) {
+    RUMOR_CHECK(stream >= 0);
+    if (static_cast<size_t>(stream) >= runs_.size()) {
+      runs_.resize(stream + 1);
+      room_.resize(stream + 1, 0);
     }
-    // The counter is resolved once here (counts_ nodes are stable), so the
-    // per-output path never hashes the query name.
-    int64_t* counter = &counts_[query_name];
-    routes_[stream].push_back(Route{std::move(query_name), counter});
+    auto it = records_.try_emplace(query_name).first;
+    Record& rec = it->second;
+    RUMOR_CHECK(rec.stream == kInvalidStream)
+        << "query '" << query_name << "' is bound twice";
+    Run& run = runs_[stream];
+    if (run.count == room_[stream]) {
+      Reserve(stream, std::max<uint32_t>(1, 2 * run.count));
+    }
+    // The map's keys are node-stable, so the pointer outlives rehashes.
+    names_[run.begin + run.count++] = &it->first;
+    ++bound_;
+    rec.stream = stream;
+    rec.base = run.delivered;
   }
-  // Stops routing to `query_name` (RemoveQuery); delivered counts persist.
+  // Stops routing to `query_name` (RemoveQuery); its count persists and a
+  // later Bind of the same name continues it. Touches only its stream's run.
   void Unbind(const std::string& query_name) {
-    for (std::vector<Route>& routes : routes_) {
-      routes.erase(std::remove_if(routes.begin(), routes.end(),
-                                  [&](const Route& r) {
-                                    return r.name == query_name;
-                                  }),
-                   routes.end());
-    }
+    auto it = records_.find(query_name);
+    if (it == records_.end() || it->second.stream == kInvalidStream) return;
+    Record& rec = it->second;
+    Run& run = runs_[rec.stream];
+    auto first = names_.begin() + run.begin;
+    auto last = first + run.count;
+    auto pos = std::find(first, last, &it->first);
+    RUMOR_CHECK(pos != last) << "query '" << query_name << "' lost its route";
+    std::copy(pos + 1, last, pos);  // keeps the other queries' bind order
+    --run.count;
+    --bound_;
+    rec.carried += run.delivered - rec.base;
+    rec.stream = kInvalidStream;
   }
   void SetHandler(const OutputHandler* handler) { handler_ = handler; }
-  // Engine-owned running total of routed results (read by the ticker).
-  void SetTotalCounter(std::atomic<int64_t>* total) { total_ = total; }
 
   void OnOutput(StreamId stream, const Tuple& tuple) override {
-    if (stream < 0 || stream >= static_cast<StreamId>(routes_.size())) return;
-    for (const Route& route : routes_[stream]) {
-      ++*route.count;
-      RUMOR_METRIC(total_->fetch_add(1, std::memory_order_relaxed));
-      if (handler_ != nullptr && *handler_) (*handler_)(route.name, tuple);
-    }
+    if (static_cast<size_t>(stream) >= runs_.size()) return;
+    Run& run = runs_[stream];
+    ++run.delivered;
+    routed_ += run.count;
+    if (run.count == 0 || handler_ == nullptr || !*handler_) return;
+    const std::string* const* name = names_.data() + run.begin;
+    for (uint32_t i = 0; i < run.count; ++i) (*handler_)(*name[i], tuple);
   }
 
   int64_t CountFor(const std::string& name) const {
-    auto it = counts_.find(name);
-    return it == counts_.end() ? 0 : it->second;
+    auto it = records_.find(name);
+    if (it == records_.end()) return 0;
+    const Record& rec = it->second;
+    return rec.carried + (rec.stream == kInvalidStream
+                              ? 0
+                              : runs_[rec.stream].delivered - rec.base);
   }
-
-  // Restore: carry a query's delivered total across the checkpoint (counts_
-  // nodes are stable, so existing Route::count pointers stay valid).
+  // Restore: sets a query's delivered total to its saved value.
   void SeedCount(const std::string& name, int64_t delivered) {
-    counts_[name] = delivered;
+    const int64_t now = CountFor(name);
+    records_[name].carried += delivered - now;
   }
+  // Results routed so far (one per query per stream tuple), which the
+  // engine publishes as the ticker's outputs; Restore seeds it.
+  int64_t routed() const { return routed_; }
+  void SeedRouted(int64_t routed) { routed_ = routed; }
 
  private:
-  struct Route {
-    std::string name;
-    int64_t* count;  // into counts_ (node-stable)
+  struct Run {
+    uint32_t begin = 0;  // first name of the run in names_
+    uint32_t count = 0;  // queries bound to the stream
+    int64_t delivered = 0;  // tuples the stream delivered
   };
-  std::vector<std::vector<Route>> routes_;  // by StreamId
-  std::unordered_map<std::string, int64_t> counts_;
-  const OutputHandler* handler_ = nullptr;
-  std::atomic<int64_t>* total_ = nullptr;  // set before any OnOutput
+  struct Record {
+    StreamId stream = kInvalidStream;  // bound stream, if any
+    int64_t base = 0;     // the stream's delivered count at bind
+    int64_t carried = 0;  // delivered before the current binding
+  };
+
+  // Gives `stream`'s run room for `room` names: in place when the run ends
+  // names_, otherwise by moving it to the end. Repacks names_ first once it
+  // is over four times the bound names, so binds cost amortized O(1).
+  void Reserve(StreamId stream, uint32_t room) {
+    if (names_.size() > 64 && names_.size() > 4 * bound_) Repack();
+    Run& run = runs_[stream];
+    if (run.begin + room_[stream] != names_.size()) {
+      const uint32_t begin = static_cast<uint32_t>(names_.size());
+      names_.resize(begin + run.count);
+      std::copy_n(names_.begin() + run.begin, run.count,
+                  names_.begin() + begin);
+      run.begin = begin;
+    }
+    names_.resize(run.begin + room, nullptr);
+    room_[stream] = room;
+  }
+  void Repack() {
+    std::vector<const std::string*> packed;
+    packed.reserve(bound_ + 1);
+    for (size_t s = 0; s < runs_.size(); ++s) {
+      Run& run = runs_[s];
+      const uint32_t begin = static_cast<uint32_t>(packed.size());
+      packed.insert(packed.end(), names_.begin() + run.begin,
+                    names_.begin() + run.begin + run.count);
+      run.begin = begin;
+      room_[s] = run.count;
+    }
+    names_ = std::move(packed);
+  }
+
+  std::vector<Run> runs_;      // by StreamId
+  std::vector<uint32_t> room_;  // by StreamId: names_ slots the run owns
+  std::vector<const std::string*> names_;  // runs' slices (keys of records_)
+  size_t bound_ = 0;                       // names bound to some stream
+  // Every name ever bound, so counts persist across RemoveQuery.
+  std::unordered_map<std::string, Record> records_;
+  const OutputHandler* handler_ = nullptr;  // set before any OnOutput
+  int64_t routed_ = 0;
 };
 
 StreamEngine::StreamEngine(OptimizerOptions options)
@@ -124,10 +192,23 @@ Status StreamEngine::AddQueryWithText(Query query, std::string text) {
         StrCat("query '", query.name, "' already exists"));
   }
   if (started()) return AddQueryLive(std::move(query), std::move(text));
+  CommitQuery(std::move(query), std::move(text));
+  return Status::OK();
+}
+
+void StreamEngine::CommitQuery(Query query, std::string text) {
   catalog_.AddQuery(query);
-  query_index_[ToLower(query.name)] = static_cast<int>(queries_.size());
-  queries_.push_back(std::move(query));
-  query_texts_.push_back(std::move(text));
+  query_index_[ToLower(query.name)] = static_cast<int>(query_slots_.size());
+  query_slots_.push_back({std::move(query), std::move(text)});
+  ++num_live_queries_;
+}
+
+Status StreamEngine::CompileLiveQueries(Plan* plan) const {
+  for (const QuerySlot& slot : query_slots_) {
+    if (!slot.live()) continue;
+    auto compiled = CompileQuery(slot.query, plan);
+    if (!compiled.ok()) return compiled.status();
+  }
   return Status::OK();
 }
 
@@ -191,10 +272,7 @@ Status StreamEngine::AddQueryLive(Query query, std::string text) {
     RUMOR_CHECK(out.has_value());
     sink_->Bind(*out, query.name);
     RefreshSourceIds();
-    catalog_.AddQuery(query);
-    query_index_[ToLower(query.name)] = static_cast<int>(queries_.size());
-    queries_.push_back(std::move(query));
-    query_texts_.push_back(std::move(text));
+    CommitQuery(std::move(query), std::move(text));
     return Status::OK();
   }
   if (executor_->busy()) {
@@ -229,10 +307,7 @@ Status StreamEngine::AddQueryLive(Query query, std::string text) {
   sink_->Bind(*out, query.name);
   executor_->Refresh();  // validates the plan
   RefreshSourceIds();
-  catalog_.AddQuery(query);
-  query_index_[ToLower(query.name)] = static_cast<int>(queries_.size());
-  queries_.push_back(std::move(query));
-  query_texts_.push_back(std::move(text));
+  CommitQuery(std::move(query), std::move(text));
   return Status::OK();
 }
 
@@ -243,7 +318,7 @@ Status StreamEngine::RemoveQuery(const std::string& name) {
   }
   // The lookup is case-insensitive; the plan and sink know the query by its
   // registered spelling.
-  const std::string canonical = queries_[index].name;
+  const std::string canonical = query_slots_[index].query.name;
   if (sharded_ != nullptr) {
     if (sharded_->busy()) {
       return Status::Internal("cannot remove queries from inside a push");
@@ -286,25 +361,38 @@ Status StreamEngine::RemoveQuery(const std::string& name) {
         pruned.pruned_index_members + pruned.deactivated_members;
     executor_->Refresh();  // validates the plan
   }
-  queries_.erase(queries_.begin() + index);
-  query_texts_.erase(query_texts_.begin() + index);
+  query_slots_[index] = QuerySlot{};  // tombstone
+  --num_live_queries_;
   catalog_.Remove(canonical);
-  // Shift the name index in place (values only — no rehash of the
-  // surviving names).
   query_index_.erase(ToLower(canonical));
-  for (auto& [unused_name, i] : query_index_) {
-    if (i > index) --i;
+  // Compact once tombstones outnumber live queries: O(slots) every
+  // O(slots) removes. The name index is remapped in place (values only —
+  // no rehash of the surviving names).
+  const int tombstones =
+      static_cast<int>(query_slots_.size()) - num_live_queries_;
+  if (tombstones > 16 && tombstones > num_live_queries_) {
+    std::vector<int> moved_to(query_slots_.size(), -1);
+    int next = 0;
+    for (int i = 0; i < static_cast<int>(query_slots_.size()); ++i) {
+      if (!query_slots_[i].live()) continue;
+      moved_to[i] = next;
+      if (i != next) query_slots_[next] = std::move(query_slots_[i]);
+      ++next;
+    }
+    query_slots_.resize(next);
+    for (auto& [unused_name, slot] : query_index_) slot = moved_to[slot];
   }
   return Status::OK();
 }
 
 Status StreamEngine::Start() {
   if (started()) return Status::Internal("engine already started");
-  if (queries_.empty()) return Status::InvalidArgument("no queries added");
+  if (num_live_queries_ == 0) {
+    return Status::InvalidArgument("no queries added");
+  }
   if (shard_count_ > 1) {
     sink_ = std::make_unique<HandlerSink>();
     sink_->SetHandler(&handler_);
-    sink_->SetTotalCounter(&outputs_total_);
     ShardedExecutor::Options sharded_options;
     sharded_options.num_shards = shard_count_;
     sharded_options.metrics = metrics_options_;
@@ -312,8 +400,7 @@ Status StreamEngine::Start() {
     // query list (read-only here; both passes are deterministic, so replica
     // ids line up across shards).
     PlanFactory factory = [this](Plan* plan, OptimizeStats* stats) -> Status {
-      auto replica = CompileQueries(queries_, plan);
-      if (!replica.ok()) return replica.status();
+      RUMOR_RETURN_IF_ERROR(CompileLiveQueries(plan));
       *stats = Optimize(plan, options_);
       return Status::OK();
     };
@@ -344,8 +431,7 @@ Status StreamEngine::Start() {
     RefreshSourceIds();
     return Status::OK();
   }
-  auto compiled = CompileQueries(queries_, &plan_);
-  if (!compiled.ok()) return compiled.status();
+  RUMOR_RETURN_IF_ERROR(CompileLiveQueries(&plan_));
   if (options_.use_share_index) {
     share_index_ = std::make_unique<ShareIndex>(&plan_);
   }
@@ -353,7 +439,6 @@ Status StreamEngine::Start() {
 
   sink_ = std::make_unique<HandlerSink>();
   sink_->SetHandler(&handler_);
-  sink_->SetTotalCounter(&outputs_total_);
   for (const Plan::OutputDef& def : plan_.outputs()) {
     sink_->Bind(def.stream, def.query_name);
   }
@@ -434,6 +519,7 @@ Status StreamEngine::Push(const std::string& source, const Tuple& tuple) {
   } else {
     executor_->PushSource(id.value(), tuple);
   }
+  PublishOutputs();
   RUMOR_METRIC(push_calls_.fetch_add(1, std::memory_order_relaxed));
   RUMOR_METRIC(tuples_pushed_.fetch_add(1, std::memory_order_relaxed));
   return Status::OK();
@@ -448,6 +534,7 @@ Status StreamEngine::PushBatch(const std::string& source,
   } else {
     executor_->PushSourceBatch(id.value(), tuples);
   }
+  PublishOutputs();
   RUMOR_METRIC(push_calls_.fetch_add(1, std::memory_order_relaxed));
   RUMOR_METRIC(tuples_pushed_.fetch_add(
       static_cast<int64_t>(tuples.size()), std::memory_order_relaxed));
@@ -456,6 +543,13 @@ Status StreamEngine::PushBatch(const std::string& source,
 
 void StreamEngine::Flush() {
   if (sharded_ != nullptr) sharded_->Flush();
+  PublishOutputs();
+}
+
+void StreamEngine::PublishOutputs() const {
+  if (sink_ == nullptr) return;
+  RUMOR_METRIC(outputs_total_.store(sink_->routed(),
+                                    std::memory_order_relaxed));
 }
 
 // --- durability ---------------------------------------------------------------
@@ -470,14 +564,18 @@ Status StreamEngine::Checkpoint(std::string* out) const {
   if (sharded_ != nullptr && sharded_->busy()) {
     return Status::Internal("cannot checkpoint from inside a push");
   }
-  for (size_t i = 0; i < queries_.size(); ++i) {
-    if (query_texts_[i].empty()) {
+  for (const QuerySlot& slot : query_slots_) {
+    if (slot.live() && slot.text.empty()) {
       return Status::InvalidArgument(
-          StrCat("query '", queries_[i].name,
+          StrCat("query '", slot.query.name,
                  "' was added as a logical object; checkpoint requires "
                  "queries added from RQL text (AddQueryText/AddScript)"));
     }
   }
+  // Deliver every in-flight result first, so the saved counts and totals
+  // match the operator state saved below.
+  if (sharded_ != nullptr) sharded_->Flush();
+  PublishOutputs();
 
   SnapshotBuilder builder;
   {
@@ -506,11 +604,12 @@ Status StreamEngine::Checkpoint(std::string* out) const {
   }
   {
     SnapshotWriter w;
-    w.U32(static_cast<uint32_t>(queries_.size()));
-    for (size_t i = 0; i < queries_.size(); ++i) {
-      w.Str(queries_[i].name);
-      w.Str(query_texts_[i]);
-      w.I64(OutputCount(queries_[i].name));
+    w.U32(static_cast<uint32_t>(num_live_queries_));
+    for (const QuerySlot& slot : query_slots_) {
+      if (!slot.live()) continue;
+      w.Str(slot.query.name);
+      w.Str(slot.text);
+      w.I64(OutputCount(slot.query.name));
     }
     builder.AddSection(SnapshotSection::kQueries, w.Take());
   }
@@ -549,7 +648,7 @@ Status StreamEngine::Restore(std::string_view snapshot) {
   if (started()) {
     return Status::Internal("restore requires a not-yet-started engine");
   }
-  if (!queries_.empty() || !sources_.empty()) {
+  if (num_live_queries_ != 0 || !sources_.empty()) {
     return Status::Internal("restore requires an empty engine");
   }
 
@@ -685,6 +784,7 @@ Status StreamEngine::Restore(std::string_view snapshot) {
   push_calls_.store(saved_push_calls, std::memory_order_relaxed);
   tuples_pushed_.store(saved_tuples, std::memory_order_relaxed);
   outputs_total_.store(saved_outputs, std::memory_order_relaxed);
+  sink_->SeedRouted(saved_outputs);
   for (const SavedQuery& q : saved_queries) {
     sink_->SeedCount(q.name, q.delivered);
   }
@@ -700,8 +800,8 @@ void StreamEngine::ResetToFresh() {
   plan_ = Plan();
   stats_ = OptimizeStats();
   catalog_ = Catalog();
-  queries_.clear();
-  query_texts_.clear();
+  query_slots_.clear();
+  num_live_queries_ = 0;
   sources_.clear();
   query_index_.clear();
   source_ids_.clear();
@@ -794,8 +894,9 @@ EngineMetrics StreamEngine::CollectMetrics() const {
     em.deliveries = deliveries;
     SetDataPlaneCounters(&em, totals);
     em.queries = num_queries();
-    for (const Query& q : queries_) {
-      em.query_rows.push_back({q.name, OutputCount(q.name)});
+    for (const QuerySlot& slot : query_slots_) {
+      if (!slot.live()) continue;
+      em.query_rows.push_back({slot.query.name, OutputCount(slot.query.name)});
     }
     return em;
   }
@@ -806,8 +907,9 @@ EngineMetrics StreamEngine::CollectMetrics() const {
   // Only the engine knows live query names and delivered counts; a raw-plan
   // caller gets empty query_rows.
   em.queries = num_queries();
-  for (const Query& q : queries_) {
-    em.query_rows.push_back({q.name, OutputCount(q.name)});
+  for (const QuerySlot& slot : query_slots_) {
+    if (!slot.live()) continue;
+    em.query_rows.push_back({slot.query.name, OutputCount(slot.query.name)});
   }
   return em;
 }

@@ -133,10 +133,12 @@ class StreamEngine {
   // (common/snapshot_io.h): registered sources, the live query set (as RQL
   // text, in add order), engine counters, and the operator state of every
   // stateful m-op — window logs, aggregation accumulators, join buffers,
-  // partial-match stores. Sharded engines quiesce and save one state
-  // section per shard. Requires Start(); every live query must have been
-  // added from RQL text (AddQueryText/AddScript — restore re-parses it), and
-  // the call must not come from inside an output handler.
+  // partial-match stores. Sharded engines first deliver the results still
+  // in flight (so the saved counts match the saved state), then quiesce and
+  // save one state section per shard. Requires Start(); every live query
+  // must have been added from RQL text (AddQueryText/AddScript — restore
+  // re-parses it), and the call must not come from inside an output
+  // handler.
   Status Checkpoint(std::string* out) const;
   Status CheckpointToFile(const std::string& path) const;
   // Rebuilds this (fresh: not started, no sources or queries) engine from a
@@ -159,7 +161,7 @@ class StreamEngine {
 
   // --- observability -----------------------------------------------------------
   bool started() const { return executor_ != nullptr || sharded_ != nullptr; }
-  int num_queries() const { return static_cast<int>(queries_.size()); }
+  int num_queries() const { return num_live_queries_; }
   // Cumulative: Start()-time merge counts plus the dynamic_* /
   // incremental_* fields maintained by live AddQuery/RemoveQuery.
   const OptimizeStats& optimize_stats() const { return stats_; }
@@ -189,7 +191,8 @@ class StreamEngine {
     int64_t t_ns = 0;           // steady-clock sample time
     int64_t push_calls = 0;     // Push/PushBatch invocations
     int64_t tuples_pushed = 0;  // source tuples accepted
-    int64_t outputs = 0;        // results delivered to the handler
+    int64_t outputs = 0;        // results delivered to the handler, as of
+                                // the end of the last Push/PushBatch/Flush
   };
   // Starts a background sampler appending one MetricsTick per `interval`
   // into a bounded ring (oldest ticks drop past `history_capacity`). The
@@ -217,8 +220,14 @@ class StreamEngine {
  private:
   class HandlerSink;
 
-  // Index of the live query named `name` in queries_, or -1.
+  // Slot of the live query named `name` in query_slots_, or -1.
   int FindQuery(const std::string& name) const;
+  // Records an added query: catalog entry, a fresh slot, the name index.
+  void CommitQuery(Query query, std::string text);
+  // Compiles every live query into `plan`, in add order.
+  Status CompileLiveQueries(Plan* plan) const;
+  // Publishes the sink's running total of routed results to the ticker.
+  void PublishOutputs() const;
   // A source the running plan reads, with what ingress checks against.
   struct IngressSource {
     std::string name;
@@ -248,10 +257,20 @@ class StreamEngine {
   OptimizerOptions options_;
   MetricsOptions metrics_options_;
   Catalog catalog_;
-  std::vector<Query> queries_;
-  // RQL source of queries_[i] ("" when added as a logical object); restore
-  // re-parses these, so Checkpoint requires them to be non-empty.
-  std::vector<std::string> query_texts_;
+  // Queries in add order, each in a slot that does not move while the query
+  // lives. RemoveQuery leaves a tombstone (a null root), and the table is
+  // compacted once tombstones outnumber live queries, so a remove costs
+  // amortized O(1) and the add order survives for Start's compile order,
+  // the checkpoint's query section and CollectMetrics' query rows.
+  struct QuerySlot {
+    Query query;
+    // RQL source ("" when added as a logical object); restore re-parses
+    // it, so Checkpoint requires it to be non-empty.
+    std::string text;
+    bool live() const { return query.root != nullptr; }
+  };
+  std::vector<QuerySlot> query_slots_;
+  int num_live_queries_ = 0;
   // Every RegisterSource call, in order (the catalog keeps no iterable
   // source list, and a source may be registered before any query reads it).
   struct RegisteredSource {
@@ -260,8 +279,9 @@ class StreamEngine {
     int sharable_label = -1;
   };
   std::vector<RegisteredSource> sources_;
-  // Lowercase query name -> index in queries_. O(1) FindQuery — a linear
-  // rescan per Add/Remove was quadratic over large standing populations.
+  // Lowercase live query name -> slot in query_slots_. O(1) FindQuery — a
+  // linear rescan per Add/Remove was quadratic over large standing
+  // populations.
   std::unordered_map<std::string, int> query_index_;
   OutputHandler handler_;
 
@@ -284,11 +304,13 @@ class StreamEngine {
   std::vector<IngressSource> source_ids_;
 
   // Published throughput counters (relaxed atomics: written by the pushing
-  // thread, read by the ticker). The sink bumps outputs_total_ per routed
-  // result.
+  // thread, read by the ticker). outputs_total_ copies the sink's plain
+  // running total of routed results once per Push/PushBatch/Flush call,
+  // and before Checkpoint saves it (hence mutable), instead of paying one
+  // atomic add per routed result.
   std::atomic<int64_t> push_calls_{0};
   std::atomic<int64_t> tuples_pushed_{0};
-  std::atomic<int64_t> outputs_total_{0};
+  mutable std::atomic<int64_t> outputs_total_{0};
 
   // Ticker thread + bounded tick ring.
   std::thread ticker_;

@@ -120,6 +120,7 @@ void Executor::ApplyPlanDelta(const std::vector<PlanEvent>& events) {
   int num_channels = plan_->num_channels();
   if (static_cast<int>(routes_.size()) < num_channels) {
     routes_.resize(num_channels);
+    delivery_.resize(num_channels, 0);  // a fresh channel's empty route
     batch_safe_.resize(num_channels, 0);
     batch_safe_epoch_.resize(num_channels, 0);
   }
@@ -144,6 +145,7 @@ void Executor::ApplyPlanDelta(const std::vector<PlanEvent>& events) {
         break;
       case PlanEvent::kChannelKilled:
         routes_[e.a] = Route{};  // tombstone: routes stay empty
+        delivery_[e.a] = 0;
         break;
       case PlanEvent::kSourceBound:
         source_route_[e.a] = e.b;
@@ -171,6 +173,7 @@ void Executor::ApplyPlanDelta(const std::vector<PlanEvent>& events) {
     // ConsumersOf sorts by (mop, port) — the exact order the one-pass
     // BuildRouting produces — so a patched table matches a fresh build.
     routes_[c].consumers = plan_->ConsumersOf(c);
+    delivery_[c] = DeliveryWord(routes_[c]);
   }
   for (StreamId s : dirty_streams) {
     for (ChannelId c : plan_->ChannelsOfStream(s)) {
@@ -182,8 +185,20 @@ void Executor::ApplyPlanDelta(const std::vector<PlanEvent>& events) {
           slots.push_back({slot, def.stream_at(slot)});
         }
       }
+      delivery_[c] = DeliveryWord(routes_[c]);
     }
   }
+}
+
+uint32_t Executor::DeliveryWord(const Route& route) const {
+  uint32_t word = route.consumers.empty() ? 0 : kHasConsumers;
+  if (sink_ == nullptr || route.output_slots.empty()) return word;
+  const auto& [slot, stream] = route.output_slots.front();
+  if (route.output_slots.size() > 1 || slot != 0 ||
+      static_cast<uint32_t>(stream) >= kStreamBits) {
+    return word | kGeneral;
+  }
+  return word | (static_cast<uint32_t>(stream) + 1);
 }
 
 void Executor::BuildRouting() {
@@ -214,6 +229,10 @@ void Executor::BuildRouting() {
         routes_[c].output_slots.push_back({slot, def.stream_at(slot)});
       }
     }
+  }
+  delivery_.resize(routes_.size());
+  for (size_t c = 0; c < routes_.size(); ++c) {
+    delivery_[c] = DeliveryWord(routes_[c]);
   }
   source_route_.assign(plan_->streams().size(), kInvalidChannel);
   for (StreamId s = 0; s < plan_->streams().size(); ++s) {
@@ -399,8 +418,10 @@ void Executor::Drain() {
     Task task = std::move(stack_.back());
     stack_.pop_back();
     if (task.kind == Task::kChannel) {
+      const uint32_t word = delivery_[task.channel];
+      Deliver(task.channel, word, task.tuple);
+      if ((word & kHasConsumers) == 0) continue;
       const Route& route = routes_[task.channel];
-      DeliverOutputs(route, task.tuple);
       // Reverse order: LIFO pop then visits consumers first-to-last, each
       // consumer's emissions fully propagating before the next consumer.
       for (size_t i = route.consumers.size(); i > 0; --i) {
@@ -450,11 +471,11 @@ void Executor::RunBatch(ChannelId root) {
     // Stable while consumers run: the consumer graph is acyclic and every
     // channel is visited once, so emissions never target `buffer`.
     std::vector<ChannelTuple>& buffer = channel_buffers_[channel];
-    const Route& route = routes_[channel];
-    if (!route.output_slots.empty()) {
-      for (const ChannelTuple& t : buffer) DeliverOutputs(route, t);
+    const uint32_t word = delivery_[channel];
+    if ((word & ~kHasConsumers) != 0) {
+      for (const ChannelTuple& t : buffer) Deliver(channel, word, t);
     }
-    for (const ChannelEnd& end : route.consumers) {
+    for (const ChannelEnd& end : routes_[channel].consumers) {
       const int64_t n = static_cast<int64_t>(buffer.size());
       deliveries_ += n;
       Mop& mop = plan_->mop(end.mop);

@@ -22,6 +22,15 @@
 // delivery order is always the emission order; the interleaving *across*
 // output streams is unspecified (leaf outputs arrive before sibling
 // emissions' downstream outputs).
+//
+// Leaf delivery reads one dense 4-byte word per channel — has consumers,
+// general, and the channel's single output stream when that stream sits at
+// slot 0 — kept in step with the routing tables by Prepare and Refresh. So
+// the common leaf (a query output channel of capacity 1, e.g. one member
+// port of a predicate index) reaches the sink after one read of a table
+// that stays cache-resident at 10k channels. Channels with several output
+// slots, or an output at another slot, and latency-sampled pushes take the
+// general per-slot route.
 #ifndef RUMOR_PLAN_EXECUTOR_H_
 #define RUMOR_PLAN_EXECUTOR_H_
 
@@ -201,13 +210,30 @@ class Executor {
   // in channel_buffers_[root] (root must be batch-safe).
   void RunBatch(ChannelId root);
   void DeliverOutputs(const Route& route, const ChannelTuple& tuple);
+
+  // Delivery word bits (see the file comment): kHasConsumers, kGeneral (the
+  // outputs need DeliverOutputs), and in the low bits the slot-0 output
+  // stream plus one (0: no output to deliver).
+  static constexpr uint32_t kHasConsumers = 1u << 31;
+  static constexpr uint32_t kGeneral = 1u << 30;
+  static constexpr uint32_t kStreamBits = kGeneral - 1;
+  uint32_t DeliveryWord(const Route& route) const;
+  // Hands `tuple`'s outputs on `channel` to the sink.
+  void Deliver(ChannelId channel, uint32_t word, const ChannelTuple& tuple) {
+    if ((word & kGeneral) != 0 || ingress_t0_ >= 0) {
+      DeliverOutputs(routes_[channel], tuple);
+    } else if ((word & kStreamBits) != 0 && tuple.membership.Test(0)) {
+      sink_->OnOutput(static_cast<StreamId>((word & kStreamBits) - 1),
+                      tuple.tuple);
+    }
+  }
   // Leaf shortcut shared by both emitters: a channel with no consumers only
   // feeds the sink, so deliver immediately instead of staging a task/batch.
   // Returns true when the emission was fully handled.
   bool TryDeliverLeaf(ChannelId channel, const ChannelTuple& tuple) {
-    const Route& route = routes_[channel];
-    if (!route.consumers.empty()) return false;
-    DeliverOutputs(route, tuple);
+    const uint32_t word = delivery_[channel];
+    if ((word & kHasConsumers) != 0) return false;
+    Deliver(channel, word, tuple);
     return true;
   }
 
@@ -215,6 +241,7 @@ class Executor {
   OutputSink* sink_;
   bool prepared_ = false;
   std::vector<Route> routes_;            // by channel id
+  std::vector<uint32_t> delivery_;       // by channel id, from routes_
   std::vector<ChannelId> source_route_;  // by stream id (source streams)
   // Lazily computed batch safety, invalidated wholesale by bumping
   // batch_epoch_ (an O(channels) reset per Refresh would dominate live

@@ -120,6 +120,8 @@ MopId Plan::AddMop(std::unique_ptr<Mop> mop) {
   mop->set_id(id);
   mop_inputs_.push_back(
       std::vector<ChannelId>(mop->num_inputs(), kInvalidChannel));
+  input_pos_base_.push_back(static_cast<int32_t>(input_pos_.size()));
+  input_pos_.resize(input_pos_.size() + mop->num_inputs(), -1);
   mop_outputs_.push_back(
       std::vector<ChannelId>(mop->num_outputs(), kInvalidChannel));
   mops_.push_back(std::move(mop));
@@ -166,17 +168,24 @@ std::vector<MopId> Plan::LiveMops() const {
   return out;
 }
 
+void Plan::AppendConsumer(ChannelId channel, MopId mop, int port) {
+  auto& list = channel_consumers_[channel];
+  InputPos(mop, port) = static_cast<int32_t>(list.size());
+  list.push_back({mop, port});
+}
+
 void Plan::EraseConsumer(ChannelId channel, MopId mop, int port) {
   auto& list = channel_consumers_[channel];
-  for (size_t i = 0; i < list.size(); ++i) {
-    if (list[i].mop == mop && list[i].port == port) {
-      list[i] = list.back();
-      list.pop_back();
-      return;
-    }
-  }
-  RUMOR_CHECK(false) << "consumer (" << mop << "," << port
-                     << ") missing from channel " << channel;
+  const int32_t i = InputPos(mop, port);
+  RUMOR_CHECK(i >= 0 && i < static_cast<int32_t>(list.size()) &&
+              list[i].mop == mop && list[i].port == port)
+      << "consumer (" << mop << "," << port << ") missing from channel "
+      << channel;
+  // Swap-remove; the moved consumer's position follows it.
+  list[i] = list.back();
+  InputPos(list[i].mop, list[i].port) = i;
+  list.pop_back();
+  InputPos(mop, port) = -1;
 }
 
 void Plan::BindInput(MopId mop, int port, ChannelId channel) {
@@ -187,7 +196,7 @@ void Plan::BindInput(MopId mop, int port, ChannelId channel) {
   if (old == channel) return;
   if (old != kInvalidChannel) EraseConsumer(old, mop, port);
   mop_inputs_[mop][port] = channel;
-  channel_consumers_[channel].push_back({mop, port});
+  AppendConsumer(channel, mop, port);
   Emit(PlanEvent::kInputBound, mop, channel, old);
 }
 
@@ -337,6 +346,10 @@ void Plan::RollbackTo(const Marker& marker) {
   RUMOR_CHECK(marker.num_channels <= num_channels());
   mops_.resize(marker.num_mops);
   mop_inputs_.resize(marker.num_mops);
+  if (marker.num_mops < num_mops()) {
+    input_pos_.resize(input_pos_base_[marker.num_mops]);
+  }
+  input_pos_base_.resize(marker.num_mops);
   mop_outputs_.resize(marker.num_mops);
   channels_.resize(marker.num_channels);
   channel_dead_.resize(marker.num_channels);
@@ -366,7 +379,8 @@ void Plan::RebuildDerivedState() {
     if (mops_[m] == nullptr) continue;
     for (int p = 0; p < static_cast<int>(mop_inputs_[m].size()); ++p) {
       ChannelId c = mop_inputs_[m][p];
-      if (c != kInvalidChannel) channel_consumers_[c].push_back({m, p});
+      InputPos(m, p) = -1;
+      if (c != kInvalidChannel) AppendConsumer(c, m, p);
     }
     for (int p = 0; p < static_cast<int>(mop_outputs_[m].size()); ++p) {
       ChannelId c = mop_outputs_[m][p];
@@ -499,7 +513,7 @@ void Plan::MoveConsumers(ChannelId from, ChannelId to) {
   moved.swap(channel_consumers_[from]);
   for (const ChannelEnd& end : moved) {
     mop_inputs_[end.mop][end.port] = to;
-    channel_consumers_[to].push_back(end);
+    AppendConsumer(to, end.mop, end.port);
     Emit(PlanEvent::kInputBound, end.mop, to, from);
   }
 }
@@ -609,6 +623,12 @@ void Plan::Validate() const {
       RUMOR_CHECK(got[i].mop == expect_consumers[c][i].mop &&
                   got[i].port == expect_consumers[c][i].port)
           << "consumer adjacency drifted for channel " << c;
+    }
+    for (size_t i = 0; i < channel_consumers_[c].size(); ++i) {
+      const ChannelEnd& end = channel_consumers_[c][i];
+      RUMOR_CHECK(input_pos_[input_pos_base_[end.mop] + end.port] ==
+                  static_cast<int>(i))
+          << "consumer position drifted for channel " << c;
     }
   }
   // Acyclicity via DFS over mop -> consumer edges.

@@ -245,8 +245,13 @@ class Plan {
   // Marks `id` dead if orphaned; returns true if it was collected.
   bool MaybeKillChannel(ChannelId id);
   void Emit(PlanEvent::Kind kind, int32_t a, int32_t b = -1, int32_t c = -1);
-  // Drops (mop, port) from `channel`'s consumer list.
+  // Adds (mop, port) to / drops it from `channel`'s consumer list, in O(1)
+  // through the consumer's recorded position (the list keeps no order).
+  void AppendConsumer(ChannelId channel, MopId mop, int port);
   void EraseConsumer(ChannelId channel, MopId mop, int port);
+  int32_t& InputPos(MopId mop, int port) {
+    return input_pos_[input_pos_base_[mop] + port];
+  }
   // Recomputes adjacency, pinned flags, stream tables and mark counts from
   // the primary representation (RollbackTo).
   void RebuildDerivedState();
@@ -260,6 +265,10 @@ class Plan {
   std::vector<char> channel_pinned_;  // parallel to channels_
   std::vector<std::unique_ptr<Mop>> mops_;
   std::vector<std::vector<ChannelId>> mop_inputs_;
+  // Position of each bound input port in its channel's consumer list (-1
+  // while unbound), flat: m-op m's ports start at input_pos_base_[m].
+  std::vector<int32_t> input_pos_base_;  // by MopId
+  std::vector<int32_t> input_pos_;
   std::vector<std::vector<ChannelId>> mop_outputs_;
   // Reverse adjacency, maintained by every wiring primitive.
   std::vector<std::vector<ChannelEnd>> channel_consumers_;  // by channel

@@ -220,10 +220,44 @@ bool ShareIndex::GrowMop(MopId id, int grew) {
   for (int i = old_members; i < m.num_members(); ++i) {
     uint64_t key =
         MemberKey(m.type(), m.MemberSignature(i), plan_->input_channels(id));
-    member_[key].push_back({id, i});
-    it->second.push_back({Posting::kMember, key, i});
+    Post(member_, Posting::kMember, key, id, i, &it->second);
   }
   return true;
+}
+
+template <typename Table>
+void ShareIndex::Post(Table& table, Posting::Table which, uint64_t key,
+                      MopId id, int member, std::vector<Posting>* posts) {
+  auto& bucket = table[static_cast<typename Table::key_type>(key)];
+  const int32_t post = static_cast<int32_t>(posts->size());
+  posts->push_back(
+      {which, key, member, static_cast<int32_t>(bucket.size())});
+  if constexpr (std::is_same_v<Table, decltype(member_)>) {
+    bucket.push_back({id, member, post});
+  } else {
+    bucket.push_back({id, post});
+  }
+}
+
+template <typename Table>
+void ShareIndex::Unpost(Table& table, const Posting& p, MopId id,
+                        int32_t post) {
+  auto bucket = table.find(static_cast<typename Table::key_type>(p.key));
+  RUMOR_CHECK(bucket != table.end());
+  auto& v = bucket->second;
+  RUMOR_CHECK(p.pos >= 0 && p.pos < static_cast<int32_t>(v.size()) &&
+              v[p.pos].mop == id && v[p.pos].post == post)
+      << "share-index posting out of sync for m-op " << id;
+  v[p.pos] = v.back();
+  v.pop_back();
+  if (p.pos < static_cast<int32_t>(v.size())) {
+    // The entry moved into the hole: repoint its posting. (Its m-op may be
+    // `id` itself — a merged target with two equal members — whose
+    // postings the caller is still walking; they stay in place.)
+    const auto& moved = v[p.pos];
+    postings_.find(moved.mop)->second[moved.post].pos = p.pos;
+  }
+  if (v.empty()) table.erase(bucket);
 }
 
 void ShareIndex::Rebuild() {
@@ -244,50 +278,16 @@ void ShareIndex::ReindexMop(MopId id) {
 void ShareIndex::UnindexMop(MopId id) {
   auto it = postings_.find(id);
   if (it == postings_.end()) return;
-  auto erase_id = [id](auto& table, uint64_t key) {
-    auto bucket = table.find(key);
-    RUMOR_CHECK(bucket != table.end());
-    auto& v = bucket->second;
-    for (size_t i = 0; i < v.size(); ++i) {
-      if (v[i] == id) {
-        v[i] = v.back();
-        v.pop_back();
-        if (v.empty()) table.erase(bucket);
-        return;
-      }
-    }
-    RUMOR_CHECK(false) << "share-index posting out of sync for m-op " << id;
-  };
-  for (const Posting& p : it->second) {
+  // By index: Unpost may repoint a later posting of this same m-op.
+  const std::vector<Posting>& posts = it->second;
+  for (int32_t k = 0; k < static_cast<int32_t>(posts.size()); ++k) {
+    const Posting& p = posts[k];
     switch (p.table) {
-      case Posting::kExact:
-        erase_id(exact_, p.key);
-        break;
-      case Posting::kMember: {
-        auto bucket = member_.find(p.key);
-        RUMOR_CHECK(bucket != member_.end());
-        auto& v = bucket->second;
-        bool found = false;
-        for (size_t i = 0; i < v.size() && !found; ++i) {
-          if (v[i].mop == id && v[i].member == p.member) {
-            v[i] = v.back();
-            v.pop_back();
-            found = true;
-          }
-        }
-        RUMOR_CHECK(found) << "member posting out of sync for m-op " << id;
-        if (v.empty()) member_.erase(bucket);
-        break;
-      }
-      case Posting::kIndexTarget:
-        erase_id(index_targets_, static_cast<ChannelId>(p.key));
-        break;
-      case Posting::kSelSingle:
-        erase_id(sel_singles_, static_cast<ChannelId>(p.key));
-        break;
-      case Posting::kAggTarget:
-        erase_id(agg_targets_, p.key);
-        break;
+      case Posting::kExact: Unpost(exact_, p, id, k); break;
+      case Posting::kMember: Unpost(member_, p, id, k); break;
+      case Posting::kIndexTarget: Unpost(index_targets_, p, id, k); break;
+      case Posting::kSelSingle: Unpost(sel_singles_, p, id, k); break;
+      case Posting::kAggTarget: Unpost(agg_targets_, p, id, k); break;
     }
   }
   postings_.erase(it);
@@ -310,25 +310,21 @@ void ShareIndex::IndexMop(MopId id) {
   }
   std::vector<Posting> posts;
   if (m.num_members() == 1 && m.num_outputs() == 1) {
-    uint64_t key = ExactKey(*plan_, id, m);
-    exact_[key].push_back(id);
-    posts.push_back({Posting::kExact, key, -1});
+    Post(exact_, Posting::kExact, ExactKey(*plan_, id, m), id, -1, &posts);
   }
   if (IsMemberTargetType(m.type())) {
     for (int i = 0; i < m.num_members(); ++i) {
       uint64_t key =
           MemberKey(m.type(), m.MemberSignature(i), plan_->input_channels(id));
-      member_[key].push_back({id, i});
-      posts.push_back({Posting::kMember, key, i});
+      Post(member_, Posting::kMember, key, id, i, &posts);
     }
   }
   if (m.type() == MopType::kPredicateIndex) {
     const auto& index = static_cast<const PredicateIndexMop&>(m);
     if (index.output_mode() == OutputMode::kPerMemberPorts) {
       ChannelId in = plan_->input_channel(id, 0);
-      index_targets_[in].push_back(id);
-      posts.push_back(
-          {Posting::kIndexTarget, static_cast<uint64_t>(in), -1});
+      Post(index_targets_, Posting::kIndexTarget, static_cast<uint64_t>(in),
+           id, -1, &posts);
     }
   }
   if (m.type() == MopType::kSelection && m.num_members() == 1 &&
@@ -336,8 +332,8 @@ void ShareIndex::IndexMop(MopId id) {
     const auto& sel = static_cast<const SelectionMop&>(m);
     if (sel.member(0).input_slot == 0) {
       ChannelId in = plan_->input_channel(id, 0);
-      sel_singles_[in].push_back(id);
-      posts.push_back({Posting::kSelSingle, static_cast<uint64_t>(in), -1});
+      Post(sel_singles_, Posting::kSelSingle, static_cast<uint64_t>(in), id,
+           -1, &posts);
     }
   }
   if (m.type() == MopType::kAggregate ||
@@ -347,9 +343,8 @@ void ShareIndex::IndexMop(MopId id) {
                      !(agg.sharing() == AggregateMop::Sharing::kIsolated &&
                        agg.num_members() != 1);
     if (qualifies) {
-      uint64_t key = AggKey(*plan_, id, agg);
-      agg_targets_[key].push_back(id);
-      posts.push_back({Posting::kAggTarget, key, -1});
+      Post(agg_targets_, Posting::kAggTarget, AggKey(*plan_, id, agg), id, -1,
+           &posts);
     }
   }
   if (!posts.empty()) postings_[id] = std::move(posts);
@@ -377,9 +372,9 @@ ShareIndex::Candidate ShareIndex::Probe(MopId fresh,
     auto bucket = exact_.find(ExactKey(*plan_, fresh, m));
     if (bucket != exact_.end()) {
       MopId best = kInvalidMop;
-      for (MopId id : bucket->second) {
-        if (id != fresh && id < fresh && (best == kInvalidMop || id < best)) {
-          best = id;
+      for (const Entry& e : bucket->second) {
+        if (e.mop < fresh && (best == kInvalidMop || e.mop < best)) {
+          best = e.mop;
         }
       }
       if (best != kInvalidMop) {
@@ -446,8 +441,10 @@ ShareIndex::Candidate ShareIndex::Probe(MopId fresh,
     if ((kind_mask & MaskOf(Candidate::kAttachSelection)) &&
         targets != index_targets_.end() && !targets->second.empty()) {
       MopId best = kInvalidMop;
-      for (MopId id : targets->second) {
-        if (plan_->IsLive(id) && (best == kInvalidMop || id < best)) best = id;
+      for (const Entry& e : targets->second) {
+        if (plan_->IsLive(e.mop) && (best == kInvalidMop || e.mop < best)) {
+          best = e.mop;
+        }
       }
       if (best != kInvalidMop) {
         Candidate c;
@@ -482,10 +479,10 @@ ShareIndex::Candidate ShareIndex::Probe(MopId fresh,
       auto bucket = agg_targets_.find(AggKey(*plan_, fresh, agg));
       if (bucket != agg_targets_.end()) {
         MopId best = kInvalidMop;
-        for (MopId id : bucket->second) {
-          if (id != fresh && id < fresh && plan_->IsLive(id) &&
-              (best == kInvalidMop || id < best)) {
-            best = id;
+        for (const Entry& e : bucket->second) {
+          if (e.mop < fresh && plan_->IsLive(e.mop) &&
+              (best == kInvalidMop || e.mop < best)) {
+            best = e.mop;
           }
         }
         if (best != kInvalidMop) {
@@ -510,8 +507,8 @@ std::vector<MopId> ShareIndex::SinglesOn(ChannelId channel) const {
   std::vector<MopId> out;
   auto it = sel_singles_.find(channel);
   if (it == sel_singles_.end()) return out;
-  for (MopId id : it->second) {
-    if (plan_->IsLive(id)) out.push_back(id);
+  for (const Entry& e : it->second) {
+    if (plan_->IsLive(e.mop)) out.push_back(e.mop);
   }
   std::sort(out.begin(), out.end());
   return out;
@@ -520,7 +517,9 @@ std::vector<MopId> ShareIndex::SinglesOn(ChannelId channel) const {
 std::string ShareIndex::DebugDump() const {
   std::vector<std::string> lines;
   auto dump_ids = [&lines](const char* tag, auto key,
-                           std::vector<MopId> ids) {
+                           const std::vector<Entry>& entries) {
+    std::vector<MopId> ids;
+    for (const Entry& e : entries) ids.push_back(e.mop);
     std::sort(ids.begin(), ids.end());
     std::ostringstream os;
     os << tag << " " << key << " ->";

@@ -127,9 +127,18 @@ class ShareIndex {
   const Plan* plan() const { return plan_; }
 
  private:
+  // A table entry names its m-op and the index of the Posting recording it
+  // in postings_[mop]; the Posting holds the entry's position in its
+  // bucket. So removing an entry is an O(1) swap-remove: one σ folded into
+  // an index no longer scans the 10k-entry bucket of its input channel.
+  struct Entry {
+    MopId mop;
+    int32_t post;
+  };
   struct MemberRef {
     MopId mop;
     int member;
+    int32_t post;
   };
   struct Posting {
     enum Table : uint8_t {
@@ -142,6 +151,7 @@ class ShareIndex {
     Table table;
     uint64_t key;  // hash key, or the channel id for the channel tables
     int member;    // kMember postings only
+    int32_t pos;   // the entry's position in its bucket
   };
 
   void Rebuild();
@@ -154,15 +164,22 @@ class ShareIndex {
   // already-indexed growing target; returns false (caller must ReindexMop)
   // when the growth-only precondition cannot be proven.
   bool GrowMop(MopId id, int grew);
+  // Appends `id`'s entry to table[key] and its posting to `posts`.
+  template <typename Table>
+  void Post(Table& table, Posting::Table which, uint64_t key, MopId id,
+            int member, std::vector<Posting>* posts);
+  // Swap-removes the entry `p` (posting `post` of m-op `id`) from its table.
+  template <typename Table>
+  void Unpost(Table& table, const Posting& p, MopId id, int32_t post);
 
   Plan* plan_;
   uint64_t cursor_ = 0;
 
-  std::unordered_map<uint64_t, std::vector<MopId>> exact_;
+  std::unordered_map<uint64_t, std::vector<Entry>> exact_;
   std::unordered_map<uint64_t, std::vector<MemberRef>> member_;
-  std::unordered_map<ChannelId, std::vector<MopId>> index_targets_;
-  std::unordered_map<ChannelId, std::vector<MopId>> sel_singles_;
-  std::unordered_map<uint64_t, std::vector<MopId>> agg_targets_;
+  std::unordered_map<ChannelId, std::vector<Entry>> index_targets_;
+  std::unordered_map<ChannelId, std::vector<Entry>> sel_singles_;
+  std::unordered_map<uint64_t, std::vector<Entry>> agg_targets_;
   // Reverse map for removal: which entries each m-op contributed (the m-op
   // itself is already gone when a removal event is observed).
   std::unordered_map<MopId, std::vector<Posting>> postings_;
