@@ -233,79 +233,35 @@ Status StreamEngine::AddScript(const std::string& rql) {
 }
 
 Status StreamEngine::AddQueryLive(Query query, std::string text) {
-  if (sharded_ != nullptr) {
-    if (sharded_->busy()) {
-      return Status::Internal("cannot add queries from inside a push");
-    }
-    // Quiesce-merge-resume: the compile + incremental merge runs once per
-    // shard ON that shard's worker thread (replicas stay identical because
-    // the sequence is deterministic), so backfill tuples land on the arena
-    // of the thread that owns them.
-    std::vector<IncrementalMergeStats> merged(sharded_->num_shards());
-    Status st = sharded_->MutateShards(
-        [&](int shard, Plan& plan, Executor& exec) -> Status {
-          Plan::Marker marker = plan.Mark();
-          auto compiled = CompileQuery(query, &plan);
-          if (!compiled.ok()) {
-            plan.RollbackTo(marker);
-            return compiled.status();
-          }
-          // Each shard probes its own replica's share index (replicas and
-          // indexes stay identical because the merge is deterministic).
-          ShareIndex* index = shard < static_cast<int>(shard_indexes_.size())
-                                  ? shard_indexes_[shard].get()
-                                  : nullptr;
-          merged[shard] =
-              index != nullptr
-                  ? MergeNewQueryIndexed(&plan, index, marker.num_mops,
-                                         options_)
-                  : MergeNewQuery(&plan, options_);
-          exec.Refresh();
-          return Status::OK();
-        });
-    if (!st.ok()) return st;
-    stats_.dynamic_adds += 1;
-    stats_.incremental_cse_merges += merged[0].cse_merges;
-    stats_.incremental_attach_merges += merged[0].attach_merges;
-    stats_.incremental_rule_merges += merged[0].rule_merges;
-    auto out = sharded_->plan(0).OutputStreamOf(query.name);
-    RUMOR_CHECK(out.has_value());
-    sink_->Bind(*out, query.name);
-    RefreshSourceIds();
-    CommitQuery(std::move(query), std::move(text));
-    return Status::OK();
-  }
-  if (executor_->busy()) {
-    return Status::Internal("cannot add queries from inside a push");
-  }
-  // Compile the new query standalone into the live plan; roll every
-  // half-lowered m-op/channel/stream back if compilation fails midway.
-  Plan::Marker marker = plan_.Mark();
-  auto compiled = CompileQuery(query, &plan_);
-  if (!compiled.ok()) {
-    plan_.RollbackTo(marker);
-    return compiled.status();
-  }
-  // Incrementally merge the new subplan onto warm shared operators: O(1)
-  // share-index probes per fresh m-op in the default configuration, the
-  // whole-plan scan oracle otherwise.
-  IncrementalMergeStats merged =
-      share_index_ != nullptr
-          ? MergeNewQueryIndexed(&plan_, share_index_.get(), marker.num_mops,
-                                 options_)
-          : MergeNewQuery(&plan_, options_);
+  if (busy()) return Status::Internal("cannot add queries from inside a push");
+  // Compile the new query standalone into each replica, rolling back every
+  // half-lowered m-op/channel/stream if compilation fails midway, then merge
+  // it onto warm shared operators with O(1) probes of the replica's share
+  // index.
+  std::vector<IncrementalMergeStats> merged(num_replicas());
+  RUMOR_RETURN_IF_ERROR(ForEachReplica(
+      [&](int replica, Plan& plan, Executor& exec) -> Status {
+        Plan::Marker marker = plan.Mark();
+        auto compiled = CompileQuery(query, &plan);
+        if (!compiled.ok()) {
+          plan.RollbackTo(marker);
+          return compiled.status();
+        }
+        merged[replica] = MergeNewQueryIndexed(
+            &plan, share_indexes_[replica].get(), marker.num_mops, options_);
+        exec.Refresh();
+        return Status::OK();
+      }));
   stats_.dynamic_adds += 1;
-  stats_.incremental_cse_merges += merged.cse_merges;
-  stats_.incremental_attach_merges += merged.attach_merges;
-  stats_.incremental_rule_merges += merged.rule_merges;
+  stats_.incremental_cse_merges += merged[0].cse_merges;
+  stats_.incremental_attach_merges += merged[0].attach_merges;
+  stats_.incremental_rule_merges += merged[0].rule_merges;
   // Sharing-quality fields of stats_ are NOT refreshed here: the refcount
-  // walk is O(queries × plan) and this path is latency-critical (the
-  // bench_dynamic_add bar). CollectMetrics() recomputes them on demand.
-
-  auto out = plan_.OutputStreamOf(query.name);
+  // walk is O(queries × plan) and this path is latency-critical.
+  // CollectMetrics() recomputes them on demand.
+  auto out = ActivePlan().OutputStreamOf(query.name);
   RUMOR_CHECK(out.has_value());
   sink_->Bind(*out, query.name);
-  executor_->Refresh();  // validates the plan
   RefreshSourceIds();
   CommitQuery(std::move(query), std::move(text));
   return Status::OK();
@@ -319,47 +275,27 @@ Status StreamEngine::RemoveQuery(const std::string& name) {
   // The lookup is case-insensitive; the plan and sink know the query by its
   // registered spelling.
   const std::string canonical = query_slots_[index].query.name;
-  if (sharded_ != nullptr) {
-    if (sharded_->busy()) {
+  if (started()) {
+    if (busy()) {
       return Status::Internal("cannot remove queries from inside a push");
     }
-    std::vector<PruneStats> pruned(sharded_->num_shards());
-    Status st = sharded_->MutateShards(
-        [&](int shard, Plan& plan, Executor& exec) -> Status {
+    // Reference-counted unsharing: tear down exactly what no surviving
+    // query reaches, and keep the share index current (O(delta)) so a long
+    // removal run cannot outgrow the plan's event log between adds.
+    std::vector<PruneStats> pruned(num_replicas());
+    RUMOR_RETURN_IF_ERROR(ForEachReplica(
+        [&](int replica, Plan& plan, Executor& exec) -> Status {
           RUMOR_CHECK(plan.UnmarkOutput(canonical));
-          pruned[shard] = PruneUnreachable(&plan);
-          // Keep the share index current (O(delta)) so a long removal run
-          // cannot outgrow the plan's event log between adds.
-          if (shard < static_cast<int>(shard_indexes_.size()) &&
-              shard_indexes_[shard] != nullptr) {
-            shard_indexes_[shard]->Sync();
-          }
+          pruned[replica] = PruneUnreachable(&plan);
+          share_indexes_[replica]->Sync();
           exec.Refresh();
           return Status::OK();
-        });
-    if (!st.ok()) return st;
+        }));
     sink_->Unbind(canonical);
     stats_.dynamic_removes += 1;
     stats_.pruned_mops += pruned[0].removed_mops;
     stats_.pruned_members +=
         pruned[0].pruned_index_members + pruned[0].deactivated_members;
-  } else if (started()) {
-    if (executor_->busy()) {
-      return Status::Internal("cannot remove queries from inside a push");
-    }
-    RUMOR_CHECK(plan_.UnmarkOutput(canonical));
-    sink_->Unbind(canonical);
-    // Reference-counted unsharing: tear down exactly what no surviving
-    // query reaches.
-    PruneStats pruned = PruneUnreachable(&plan_);
-    // Keep the share index current (O(delta)) so a long removal run cannot
-    // outgrow the plan's event log between adds.
-    if (share_index_ != nullptr) share_index_->Sync();
-    stats_.dynamic_removes += 1;
-    stats_.pruned_mops += pruned.removed_mops;
-    stats_.pruned_members +=
-        pruned.pruned_index_members + pruned.deactivated_members;
-    executor_->Refresh();  // validates the plan
   }
   query_slots_[index] = QuerySlot{};  // tombstone
   --num_live_queries_;
@@ -390,67 +326,71 @@ Status StreamEngine::Start() {
   if (num_live_queries_ == 0) {
     return Status::InvalidArgument("no queries added");
   }
+  // Every replica is compiled from the live query list and optimized by the
+  // same rules; both passes are deterministic, so replica ids line up.
+  PlanFactory build = [this](Plan* plan, OptimizeStats* stats) -> Status {
+    RUMOR_RETURN_IF_ERROR(CompileLiveQueries(plan));
+    *stats = Optimize(plan, options_);
+    return Status::OK();
+  };
+  sink_ = std::make_unique<HandlerSink>();
+  sink_->SetHandler(&handler_);
   if (shard_count_ > 1) {
-    sink_ = std::make_unique<HandlerSink>();
-    sink_->SetHandler(&handler_);
+    // Each worker builds its own replica.
     ShardedExecutor::Options sharded_options;
     sharded_options.num_shards = shard_count_;
     sharded_options.metrics = metrics_options_;
-    // Each worker compiles + optimizes its own replica from the shared
-    // query list (read-only here; both passes are deterministic, so replica
-    // ids line up across shards).
-    PlanFactory factory = [this](Plan* plan, OptimizeStats* stats) -> Status {
-      RUMOR_RETURN_IF_ERROR(CompileLiveQueries(plan));
-      *stats = Optimize(plan, options_);
-      return Status::OK();
-    };
     sharded_ = std::make_unique<ShardedExecutor>(
-        sharded_options, std::move(factory),
+        sharded_options, std::move(build),
         static_cast<OutputSink*>(sink_.get()));
-    Status st = sharded_->Prepare();
-    if (!st.ok()) {
+    if (Status st = sharded_->Prepare(); !st.ok()) {
       sharded_.reset();
       sink_.reset();
       return st;
     }
     stats_ = sharded_->optimize_stats();
-    if (options_.use_share_index) {
-      // One persistent share index per replica, built on the worker thread
-      // that owns the plan; live adds probe it instead of scanning.
-      shard_indexes_.resize(sharded_->num_shards());
-      Status ist = sharded_->MutateShards(
-          [this](int shard, Plan& plan, Executor&) -> Status {
-            shard_indexes_[shard] = std::make_unique<ShareIndex>(&plan);
-            return Status::OK();
-          });
-      RUMOR_CHECK(ist.ok());
+  } else {
+    if (Status st = build(&plan_, &stats_); !st.ok()) {
+      plan_ = Plan();
+      sink_.reset();
+      return st;
     }
-    for (const Plan::OutputDef& def : sharded_->plan(0).outputs()) {
-      sink_->Bind(def.stream, def.query_name);
-    }
-    RefreshSourceIds();
+    executor_ = std::make_unique<Executor>(&plan_, sink_.get());
+    executor_->SetMetricsOptions(metrics_options_);
+    executor_->Prepare();
+  }
+  // One persistent share index per replica, built from its optimized plan
+  // on the thread that owns the plan; live adds probe it instead of
+  // scanning.
+  share_indexes_.resize(num_replicas());
+  Status indexed = ForEachReplica([this](int replica, Plan& plan, Executor&) {
+    share_indexes_[replica] = std::make_unique<ShareIndex>(&plan);
     return Status::OK();
-  }
-  RUMOR_RETURN_IF_ERROR(CompileLiveQueries(&plan_));
-  if (options_.use_share_index) {
-    share_index_ = std::make_unique<ShareIndex>(&plan_);
-  }
-  stats_ = Optimize(&plan_, options_, share_index_.get());
-
-  sink_ = std::make_unique<HandlerSink>();
-  sink_->SetHandler(&handler_);
-  for (const Plan::OutputDef& def : plan_.outputs()) {
+  });
+  RUMOR_CHECK(indexed.ok());
+  for (const Plan::OutputDef& def : ActivePlan().outputs()) {
     sink_->Bind(def.stream, def.query_name);
   }
-  executor_ = std::make_unique<Executor>(&plan_, sink_.get());
-  executor_->SetMetricsOptions(metrics_options_);
-  executor_->Prepare();
   RefreshSourceIds();
   return Status::OK();
 }
 
 const Plan& StreamEngine::ActivePlan() const {
   return sharded_ != nullptr ? sharded_->plan(0) : plan_;
+}
+
+int StreamEngine::num_replicas() const {
+  return sharded_ != nullptr ? sharded_->num_shards() : 1;
+}
+
+bool StreamEngine::busy() const {
+  return sharded_ != nullptr ? sharded_->busy() : executor_->busy();
+}
+
+Status StreamEngine::ForEachReplica(
+    const ShardedExecutor::ShardCommand& step) {
+  if (sharded_ != nullptr) return sharded_->MutateShards(step);
+  return step(0, plan_, *executor_);
 }
 
 void StreamEngine::RefreshSourceIds() {
@@ -558,12 +498,7 @@ Status StreamEngine::Checkpoint(std::string* out) const {
   if (!started()) {
     return Status::Internal("checkpoint requires a started engine");
   }
-  if (executor_ != nullptr && executor_->busy()) {
-    return Status::Internal("cannot checkpoint from inside a push");
-  }
-  if (sharded_ != nullptr && sharded_->busy()) {
-    return Status::Internal("cannot checkpoint from inside a push");
-  }
+  if (busy()) return Status::Internal("cannot checkpoint from inside a push");
   for (const QuerySlot& slot : query_slots_) {
     if (slot.live() && slot.text.empty()) {
       return Status::InvalidArgument(
@@ -580,9 +515,7 @@ Status StreamEngine::Checkpoint(std::string* out) const {
   SnapshotBuilder builder;
   {
     SnapshotWriter w;
-    w.U32(static_cast<uint32_t>(sharded_ != nullptr
-                                    ? sharded_->num_shards()
-                                    : 1));
+    w.U32(static_cast<uint32_t>(num_replicas()));
     w.I64(push_calls_.load(std::memory_order_relaxed));
     w.I64(tuples_pushed_.load(std::memory_order_relaxed));
     w.I64(outputs_total_.load(std::memory_order_relaxed));
@@ -613,26 +546,20 @@ Status StreamEngine::Checkpoint(std::string* out) const {
     }
     builder.AddSection(SnapshotSection::kQueries, w.Take());
   }
-  if (sharded_ != nullptr) {
-    // One state section per shard, serialized ON each worker thread via the
-    // quiesce path — the same synchronization AddQuery/RemoveQuery use, so
-    // checkpoints interleave safely with query churn and pushes.
-    std::vector<std::string> payloads(sharded_->num_shards());
-    Status st = sharded_->MutateShards(
-        [&](int shard, Plan& plan, Executor&) -> Status {
-          auto payload = SavePlanState(plan);
-          if (!payload.ok()) return payload.status();
-          payloads[shard] = std::move(payload).value();
-          return Status::OK();
-        });
-    if (!st.ok()) return st;
-    for (std::string& payload : payloads) {
-      builder.AddSection(SnapshotSection::kState, std::move(payload));
-    }
-  } else {
-    auto payload = SavePlanState(plan_);
-    if (!payload.ok()) return payload.status();
-    builder.AddSection(SnapshotSection::kState, std::move(payload).value());
+  // One state section per replica, saved through the per-replica step
+  // AddQuery/RemoveQuery use, so checkpoints interleave safely with query
+  // churn and pushes. The step only reads the replicas; it is non-const
+  // because a sharded engine quiesces its workers to run it.
+  std::vector<std::string> payloads(num_replicas());
+  RUMOR_RETURN_IF_ERROR(const_cast<StreamEngine*>(this)->ForEachReplica(
+      [&](int replica, Plan& plan, Executor&) -> Status {
+        auto payload = SavePlanState(plan);
+        if (!payload.ok()) return payload.status();
+        payloads[replica] = std::move(payload).value();
+        return Status::OK();
+      }));
+  for (std::string& payload : payloads) {
+    builder.AddSection(SnapshotSection::kState, std::move(payload));
   }
   *out = builder.Take();
   return Status::OK();
@@ -767,13 +694,9 @@ Status StreamEngine::Restore(std::string_view snapshot) {
       RUMOR_RETURN_IF_ERROR(AddQueryText(q.text, q.name));
     }
     RUMOR_RETURN_IF_ERROR(Start());
-    if (sharded_ != nullptr) {
-      return sharded_->MutateShards(
-          [&](int, Plan& plan, Executor&) -> Status {
-            return LoadPlanState(plan, merged);
-          });
-    }
-    return LoadPlanState(plan_, merged);
+    return ForEachReplica([&](int, Plan& plan, Executor&) {
+      return LoadPlanState(plan, merged);
+    });
   };
   if (Status st = rebuild(); !st.ok()) {
     ResetToFresh();
@@ -792,8 +715,7 @@ Status StreamEngine::Restore(std::string_view snapshot) {
 }
 
 void StreamEngine::ResetToFresh() {
-  shard_indexes_.clear();
-  share_index_.reset();
+  share_indexes_.clear();
   sharded_.reset();  // joins the workers while the sink still exists
   executor_.reset();
   sink_.reset();
@@ -838,9 +760,7 @@ std::string StreamEngine::ExplainAnalyze() const {
                   "\n");
   }
   const ShareIndex* index =
-      sharded_ != nullptr
-          ? (shard_indexes_.empty() ? nullptr : shard_indexes_[0].get())
-          : share_index_.get();
+      share_indexes_.empty() ? nullptr : share_indexes_[0].get();
   if (index != nullptr) {
     const ShareIndex::Stats s = index->GetStats();
     out += StrCat("share index: exact=", s.exact_entries,
@@ -869,18 +789,16 @@ void FillShareIndexStats(const ShareIndex* index, EngineMetrics* em) {
 }  // namespace
 
 EngineMetrics StreamEngine::CollectMetrics() const {
+  if (sharded_ != nullptr) sharded_->Flush();
+  EngineMetrics em = CollectEngineMetrics(
+      ActivePlan(), stats_,
+      executor_ != nullptr ? executor_->deliveries() : 0);
   if (sharded_ != nullptr) {
-    sharded_->Flush();
-    EngineMetrics em = CollectEngineMetrics(sharded_->plan(0), stats_, 0);
     em.shards = sharded_->num_shards();
     em.shard_rows = sharded_->ShardRows();
     // End-to-end latency: push call to ordered-merge delivery, recorded on
     // the control thread.
     em.latency = sharded_->merge_latency();
-    // Shard 0's share index stands in (replicas stay identical); workers are
-    // quiesced by the Flush above.
-    FillShareIndexStats(
-        shard_indexes_.empty() ? nullptr : shard_indexes_[0].get(), &em);
     // Per-m-op rows: sum every replica's counters by m-op id. Data-plane
     // counters: sum each worker's published snapshot plus this (control)
     // thread's own, which pays for the ordered-merge decode.
@@ -893,17 +811,13 @@ EngineMetrics StreamEngine::CollectMetrics() const {
     }
     em.deliveries = deliveries;
     SetDataPlaneCounters(&em, totals);
-    em.queries = num_queries();
-    for (const QuerySlot& slot : query_slots_) {
-      if (!slot.live()) continue;
-      em.query_rows.push_back({slot.query.name, OutputCount(slot.query.name)});
-    }
-    return em;
+  } else if (executor_ != nullptr) {
+    em.latency = executor_->output_latency();
   }
-  EngineMetrics em = CollectEngineMetrics(
-      plan_, stats_, executor_ != nullptr ? executor_->deliveries() : 0);
-  if (executor_ != nullptr) em.latency = executor_->output_latency();
-  FillShareIndexStats(share_index_.get(), &em);
+  // Replica 0's share index stands in (replicas stay identical; sharded
+  // workers are quiesced by the Flush above).
+  FillShareIndexStats(
+      share_indexes_.empty() ? nullptr : share_indexes_[0].get(), &em);
   // Only the engine knows live query names and delivered counts; a raw-plan
   // caller gets empty query_rows.
   em.queries = num_queries();

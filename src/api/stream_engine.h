@@ -63,11 +63,13 @@ class StreamEngine {
   // Partition-parallel execution: run the shared plan on `n` worker threads
   // (plan/sharded_executor.h). n == 1 (the default) keeps the original
   // single-threaded executor — byte-identical behavior, zero new overhead.
-  // With n > 1, Start() spawns one plan replica + worker per shard and
-  // Push/PushBatch route tuples by the AnalyzeSharding table; the output
-  // handler still runs on the pushing thread, with outputs merged in
-  // epoch-major, shard-minor order (per-key order on partitioned routes is
-  // exactly the single-threaded order). Must be called before Start().
+  // With n > 1, Start() spawns one plan replica + worker per shard (each
+  // replica is the plan the single-threaded engine would build, and live
+  // adds and removes keep it so) and Push/PushBatch route tuples by the
+  // AnalyzeSharding table; the output handler still runs on the pushing
+  // thread, with outputs merged in epoch-major, shard-minor order (per-key
+  // order on partitioned routes is exactly the single-threaded order). Must
+  // be called before Start().
   Status SetShardCount(int n);
   int shard_count() const { return shard_count_; }
 
@@ -209,11 +211,11 @@ class StreamEngine {
   std::string MetricsHistoryJson() const;
 
   // --- testing hooks -----------------------------------------------------------
-  // The live share-point index (single-threaded mode; nullptr before Start
-  // or when options.use_share_index is off) and the plan it indexes. The
-  // churn stress compares the index against a from-scratch rebuild.
+  // The live share-point index of replica 0 (nullptr before Start) and the
+  // single-threaded engine's plan, which it indexes. The churn stress
+  // compares the index against a from-scratch rebuild.
   const ShareIndex* share_index_for_testing() const {
-    return share_index_.get();
+    return share_indexes_.empty() ? nullptr : share_indexes_[0].get();
   }
   Plan* mutable_plan_for_testing() { return &plan_; }
 
@@ -253,6 +255,20 @@ class StreamEngine {
   // The plan queries run against: shard 0's replica when sharded (callers
   // must quiesce first), the engine-owned plan otherwise.
   const Plan& ActivePlan() const;
+  // A running engine holds one plan replica per shard, or just plan_ when
+  // single-threaded. Every replica is built, merged and pruned by the same
+  // deterministic steps, so all replicas hold the same plan.
+  int num_replicas() const;
+  // Runs `step` once per replica with the executor that runs it: inline on
+  // plan_ and *executor_ when single-threaded, and through
+  // ShardedExecutor::MutateShards when sharded (quiesced, on each shard's
+  // worker thread, which owns the arena the replica's state lives in).
+  // Returns the first error. Start's index build, AddQuery, RemoveQuery,
+  // Checkpoint and Restore's state load act on the replicas only through
+  // this step.
+  Status ForEachReplica(const ShardedExecutor::ShardCommand& step);
+  // True while the engine is delivering results to the output handler.
+  bool busy() const;
 
   OptimizerOptions options_;
   MetricsOptions metrics_options_;
@@ -286,13 +302,10 @@ class StreamEngine {
   OutputHandler handler_;
 
   Plan plan_;
-  // Persistent share-point index over plan_, built at Start() and kept in
-  // sync from the plan's mutation log; every live AddQuery resolves its
-  // merges through it (rules/share_index.h). Sharded mode keeps one per
-  // shard replica instead. Null when options_.use_share_index is off (the
-  // scan-based oracle path).
-  std::unique_ptr<ShareIndex> share_index_;
-  std::vector<std::unique_ptr<ShareIndex>> shard_indexes_;
+  // One persistent share-point index per replica, built at Start() from the
+  // optimized plan and kept in sync from its mutation log; every live
+  // AddQuery resolves its merges through it (rules/share_index.h).
+  std::vector<std::unique_ptr<ShareIndex>> share_indexes_;
   OptimizeStats stats_;
   std::unique_ptr<HandlerSink> sink_;
   std::unique_ptr<Executor> executor_;

@@ -149,8 +149,11 @@ void Plan::RemoveMop(MopId id) {
     Emit(PlanEvent::kOutputBound, id, kInvalidChannel, c);
   }
   mops_[id].reset();
-  mop_inputs_[id].clear();
-  mop_outputs_[id].clear();
+  // Release the port vectors, not just empty them: a tombstoned slot stays
+  // for good, and a predicate index rebuilt on every remove would otherwise
+  // leave its thousands of output ports behind each time.
+  mop_inputs_[id] = std::vector<ChannelId>();
+  mop_outputs_[id] = std::vector<ChannelId>();
   Emit(PlanEvent::kMopRemoved, id);
   // Collect channels this removal orphaned. Rules that reuse a removed
   // m-op's channels bind the replacement first, so those still have a
@@ -260,71 +263,62 @@ std::optional<ChannelEnd> Plan::ProducerOf(ChannelId channel) const {
 }
 
 void Plan::MarkOutput(StreamId stream, std::string query_name) {
-  int idx = static_cast<int>(outputs_.size());
-  if (!output_tables_dirty_) {
-    output_index_by_name_.emplace(query_name, idx);
-    output_indices_by_stream_[stream].push_back(idx);
-  }
-  ++output_mark_counts_[stream];
+  const int idx = static_cast<int>(outputs_.size());
+  output_index_by_name_.emplace(query_name, idx);
+  output_indices_by_stream_[stream].push_back(idx);
   outputs_.push_back({stream, std::move(query_name)});
   Emit(PlanEvent::kOutputMarked, stream);
 }
 
 bool Plan::UnmarkOutput(const std::string& query_name) {
-  for (auto it = outputs_.begin(); it != outputs_.end(); ++it) {
-    if (it->query_name == query_name) {
-      StreamId stream = it->stream;
-      auto count = output_mark_counts_.find(stream);
-      RUMOR_CHECK(count != output_mark_counts_.end() && count->second > 0);
-      if (--count->second == 0) output_mark_counts_.erase(count);
-      outputs_.erase(it);  // shifts later indices
-      output_tables_dirty_ = true;
-      Emit(PlanEvent::kOutputUnmarked, stream);
-      return true;
-    }
+  auto named = output_index_by_name_.find(query_name);
+  if (named == output_index_by_name_.end()) return false;
+  const int idx = named->second;
+  output_index_by_name_.erase(named);
+  const StreamId stream = outputs_[idx].stream;
+  auto on_stream = output_indices_by_stream_.find(stream);
+  std::vector<int>& marks = on_stream->second;
+  *std::find(marks.begin(), marks.end(), idx) = marks.back();
+  marks.pop_back();
+  if (marks.empty()) output_indices_by_stream_.erase(on_stream);
+  // Swap-remove: the last mark moves into the freed slot, and its two
+  // table entries follow it.
+  const int last = static_cast<int>(outputs_.size()) - 1;
+  if (idx != last) {
+    OutputDef& moved = outputs_[idx];
+    moved = std::move(outputs_[last]);
+    auto it = output_index_by_name_.equal_range(moved.query_name).first;
+    while (it->second != last) ++it;
+    it->second = idx;
+    std::vector<int>& moved_marks = output_indices_by_stream_[moved.stream];
+    *std::find(moved_marks.begin(), moved_marks.end(), last) = idx;
   }
-  return false;
-}
-
-void Plan::EnsureOutputTables() const {
-  if (!output_tables_dirty_) return;
-  output_index_by_name_.clear();
-  output_indices_by_stream_.clear();
-  for (int i = 0; i < static_cast<int>(outputs_.size()); ++i) {
-    // emplace keeps the first mark per name, matching the old linear scan.
-    output_index_by_name_.emplace(outputs_[i].query_name, i);
-    output_indices_by_stream_[outputs_[i].stream].push_back(i);
-  }
-  output_tables_dirty_ = false;
+  outputs_.pop_back();
+  Emit(PlanEvent::kOutputUnmarked, stream);
+  return true;
 }
 
 std::optional<StreamId> Plan::OutputStreamOf(
     const std::string& query_name) const {
-  EnsureOutputTables();
   auto it = output_index_by_name_.find(query_name);
   if (it == output_index_by_name_.end()) return std::nullopt;
   return outputs_[it->second].stream;
 }
 
 int Plan::OutputMarksOn(StreamId stream) const {
-  auto it = output_mark_counts_.find(stream);
-  return it == output_mark_counts_.end() ? 0 : it->second;
+  auto it = output_indices_by_stream_.find(stream);
+  return it == output_indices_by_stream_.end()
+             ? 0
+             : static_cast<int>(it->second.size());
 }
 
 void Plan::RemapOutput(StreamId from, StreamId to) {
   if (from == to) return;
-  EnsureOutputTables();
   auto it = output_indices_by_stream_.find(from);
   if (it == output_indices_by_stream_.end()) return;
   std::vector<int> moved = std::move(it->second);
   output_indices_by_stream_.erase(it);
-  for (int idx : moved) {
-    outputs_[idx].stream = to;
-    auto count = output_mark_counts_.find(from);
-    RUMOR_CHECK(count != output_mark_counts_.end() && count->second > 0);
-    if (--count->second == 0) output_mark_counts_.erase(count);
-    ++output_mark_counts_[to];
-  }
+  for (int idx : moved) outputs_[idx].stream = to;
   auto& dst = output_indices_by_stream_[to];
   dst.insert(dst.end(), moved.begin(), moved.end());
   Emit(PlanEvent::kOutputRemapped, from, to);
@@ -387,9 +381,12 @@ void Plan::RebuildDerivedState() {
       if (c != kInvalidChannel) channel_producer_[c] = ChannelEnd{m, p};
     }
   }
-  output_mark_counts_.clear();
-  for (const OutputDef& def : outputs_) ++output_mark_counts_[def.stream];
-  output_tables_dirty_ = true;
+  output_index_by_name_.clear();
+  output_indices_by_stream_.clear();
+  for (int i = 0; i < static_cast<int>(outputs_.size()); ++i) {
+    output_index_by_name_.emplace(outputs_[i].query_name, i);
+    output_indices_by_stream_[outputs_[i].stream].push_back(i);
+  }
 }
 
 std::vector<int> Plan::QueryRefCounts() const {
@@ -405,7 +402,8 @@ std::vector<int> Plan::QueryRefCounts() const {
   std::vector<uint32_t> chan_stamp(num_channels(), 0);
   uint32_t stamp = 0;
   std::vector<ChannelId> worklist;
-  for (const auto& [stream, marks] : output_mark_counts_) {
+  for (const auto& [stream, indices] : output_indices_by_stream_) {
+    const int marks = static_cast<int>(indices.size());
     ++stamp;
     worklist.clear();
     for (ChannelId c : ChannelsOfStream(stream)) {
@@ -569,16 +567,20 @@ void Plan::Validate() const {
     RUMOR_CHECK(carried) << "output stream of query '" << def.query_name
                          << "' is not carried by any live channel";
   }
-  // Mark counts agree with outputs_.
+  // The stream table indexes every mark exactly once, under its own stream,
+  // and the name table holds one entry per mark.
   {
-    std::unordered_map<StreamId, int> expect;
-    for (const OutputDef& def : outputs_) ++expect[def.stream];
-    RUMOR_CHECK(expect.size() == output_mark_counts_.size())
-        << "output mark count table drifted";
-    for (const auto& [s, n] : expect) {
-      RUMOR_CHECK(OutputMarksOn(s) == n)
-          << "output mark count drifted for stream " << s;
+    std::vector<char> seen(outputs_.size(), 0);
+    for (const auto& [stream, indices] : output_indices_by_stream_) {
+      for (int i : indices) {
+        RUMOR_CHECK(outputs_[i].stream == stream && !seen[i])
+            << "output stream table drifted at stream " << stream;
+        seen[i] = 1;
+      }
     }
+    RUMOR_CHECK(std::find(seen.begin(), seen.end(), 0) == seen.end() &&
+                output_index_by_name_.size() == outputs_.size())
+        << "output tables miss a mark";
   }
   // Each channel has at most one producer port, dead channels are fully
   // unwired, and the incrementally maintained adjacency matches a fresh

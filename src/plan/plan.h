@@ -163,8 +163,7 @@ class Plan {
   // O(#consumers of `from`).
   void MoveConsumers(ChannelId from, ChannelId to);
   // Re-points query-output marks from one stream to another (CSE dedup).
-  // O(#marks on `from`) while no UnmarkOutput intervened (amortized by a
-  // lazily rebuilt stream -> marks table otherwise).
+  // O(#marks on `from`).
   void RemapOutput(StreamId from, StreamId to);
   // Producer-less channels of capacity > 1 encoding only source streams
   // (created by the channel rule over sharable sources; fed directly via
@@ -177,13 +176,16 @@ class Plan {
     std::string query_name;
   };
   void MarkOutput(StreamId stream, std::string query_name);
+  // The marks in add order, except that UnmarkOutput moves the last mark
+  // into the slot it frees.
   const std::vector<OutputDef>& outputs() const { return outputs_; }
   // Removes the output mark of `query_name`; returns false if absent. Other
-  // queries sharing the same stream keep their marks.
+  // queries sharing the same stream keep their marks. O(#marks on the
+  // stream).
   bool UnmarkOutput(const std::string& query_name);
   // Current output stream of a query (CSE may remap streams after
   // compilation, so use this rather than a compile-time CompiledQuery).
-  // Amortized O(1) via the lazily rebuilt name -> mark table.
+  // O(1).
   std::optional<StreamId> OutputStreamOf(const std::string& query_name) const;
   // Number of output marks on `stream`. O(1).
   int OutputMarksOn(StreamId stream) const;
@@ -252,12 +254,9 @@ class Plan {
   int32_t& InputPos(MopId mop, int port) {
     return input_pos_[input_pos_base_[mop] + port];
   }
-  // Recomputes adjacency, pinned flags, stream tables and mark counts from
-  // the primary representation (RollbackTo).
+  // Recomputes adjacency, pinned flags, stream tables and the output-mark
+  // tables from the primary representation (RollbackTo).
   void RebuildDerivedState();
-  // Lazily rebuilds the output-mark lookup tables (invalidated by
-  // UnmarkOutput, which shifts mark indices).
-  void EnsureOutputTables() const;
 
   StreamRegistry streams_;
   std::vector<ChannelDef> channels_;
@@ -278,13 +277,10 @@ class Plan {
   std::vector<std::vector<ChannelId>> stream_channels_;  // by stream id
   std::vector<std::pair<StreamId, ChannelId>> source_channels_;
   std::vector<OutputDef> outputs_;
-  // Output-mark count per stream (exact, eagerly maintained — the O(1)
-  // "does any query read this stream" test).
-  std::unordered_map<StreamId, int> output_mark_counts_;
-  // Lazily rebuilt lookup into outputs_ (indices shift on UnmarkOutput).
-  mutable bool output_tables_dirty_ = false;
-  mutable std::unordered_map<std::string, int> output_index_by_name_;
-  mutable std::unordered_map<StreamId, std::vector<int>> output_indices_by_stream_;
+  // Indices into outputs_ by query name and by stream (streams without a
+  // mark have no entry), kept current by every mark, unmark and remap.
+  std::unordered_multimap<std::string, int> output_index_by_name_;
+  std::unordered_map<StreamId, std::vector<int>> output_indices_by_stream_;
   int derived_counter_ = 0;
 
   // Bounded mutation log.

@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/trace.h"
-#include "rules/incremental.h"
 #include "rules/share_index.h"
 
 namespace rumor {
@@ -59,16 +58,6 @@ OptimizeStats Optimize(Plan* plan, const OptimizerOptions& options,
                        ShareIndex* index) {
   RUMOR_TRACE_SPAN("Optimize");
   OptimizeStats stats;
-  if (index != nullptr && options.use_share_index) {
-    // Seeded pass: resolve CSE and sσ through the index up front. sα/s⋈
-    // and the c-family stay with their scan rules (their batch plan shapes
-    // depend on whole-group decisions the per-m-op probe does not make).
-    OptimizerOptions seeded = options;
-    seeded.enable_shared_aggregate = false;
-    IncrementalMergeStats pre = MergeNewQueryIndexed(plan, index, 0, seeded);
-    stats.cse_merges += pre.cse_merges;
-    stats.predicate_index_merges += pre.attach_merges + pre.rule_merges;
-  }
   SharableAnalysis sharable(*plan);
 
   RuleEngine engine;

@@ -30,11 +30,6 @@ struct OptimizerOptions {
   // yield different plans. This flag flips the channel rules ahead of the
   // same-stream rules; plans may differ, query outputs must not (tested).
   bool channel_rules_first = false;
-  // Resolve CSE and sσ share points through the persistent ShareIndex
-  // (near-O(1) probes per m-op) instead of whole-plan rule scans, both in
-  // the batch Optimize seeded pass and in live AddQuery merging. The
-  // scan-based path stays available as the correctness oracle.
-  bool use_share_index = true;
   int max_rounds = 8;
 };
 
@@ -111,13 +106,8 @@ class RuleEngine {
 };
 
 // Computes SharableAnalysis on `plan`, registers the Table-1 rules enabled
-// in `options`, and runs the engine to a fixpoint. With a non-null `index`
-// (and options.use_share_index), a seeded pass first resolves all CSE and
-// sσ share points through the index — O(live) hash probes instead of
-// repeated whole-plan scans — so startup compilation of very large query
-// populations stops being quadratic; the scan rules then only handle what
-// the index does not cover (sα, s⋈, the c-family) plus any opportunities
-// those rules expose. The index is synced before returning.
+// in `options`, and runs the engine to a fixpoint. A non-null `index` over
+// `plan` is synced once the rules have run, so live adds can probe it.
 OptimizeStats Optimize(Plan* plan, const OptimizerOptions& options = {},
                        ShareIndex* index = nullptr);
 

@@ -8,9 +8,7 @@
 //
 //   exact     (m-op type, input channels, member signature) -> single-member
 //             m-ops — CSE duplicates (exact duplicates of every type, the
-//             paper's s;/sµ included). The key is bit-identical to
-//             CseRule's group key, so probe results match the scan-based
-//             rule exactly.
+//             paper's s;/sµ included), keyed as CseRule groups them.
 //   member    (shared type, input channels, member signature) -> members of
 //             per-member-port merged targets — member-level CSE (a new
 //             σ/α/⋈/;/µ identical to a warm member reuses its output port).
@@ -28,8 +26,7 @@
 // cost a single scan-based merge used to pay on *every* add).
 //
 // Probe() returns at most one candidate per fresh m-op, the best merge by
-// rule precedence (CSE > member CSE > attach > formation — the same
-// precedence the scan-based MergeNewQuery encodes by phase order), with an
+// rule precedence (CSE > member CSE > attach > formation), with an
 // estimated benefit for the greedy cost-ordered driver (rules/incremental).
 #ifndef RUMOR_RULES_SHARE_INDEX_H_
 #define RUMOR_RULES_SHARE_INDEX_H_
@@ -43,13 +40,12 @@
 
 namespace rumor {
 
-// Member-level CSE, the one rule both MemberCse (rules/incremental.cc) and
-// ShareIndex::Probe apply: a single-member m-op of `type` can collapse onto
-// a member of a per-member-port merged m-op of type *shared (sσ, sα, s⋈,
-// s;, sµ targets) that reads the same input channels. MemberCseMatches
-// tells whether member `i` of `target` computes exactly what `fresh`'s one
-// member computes: the same member signature and input slots, and the
-// member still active (a deactivated member no longer emits).
+// Member-level CSE: a single-member m-op of `type` can collapse onto a
+// member of a per-member-port merged m-op of type *shared (sσ, sα, s⋈, s;,
+// sµ targets) that reads the same input channels. MemberCseMatches tells
+// whether member `i` of `target` computes exactly what `fresh`'s one member
+// computes: the same member signature and input slots, and the member
+// still active (a deactivated member no longer emits).
 bool MemberCseTargetType(MopType type, MopType* shared);
 bool MemberCseMatches(const Mop& target, int i, const Mop& fresh);
 
@@ -89,11 +85,10 @@ class ShareIndex {
   // Best merge for `fresh` under the current index state, or kind == kNone.
   // `fresh` must be live. O(1) expected (hash probes over small buckets).
   // `kind_mask` (bits of MaskOf) restricts which merge kinds are considered:
-  // the driver replicates the scan path's phase order by probing one kind
-  // group at a time, so e.g. an aggregate that became an exact duplicate
-  // only after its σ was rewired mid-round attaches to the shared engine
-  // (what the scan's same-round AttachAggregates phase does) instead of
-  // being exact-CSE'd a round later.
+  // the driver applies the rules in phase order by probing one kind group
+  // at a time, so e.g. an aggregate that became an exact duplicate only
+  // after its σ was rewired mid-round attaches to the shared engine in the
+  // same round's sα phase instead of being exact-CSE'd a round later.
   static constexpr uint32_t MaskOf(Candidate::Kind kind) {
     return 1u << kind;
   }

@@ -231,71 +231,61 @@ TEST(DynamicQueriesTest, RemoveThenReAddSameName) {
 // A removed s⋈ member is deactivated and emits nothing, so a live-added
 // twin of it must not be member-CSE'd onto its port.
 TEST(DynamicQueriesTest, ReAddedJoinSkipsTheDeactivatedMember) {
-  for (bool use_share_index : {true, false}) {
-    SCOPED_TRACE(testing::Message() << "share index " << use_share_index);
-    OptimizerOptions options;
-    options.use_share_index = use_share_index;
-    StreamEngine engine(options);
-    ASSERT_TRUE(engine.RegisterSource("CPU", CpuSchema()).ok());
-    ASSERT_TRUE(engine.RegisterSource("NET", CpuSchema()).ok());
-    const std::string narrow =
-        "SELECT * FROM CPU [RANGE 10] JOIN NET [RANGE 10] "
-        "ON CPU.pid = NET.pid";
-    ASSERT_TRUE(engine.AddQueryText(narrow, "J1").ok());
-    ASSERT_TRUE(engine
-                    .AddQueryText("SELECT * FROM CPU [RANGE 20] JOIN NET "
-                                  "[RANGE 20] ON CPU.pid = NET.pid",
-                                  "J2")
-                    .ok());
-    ASSERT_TRUE(engine.Start().ok());
-    EXPECT_EQ(engine.optimize_stats().shared_join_merges, 1);
-    ASSERT_TRUE(engine.Push("CPU", Tuple::MakeInts({1, 5}, 0)).ok());
-    ASSERT_TRUE(engine.RemoveQuery("J1").ok());
-    ASSERT_TRUE(engine.AddQueryText(narrow, "J3").ok());
-    ASSERT_TRUE(engine.Push("NET", Tuple::MakeInts({1, 6}, 1)).ok());
-    ASSERT_TRUE(engine.Push("CPU", Tuple::MakeInts({1, 7}, 2)).ok());
-    EXPECT_EQ(engine.OutputCount("J2"), 2);
-    EXPECT_EQ(engine.OutputCount("J3"), 1);  // sees only tuples after its add
-  }
+  StreamEngine engine;
+  ASSERT_TRUE(engine.RegisterSource("CPU", CpuSchema()).ok());
+  ASSERT_TRUE(engine.RegisterSource("NET", CpuSchema()).ok());
+  const std::string narrow =
+      "SELECT * FROM CPU [RANGE 10] JOIN NET [RANGE 10] "
+      "ON CPU.pid = NET.pid";
+  ASSERT_TRUE(engine.AddQueryText(narrow, "J1").ok());
+  ASSERT_TRUE(engine
+                  .AddQueryText("SELECT * FROM CPU [RANGE 20] JOIN NET "
+                                "[RANGE 20] ON CPU.pid = NET.pid",
+                                "J2")
+                  .ok());
+  ASSERT_TRUE(engine.Start().ok());
+  EXPECT_EQ(engine.optimize_stats().shared_join_merges, 1);
+  ASSERT_TRUE(engine.Push("CPU", Tuple::MakeInts({1, 5}, 0)).ok());
+  ASSERT_TRUE(engine.RemoveQuery("J1").ok());
+  ASSERT_TRUE(engine.AddQueryText(narrow, "J3").ok());
+  ASSERT_TRUE(engine.Push("NET", Tuple::MakeInts({1, 6}, 1)).ok());
+  ASSERT_TRUE(engine.Push("CPU", Tuple::MakeInts({1, 7}, 2)).ok());
+  EXPECT_EQ(engine.OutputCount("J2"), 2);
+  EXPECT_EQ(engine.OutputCount("J3"), 1);  // sees only tuples after its add
 }
 
 // A live-added twin of an s;/sµ member reuses the member's port (member
 // CSE), so it shares the member's state, instances started before the add
 // included, as a twin of an unshared query does through exact CSE.
 TEST(DynamicQueriesTest, LiveTwinOfAPatternMemberSharesItsState) {
-  for (bool use_share_index : {true, false}) {
-    for (const std::string op : {"SEQ", "ITERATE"}) {
-      SCOPED_TRACE(testing::Message()
-                   << op << ", share index " << use_share_index);
-      OptimizerOptions options;
-      options.use_share_index = use_share_index;
-      StreamEngine engine(options);
-      ASSERT_TRUE(engine.RegisterSource("CPU", CpuSchema()).ok());
-      ASSERT_TRUE(engine.RegisterSource("NET", CpuSchema()).ok());
-      std::string unbounded =
-          "SELECT * FROM CPU " + op + " NET ON CPU.pid = NET.pid";
-      if (op == "ITERATE") unbounded += " AND NET.load > last.load";
-      ASSERT_TRUE(engine.AddQueryText(unbounded, "A").ok());
-      ASSERT_TRUE(engine.AddQueryText(unbounded + " WITHIN 6", "B").ok());
-      ASSERT_TRUE(engine.Start().ok());
-      EXPECT_EQ(engine.optimize_stats().shared_join_merges, 1);
-      ASSERT_TRUE(engine.Push("CPU", Tuple::MakeInts({1, 5}, 0)).ok());
-      ASSERT_TRUE(engine.AddQueryText(unbounded, "C").ok());
-      EXPECT_EQ(engine.optimize_stats().incremental_cse_merges, 1);
-      ASSERT_TRUE(engine.Push("NET", Tuple::MakeInts({1, 6}, 10)).ok());
-      EXPECT_EQ(engine.OutputCount("A"), 1);
-      EXPECT_EQ(engine.OutputCount("B"), 0);  // the instance is 10 old
-      EXPECT_EQ(engine.OutputCount("C"), 1);  // started before C's add
-      // With A and C gone the member is deactivated, and a new twin must
-      // not land on its silent port.
-      ASSERT_TRUE(engine.RemoveQuery("A").ok());
-      ASSERT_TRUE(engine.RemoveQuery("C").ok());
-      ASSERT_TRUE(engine.AddQueryText(unbounded, "D").ok());
-      ASSERT_TRUE(engine.Push("CPU", Tuple::MakeInts({2, 5}, 20)).ok());
-      ASSERT_TRUE(engine.Push("NET", Tuple::MakeInts({2, 6}, 21)).ok());
-      EXPECT_EQ(engine.OutputCount("B"), 1);
-      EXPECT_EQ(engine.OutputCount("D"), 1);
-    }
+  for (const std::string op : {"SEQ", "ITERATE"}) {
+    SCOPED_TRACE(op);
+    StreamEngine engine;
+    ASSERT_TRUE(engine.RegisterSource("CPU", CpuSchema()).ok());
+    ASSERT_TRUE(engine.RegisterSource("NET", CpuSchema()).ok());
+    std::string unbounded =
+        "SELECT * FROM CPU " + op + " NET ON CPU.pid = NET.pid";
+    if (op == "ITERATE") unbounded += " AND NET.load > last.load";
+    ASSERT_TRUE(engine.AddQueryText(unbounded, "A").ok());
+    ASSERT_TRUE(engine.AddQueryText(unbounded + " WITHIN 6", "B").ok());
+    ASSERT_TRUE(engine.Start().ok());
+    EXPECT_EQ(engine.optimize_stats().shared_join_merges, 1);
+    ASSERT_TRUE(engine.Push("CPU", Tuple::MakeInts({1, 5}, 0)).ok());
+    ASSERT_TRUE(engine.AddQueryText(unbounded, "C").ok());
+    EXPECT_EQ(engine.optimize_stats().incremental_cse_merges, 1);
+    ASSERT_TRUE(engine.Push("NET", Tuple::MakeInts({1, 6}, 10)).ok());
+    EXPECT_EQ(engine.OutputCount("A"), 1);
+    EXPECT_EQ(engine.OutputCount("B"), 0);  // the instance is 10 old
+    EXPECT_EQ(engine.OutputCount("C"), 1);  // started before C's add
+    // With A and C gone the member is deactivated, and a new twin must
+    // not land on its silent port.
+    ASSERT_TRUE(engine.RemoveQuery("A").ok());
+    ASSERT_TRUE(engine.RemoveQuery("C").ok());
+    ASSERT_TRUE(engine.AddQueryText(unbounded, "D").ok());
+    ASSERT_TRUE(engine.Push("CPU", Tuple::MakeInts({2, 5}, 20)).ok());
+    ASSERT_TRUE(engine.Push("NET", Tuple::MakeInts({2, 6}, 21)).ok());
+    EXPECT_EQ(engine.OutputCount("B"), 1);
+    EXPECT_EQ(engine.OutputCount("D"), 1);
   }
 }
 

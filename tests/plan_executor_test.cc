@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <string>
+#include <vector>
+
+#include "common/rng.h"
 #include "mop/selection_mop.h"
 #include "plan/compile.h"
 #include "plan/executor.h"
@@ -188,6 +194,87 @@ TEST(PlanTest, MoveConsumersRewires) {
   plan.MoveConsumers(src, alt);
   EXPECT_EQ(plan.ConsumersOf(src).size(), 0u);
   EXPECT_EQ(plan.ConsumersOf(alt).size(), 1u);
+}
+
+// A removed m-op's slot stays as a tombstone, but its port vectors are
+// released: a predicate index rebuilt on every live remove would otherwise
+// leave thousands of ports behind each time.
+TEST(PlanTest, RemovedMopReleasesItsPorts) {
+  Plan plan;
+  StreamId s = plan.streams().AddSource("S", TenInts());
+  ChannelId src = plan.SourceChannelOf(s);
+  MopId m = plan.AddMop(std::make_unique<SelectionMop>(
+      std::vector<SelectionMop::Member>{{0, {nullptr}}},
+      OutputMode::kPerMemberPorts));
+  plan.BindInput(m, 0, src);
+  plan.BindOutput(m, 0, plan.AddDerivedChannel("out", TenInts()));
+  plan.RemoveMop(m);
+  EXPECT_FALSE(plan.IsLive(m));
+  EXPECT_EQ(plan.input_channels(m).capacity(), 0u);
+  EXPECT_EQ(plan.output_channels(m).capacity(), 0u);
+}
+
+// The output-mark lookups stay exact under a seeded mix of marks, unmarks,
+// remaps and rolled-back marks, checked against a naive name -> stream map.
+TEST(PlanTest, OutputTablesTrackMarksUnmarksAndRemaps) {
+  Plan plan;
+  std::vector<StreamId> streams;
+  for (int i = 0; i < 6; ++i) {
+    streams.push_back(
+        plan.streams().AddDerived("s" + std::to_string(i), TenInts()));
+  }
+  auto any_stream = [&](Rng& rng) { return streams[rng.UniformInt(0, 5)]; };
+  std::map<std::string, StreamId> model;
+  Rng rng(0x0a7e);
+  int next_name = 0;
+  for (int step = 0; step < 400; ++step) {
+    const int64_t op = rng.UniformInt(0, 9);
+    if (op < 4 || model.empty()) {
+      const std::string name = "q" + std::to_string(next_name++);
+      const StreamId stream = any_stream(rng);
+      plan.MarkOutput(stream, name);
+      model[name] = stream;
+    } else if (op < 7) {
+      auto victim = std::next(
+          model.begin(),
+          rng.UniformInt(0, static_cast<int64_t>(model.size()) - 1));
+      ASSERT_TRUE(plan.UnmarkOutput(victim->first));
+      model.erase(victim);
+    } else if (op < 9) {
+      const StreamId from = any_stream(rng);
+      const StreamId to = any_stream(rng);
+      plan.RemapOutput(from, to);
+      for (auto& [name, stream] : model) {
+        if (stream == from) stream = to;
+      }
+    } else {
+      const Plan::Marker marker = plan.Mark();
+      plan.MarkOutput(any_stream(rng), "rolled_back");
+      plan.RollbackTo(marker);
+    }
+
+    ASSERT_EQ(plan.outputs().size(), model.size()) << "step " << step;
+    std::map<std::string, StreamId> marks;
+    for (const Plan::OutputDef& def : plan.outputs()) {
+      marks[def.query_name] = def.stream;
+    }
+    ASSERT_EQ(marks, model) << "step " << step;
+    for (int n = 0; n < next_name; ++n) {
+      const std::string name = "q" + std::to_string(n);
+      auto it = model.find(name);
+      ASSERT_EQ(plan.OutputStreamOf(name),
+                it == model.end() ? std::nullopt
+                                  : std::optional<StreamId>(it->second))
+          << "step " << step << " " << name;
+    }
+    EXPECT_FALSE(plan.OutputStreamOf("rolled_back").has_value());
+    for (StreamId stream : streams) {
+      int expect = 0;
+      for (const auto& [name, s] : model) expect += s == stream;
+      ASSERT_EQ(plan.OutputMarksOn(stream), expect) << "step " << step;
+    }
+  }
+  EXPECT_FALSE(plan.UnmarkOutput("never_marked"));
 }
 
 }  // namespace

@@ -1,0 +1,227 @@
+// The scan-based live merge: the oracle MergeNewQueryIndexed is tested
+// against. It applies the same state-preserving rule phases to the fresh
+// m-ops of a live plan, but finds every share point by rescanning all live
+// m-ops (O(plan) per add) instead of probing the ShareIndex. Each phase is
+// written as plainly as the rule it applies, so the two implementations
+// fail independently: the equivalence fuzzes require byte-identical plans
+// (ExplainPlan) and outputs after every add and remove.
+//
+// A round runs these phases in order, each seeing the rewires of the ones
+// before it, until a round merges nothing:
+//   * exact CSE (CseRule) to fixpoint, then member CSE (MemberCse);
+//   * sσ attach onto the oldest warm predicate index of the input channel
+//     (AttachSelections), then formation of new indexes (PredicateIndexRule);
+//   * sα attach onto the oldest warm shared-aggregation target with the same
+//     channel, fn, attr and input slot (AttachAggregates).
+#ifndef RUMOR_TESTS_SCAN_MERGE_ORACLE_H_
+#define RUMOR_TESTS_SCAN_MERGE_ORACLE_H_
+
+#include <cstdint>
+#include <unordered_map>
+#include <vector>
+
+#include "common/hash.h"
+#include "mop/aggregate_mop.h"
+#include "mop/predicate_index_mop.h"
+#include "mop/selection_mop.h"
+#include "plan/plan.h"
+#include "rules/incremental.h"
+#include "rules/rule.h"
+#include "rules/sharable.h"
+#include "rules/share_index.h"
+
+namespace rumor {
+namespace scan_oracle {
+
+// Member-level CSE: a single-member m-op identical to a *member* of an
+// existing merged m-op on the same input channel(s) is redundant — the
+// member's output channel already carries exactly the tuples the newcomer
+// would produce. Consumers move onto that (warm) member port and the
+// newcomer is removed. This is what makes a re-added query converge onto the
+// shared plan a restart would build.
+inline int MemberCse(Plan* plan) {
+  int merges = 0;
+  std::vector<MopId> live = plan->LiveMops();
+  for (MopId id : live) {
+    if (!plan->IsLive(id)) continue;
+    const Mop& m = plan->mop(id);
+    if (m.num_members() != 1 || m.num_outputs() != 1) continue;
+    MopType shared_type;
+    if (!MemberCseTargetType(m.type(), &shared_type)) continue;
+    for (MopId tid : live) {
+      if (tid == id || !plan->IsLive(tid)) continue;
+      const Mop& t = plan->mop(tid);
+      if (t.type() != shared_type || t.num_members() < 2 ||
+          t.num_outputs() != t.num_members()) {
+        continue;  // only per-member-ports merged targets
+      }
+      // Same wiring on every input port.
+      bool same_inputs = t.num_inputs() == m.num_inputs();
+      for (int p = 0; same_inputs && p < m.num_inputs(); ++p) {
+        same_inputs = plan->input_channel(tid, p) == plan->input_channel(id, p);
+      }
+      if (!same_inputs) continue;
+      int match = -1;
+      for (int i = 0; i < t.num_members() && match < 0; ++i) {
+        if (MemberCseMatches(t, i, m)) match = i;
+      }
+      if (match < 0) continue;
+      ChannelId fresh_out = plan->output_channel(id, 0);
+      ChannelId member_out = plan->output_channel(tid, match);
+      StreamId fresh_stream = plan->channel(fresh_out).stream_at(0);
+      StreamId member_stream = plan->channel(member_out).stream_at(0);
+      plan->MoveConsumers(fresh_out, member_out);
+      plan->RemapOutput(fresh_stream, member_stream);
+      plan->RemoveMop(id);
+      ++merges;
+      break;
+    }
+  }
+  return merges;
+}
+
+// sσ attach: single-member selections whose input stream already carries a
+// warm predicate index join it as new members (stateless, so nothing to
+// preserve beyond wiring). Keeps the invariant that no single-member
+// selection coexists with an index on the same channel.
+inline int AttachSelections(Plan* plan) {
+  std::unordered_map<ChannelId, MopId> index_by_input;
+  for (MopId id : plan->LiveMops()) {
+    const Mop& m = plan->mop(id);
+    if (m.type() != MopType::kPredicateIndex) continue;
+    const auto& index = static_cast<const PredicateIndexMop&>(m);
+    if (index.output_mode() != OutputMode::kPerMemberPorts) continue;
+    // Two per-member-port indexes can coexist on one channel (e.g. after a
+    // sharded re-merge); attach to the *oldest* deterministically instead
+    // of whichever the scan happens to see first.
+    auto [it, inserted] = index_by_input.emplace(plan->input_channel(id, 0),
+                                                 id);
+    if (!inserted && id < it->second) it->second = id;
+  }
+  if (index_by_input.empty()) return 0;
+  int attached = 0;
+  for (MopId id : plan->LiveMops()) {
+    const Mop& m = plan->mop(id);
+    if (m.type() != MopType::kSelection || m.num_members() != 1 ||
+        m.num_outputs() != 1) {
+      continue;
+    }
+    const auto& sel = static_cast<const SelectionMop&>(m);
+    if (sel.member(0).input_slot != 0) continue;
+    auto it = index_by_input.find(plan->input_channel(id, 0));
+    if (it == index_by_input.end() || it->second == id) continue;
+    ChannelId out = plan->output_channel(id, 0);
+    auto& index = static_cast<PredicateIndexMop&>(plan->mop(it->second));
+    index.AddMember(sel.member(0).def);
+    plan->AddMopOutputPort(it->second, out);
+    plan->RemoveMop(id);
+    ++attached;
+  }
+  return attached;
+}
+
+// sα attach: a lone isolated aggregate joins a warm shared-aggregation
+// target (or another lone aggregate, converting it in place) on the same
+// input channel with the same fn/attr. The joining member's state is
+// backfilled from the target's retained entry log.
+inline int AttachAggregates(Plan* plan) {
+  auto key_of = [plan](MopId id, const AggregateMop& agg) {
+    uint64_t key = Mix64(static_cast<uint64_t>(plan->input_channel(id, 0)));
+    key = HashCombine(key, static_cast<uint64_t>(agg.member(0).spec.fn));
+    key = HashCombine(key, static_cast<uint64_t>(agg.member(0).spec.attr));
+    key = HashCombine(key,
+                      static_cast<uint64_t>(agg.member(0).input_slot));
+    return key;
+  };
+  // Oldest candidate target per key (oldest = warmest).
+  std::unordered_map<uint64_t, MopId> target_by_key;
+  for (MopId id : plan->LiveMops()) {
+    const Mop& m = plan->mop(id);
+    if (m.type() != MopType::kAggregate &&
+        m.type() != MopType::kSharedAggregate) {
+      continue;
+    }
+    const auto& agg = static_cast<const AggregateMop&>(m);
+    if (agg.output_mode() != OutputMode::kPerMemberPorts) continue;
+    if (agg.sharing() == AggregateMop::Sharing::kIsolated &&
+        agg.num_members() != 1) {
+      continue;
+    }
+    target_by_key.emplace(key_of(id, agg), id);
+  }
+  int attached = 0;
+  for (MopId id : plan->LiveMops()) {
+    const Mop& m = plan->mop(id);
+    if (m.type() != MopType::kAggregate || m.num_members() != 1 ||
+        m.num_outputs() != 1) {
+      continue;
+    }
+    const auto& agg = static_cast<const AggregateMop&>(m);
+    if (agg.sharing() != AggregateMop::Sharing::kIsolated) continue;
+    auto it = target_by_key.find(key_of(id, agg));
+    if (it == target_by_key.end() || it->second == id) continue;
+    auto& target = static_cast<AggregateMop&>(plan->mop(it->second));
+    if (!target.CanAttach(agg.member(0))) continue;
+    ChannelId out = plan->output_channel(id, 0);
+    AggregateMop::AttachResult res = target.AttachMember(agg.member(0));
+    if (res.reused_slot) {
+      // The reactivated slot keeps its port and channel; route the new
+      // query's consumers and output mark onto them. The slot's member spec
+      // changed in place (no wiring event), so publish the mutation for
+      // signature-keyed log consumers.
+      plan->NotifyMopMutated(it->second);
+      ChannelId slot_out = plan->output_channel(it->second, res.member);
+      StreamId fresh_stream = plan->channel(out).stream_at(0);
+      StreamId slot_stream = plan->channel(slot_out).stream_at(0);
+      plan->MoveConsumers(out, slot_out);
+      plan->RemapOutput(fresh_stream, slot_stream);
+    } else {
+      plan->AddMopOutputPort(it->second, out);
+    }
+    plan->RemoveMop(id);
+    ++attached;
+  }
+  return attached;
+}
+
+}  // namespace scan_oracle
+
+// Merges the fresh m-ops of a live plan by whole-plan scans (see the file
+// comment); MergeNewQueryIndexed must build the same plan.
+inline IncrementalMergeStats MergeNewQuery(Plan* plan,
+                                           const OptimizerOptions& options) {
+  IncrementalMergeStats stats;
+  // CSE and sσ match on exact channel identity and never consult the ~
+  // analysis (ChannelRule, which does, is not applied live).
+  const SharableAnalysis* sharable = nullptr;
+  // Fixpoint: merging an upstream m-op rewires its consumers onto warm
+  // channels, which can expose downstream merges (e.g. a σ snapping onto an
+  // index member lets the α above it join the shared engine next round).
+  for (int round = 0; round < options.max_rounds; ++round) {
+    int round_merges = 0;
+    if (options.enable_cse) {
+      int n = CseRule().ApplyAll(plan, sharable) +
+              scan_oracle::MemberCse(plan);
+      stats.cse_merges += n;
+      round_merges += n;
+    }
+    if (options.enable_predicate_index) {
+      int attached = scan_oracle::AttachSelections(plan);
+      int ruled = PredicateIndexRule().ApplyAll(plan, sharable);
+      stats.attach_merges += attached;
+      stats.rule_merges += ruled;
+      round_merges += attached + ruled;
+    }
+    if (options.enable_shared_aggregate) {
+      int attached = scan_oracle::AttachAggregates(plan);
+      stats.attach_merges += attached;
+      round_merges += attached;
+    }
+    if (round_merges == 0) break;
+  }
+  return stats;
+}
+
+}  // namespace rumor
+
+#endif  // RUMOR_TESTS_SCAN_MERGE_ORACLE_H_

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <map>
+#include <regex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -507,6 +508,83 @@ TEST(ShardedEngineTest, CollectMetricsAggregatesAcrossWorkers) {
   // Explain carries the routing table.
   EXPECT_NE(engine.Explain().find("sharding over 2 shard(s)"),
             std::string::npos);
+}
+
+// --- one plan at every shard count --------------------------------------------
+
+// The engine's plan report without the sharding table and the runtime
+// counters (shard 0 sees only its share of the tuples).
+std::string PlanShape(const StreamEngine& engine) {
+  std::string text = engine.Explain();
+  text.erase(std::min(text.find("sharding over"), text.size()));
+  return std::regex_replace(text, std::regex(" in=\\d+ out=\\d+"), "");
+}
+
+// Every replica is optimized by the same rules and merged and pruned by the
+// same live steps as the single-threaded engine's plan, so at any shard
+// count replica 0 explains exactly like the single engine: after Start and
+// after each live add and remove, with pushes in between.
+TEST(ShardedEngineTest, ReplicasBuildTheSingleEnginePlan) {
+  struct Step {
+    std::string name;
+    std::string rql;  // empty: remove the query
+  };
+  // Two sources, so the σ-indexes on S and T are numbered by whichever
+  // path formed them.
+  const std::vector<Step> start = {
+      {"P0", "SELECT a0 FROM S WHERE a1 = 1"},
+      {"P1", "SELECT * FROM T WHERE a0 = 1"},
+      {"P2", "SELECT * FROM T WHERE a0 = 2"},
+      {"P3", "SELECT * FROM S WHERE a0 = 3"},
+      {"P4", "SELECT * FROM S WHERE a0 = 4"},
+  };
+  const std::vector<Step> churn = {
+      {"L0", "SELECT * FROM S WHERE a0 = 5"},
+      {"L1", "SELECT a0, SUM(a1) FROM S [RANGE 8] GROUP BY a0"},
+      {"L2", "SELECT a0, SUM(a1) FROM S [RANGE 16] GROUP BY a0"},
+      {"P3", ""},
+      {"L3", "SELECT * FROM T WHERE a0 = 2"},
+      {"P0", ""},
+      {"L4", "SELECT a0 FROM S WHERE a1 = 1"},
+      {"L1", ""},
+      {"L5", "SELECT a0, SUM(a1) FROM S [RANGE 4] GROUP BY a0"},
+      {"P2", ""},
+  };
+  std::vector<std::string> single;
+  for (int shards : {1, 2, 4}) {
+    SCOPED_TRACE(testing::Message() << shards << " shard(s)");
+    StreamEngine engine;
+    ASSERT_TRUE(engine.RegisterSource("S", IntSchema(2)).ok());
+    ASSERT_TRUE(engine.RegisterSource("T", IntSchema(2)).ok());
+    ASSERT_TRUE(engine.SetShardCount(shards).ok());
+    for (const Step& step : start) {
+      ASSERT_TRUE(engine.AddQueryText(step.rql, step.name).ok());
+    }
+    ASSERT_TRUE(engine.Start().ok());
+    EXPECT_NE(engine.share_index_for_testing(), nullptr);
+    std::vector<std::string> shapes = {PlanShape(engine)};
+    int64_t ts = 0;
+    for (const Step& step : churn) {
+      for (int i = 0; i < 8; ++i) {
+        ++ts;
+        ASSERT_TRUE(engine.Push("S", Tuple::MakeInts({i % 6, i % 2}, ts)).ok());
+        ASSERT_TRUE(engine.Push("T", Tuple::MakeInts({i % 3, i}, ts)).ok());
+      }
+      ASSERT_TRUE((step.rql.empty() ? engine.RemoveQuery(step.name)
+                                    : engine.AddQueryText(step.rql, step.name))
+                      .ok())
+          << step.name;
+      shapes.push_back(PlanShape(engine));
+    }
+    if (shards == 1) {
+      single = shapes;
+      continue;
+    }
+    ASSERT_EQ(shapes.size(), single.size());
+    for (size_t i = 0; i < shapes.size(); ++i) {
+      EXPECT_EQ(shapes[i], single[i]) << "after step " << i;
+    }
+  }
 }
 
 TEST(ShardedEngineTest, ShardCountOneKeepsSingleThreadedExecutor) {

@@ -1,7 +1,8 @@
 // ShareIndex unit tests + the indexed-vs-scan plan-identity checks at plan
-// level, including the regression for AttachSelections' target choice when
-// two per-member-port predicate indexes coexist on one channel (both paths
-// must deterministically pick the oldest).
+// level (against the scan-based oracle in scan_merge_oracle.h), including
+// the regression for the sσ attach target choice when two per-member-port
+// predicate indexes coexist on one channel (both paths must
+// deterministically pick the oldest).
 #include "rules/share_index.h"
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "plan/explain.h"
 #include "query/builder.h"
 #include "rules/incremental.h"
+#include "scan_merge_oracle.h"
 
 namespace rumor {
 namespace {
@@ -219,8 +221,8 @@ TEST(ShareIndexTest, ReusedAggregateSlotKeepsIndexFresh) {
 }
 
 // Regression: two per-member-port predicate indexes coexisting on one input
-// channel. AttachSelections used to keep whichever index the scan happened
-// to see first; both paths must deterministically attach new selections to
+// channel. The scan's sσ attach used to keep whichever index it happened to
+// see first; both paths must deterministically attach new selections to
 // the *oldest* index.
 TEST(ShareIndexTest, TwoIndexesOnOneChannelAttachToOldest) {
   auto build = [](Plan* plan, MopId* older, MopId* newer) {
