@@ -3,12 +3,13 @@
 // rule sσ into a single predicate-index m-op) pushed at several batch sizes.
 //
 // Sweeps dispatch batch size × data-plane mode:
-//   * legacy     — vectorized predicate evaluation and the flat int-key
-//                  probe disabled (Value-boxed Program::Eval + the
-//                  unordered_map<Value, ...> index probe), i.e. the shape of
+//   * legacy     — vectorized predicate evaluation disabled (every residual
+//                  runs the Value-boxed Program::Eval), i.e. the shape of
 //                  the pre-compaction evaluation path;
-//   * vectorized — typed int-register / fused-comparison evaluation + flat
-//                  open-addressing int-key index probes (the default).
+//   * vectorized — typed int-register / fused-comparison evaluation, with
+//                  fused residuals inlined in the index buckets (the
+//                  default).
+// Both modes probe the index's flat int-key table.
 //
 // Prints a table and writes BENCH_hotpath.json. Speedups are relative to the
 // pre-PR main baseline recorded in kBaselineMain below (measured at commit
@@ -30,7 +31,6 @@
 #include "common/json_writer.h"
 #include "common/str_util.h"
 #include "common/trace.h"
-#include "mop/predicate_index_mop.h"
 #include "query/builder.h"
 
 using namespace rumor;
@@ -96,7 +96,6 @@ int main() {
   std::vector<Cell> cells;
   for (bool vectorized : {false, true}) {
     Program::SetVectorizationEnabled(vectorized);
-    PredicateIndexMop::SetFlatProbeEnabled(vectorized);
     const char* mode = vectorized ? "vectorized" : "legacy";
     for (size_t b = 0; b < std::size(kBatches); ++b) {
       const int64_t batch = kBatches[b];
@@ -119,7 +118,6 @@ int main() {
     }
   }
   Program::SetVectorizationEnabled(true);
-  PredicateIndexMop::SetFlatProbeEnabled(true);
 
   for (size_t i = 1; i < cells.size(); ++i) {
     RUMOR_CHECK(cells[i].outputs == cells[0].outputs)

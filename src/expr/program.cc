@@ -191,10 +191,8 @@ void Program::Specialize() {
   if (code_.size() == 3 && code_[0].op == OpCode::kPushAttr &&
       code_[0].side == Side::kLeft && code_[1].op == OpCode::kPushConst &&
       code_[2].op >= OpCode::kEq && code_[2].op <= OpCode::kGe) {
-    simple_cmp_ = true;
-    simple_attr_ = code_[0].arg;
-    simple_op_ = code_[2].op;
-    simple_const_ = int_constants_[code_[1].arg];
+    fused_ = FusedCompare{code_[0].arg, code_[2].op,
+                          int_constants_[code_[1].arg]};
   }
 }
 
@@ -391,13 +389,14 @@ bool Program::EvalBoolTyped(const Tuple* left, const Tuple* right,
 void Program::EvalBoolBatch(const ChannelTuple* tuples, size_t n,
                             BitVector& matches) const {
   matches.AssignZero(static_cast<int>(n));
-  if (simple_cmp_) {
+  if (fused_) {
+    const FusedCompare cmp = *fused_;
     for (size_t i = 0; i < n; ++i) {
-      const Value& v = tuples[i].tuple.at(simple_attr_);
+      const Value& v = tuples[i].tuple.at(cmp.attr);
       bool m;
       if (v.type() == ValueType::kInt) {
         RUMOR_METRIC(++internal::tl_program_counters.fused);
-        m = CompareSimple(v.AsIntUnchecked());
+        m = CompareInts(cmp.op, v.AsIntUnchecked(), cmp.constant);
       } else {
         m = EvalBoolGeneric(ExprContext{&tuples[i].tuple, nullptr});
       }

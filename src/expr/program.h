@@ -17,11 +17,15 @@
 //    analysis cannot see schemas); a non-int attribute falls back to the
 //    generic evaluator for that tuple, so semantics are byte-identical.
 //  * fused single-comparison — programs of the shape `attr <op> const-int`
-//    skip interpreter dispatch entirely in EvalBoolBatch.
+//    skip interpreter dispatch entirely in EvalBool and EvalBoolBatch.
+//    `fused()` exposes that form, so a predicate index can store it inline
+//    in its probe buckets and run the Program only when the attribute is
+//    not an int.
 #ifndef RUMOR_EXPR_PROGRAM_H_
 #define RUMOR_EXPR_PROGRAM_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -74,6 +78,25 @@ struct Instruction {
   int32_t arg = 0;
 };
 
+// `a <op> b` for a comparison opcode (kEq..kGe).
+inline bool CompareInts(OpCode op, int64_t a, int64_t b) {
+  switch (op) {
+    case OpCode::kEq: return a == b;
+    case OpCode::kNe: return a != b;
+    case OpCode::kLt: return a < b;
+    case OpCode::kLe: return a <= b;
+    case OpCode::kGt: return a > b;
+    default: return a >= b;
+  }
+}
+
+// The fused form `left.attr <op> constant` of a single int comparison.
+struct FusedCompare {
+  int attr = 0;
+  OpCode op = OpCode::kEq;
+  int64_t constant = 0;
+};
+
 // Reusable evaluation scratch; one per evaluating thread.
 struct EvalScratch {
   std::vector<Value> stack;
@@ -95,11 +118,11 @@ class Program {
   // fused-comparison or typed int register path when the program is
   // int-specialized and the referenced attributes are ints at runtime.
   bool EvalBool(const ExprContext& ctx) const {
-    if (simple_cmp_) {
-      const Value& v = ctx.left->at(simple_attr_);
+    if (fused_) {
+      const Value& v = ctx.left->at(fused_->attr);
       if (v.type() == ValueType::kInt) {
         RUMOR_METRIC(++internal::tl_program_counters.fused);
-        return CompareSimple(v.AsIntUnchecked());
+        return CompareInts(fused_->op, v.AsIntUnchecked(), fused_->constant);
       }
     } else if (int_specialized_) {
       bool result;
@@ -121,6 +144,16 @@ class Program {
 
   // True when the typed int fast path is compiled in (observability/tests).
   bool int_specialized() const { return int_specialized_; }
+  // The fused single-comparison form, when Compile found one. A caller that
+  // evaluates it inline must fall back to EvalBool on a non-int attribute
+  // and count the inline evaluation in ProgramCounters::fused.
+  const std::optional<FusedCompare>& fused() const { return fused_; }
+  // Heap bytes owned by the code and constant vectors (memory accounting).
+  int64_t ApproxBytes() const {
+    return static_cast<int64_t>(code_.capacity() * sizeof(Instruction) +
+                                constants_.capacity() * sizeof(Value) +
+                                int_constants_.capacity() * sizeof(int64_t));
+  }
 
   // This thread's fast-path efficacy counters (see ProgramCounters).
   static const ProgramCounters& counters() {
@@ -147,16 +180,6 @@ class Program {
 
   Value EvalGeneric(const ExprContext& ctx, EvalScratch& scratch) const;
   bool EvalBoolGeneric(const ExprContext& ctx) const;
-  bool CompareSimple(int64_t a) const {
-    switch (simple_op_) {
-      case OpCode::kEq: return a == simple_const_;
-      case OpCode::kNe: return a != simple_const_;
-      case OpCode::kLt: return a < simple_const_;
-      case OpCode::kLe: return a <= simple_const_;
-      case OpCode::kGt: return a > simple_const_;
-      default: return a >= simple_const_;
-    }
-  }
   // Typed evaluation; returns false (caller must fall back) when a
   // referenced attribute is not an int at runtime.
   bool EvalBoolTyped(const Tuple* left, const Tuple* right,
@@ -171,10 +194,7 @@ class Program {
   std::vector<int64_t> int_constants_;  // constants_ lowered; bools as 0/1
 
   // Fused `attr <op> const` form (implies int_specialized_).
-  bool simple_cmp_ = false;
-  int simple_attr_ = 0;
-  OpCode simple_op_ = OpCode::kEq;
-  int64_t simple_const_ = 0;
+  std::optional<FusedCompare> fused_;
 };
 
 }  // namespace rumor

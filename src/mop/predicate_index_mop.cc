@@ -1,16 +1,11 @@
 #include "mop/predicate_index_mop.h"
 
+#include <algorithm>
+#include <limits>
+
+#include "expr/shape.h"
+
 namespace rumor {
-
-namespace {
-bool g_flat_probe_enabled = true;
-}  // namespace
-
-void PredicateIndexMop::SetFlatProbeEnabled(bool enabled) {
-  g_flat_probe_enabled = enabled;
-}
-
-bool PredicateIndexMop::flat_probe_enabled() { return g_flat_probe_enabled; }
 
 PredicateIndexMop::PredicateIndexMop(std::vector<SelectionDef> members,
                                      OutputMode mode)
@@ -33,6 +28,18 @@ void PredicateIndexMop::IndexMember(int i) {
     return;
   }
   ++num_indexed_;
+  Entry entry{0, i, 0, OpCode::kEq, Check::kNone};
+  Program residual;
+  if (shape.residual != nullptr) {
+    residual = Program::Compile(shape.residual);
+    const std::optional<FusedCompare>& fused = residual.fused();
+    if (fused && fused->attr <= std::numeric_limits<uint16_t>::max()) {
+      entry = Entry{fused->constant, i, static_cast<uint16_t>(fused->attr),
+                    fused->op, Check::kFused};
+    } else {
+      entry.check = Check::kProgram;
+    }
+  }
   AttrIndex* index = nullptr;
   for (AttrIndex& ai : indexes_) {
     if (ai.attr == shape.equality->attr) {
@@ -41,38 +48,26 @@ void PredicateIndexMop::IndexMember(int i) {
     }
   }
   if (index == nullptr) {
-    indexes_.push_back(AttrIndex{shape.equality->attr, {},
-                                 g_flat_probe_enabled, {}, {}});
-    index = &indexes_.back();
+    index = &indexes_.emplace_back();
+    index->attr = shape.equality->attr;
   }
-  IndexedMember im;
-  im.member = i;
-  im.has_residual = shape.residual != nullptr;
-  if (im.has_residual) im.residual = Program::Compile(shape.residual);
   const Value& constant = shape.equality->constant;
-  std::vector<IndexedMember>& bucket = index->by_constant[constant];
-  const bool new_bucket = bucket.empty();
-  bucket.push_back(std::move(im));
-  if (!index->all_int) return;
-  if (constant.type() != ValueType::kInt) {
-    // A non-int constant can numerically alias an int one (3 vs 3.0); the
-    // flat probe cannot see that, so the whole index reverts to the map.
-    index->all_int = false;
-    index->flat.clear();
-    index->buckets.clear();
-    return;
+  const auto [it, inserted] = index->by_value.try_emplace(
+      constant, static_cast<int32_t>(index->buckets.size()));
+  if (inserted) {
+    index->buckets.emplace_back();
+    index->residuals.emplace_back();
+    if (index->all_int && constant.type() == ValueType::kInt) {
+      index->flat.Insert(constant.AsIntUnchecked(), it->second);
+    } else if (index->all_int) {
+      // A non-int constant can numerically alias an int probe (3.0 vs 3);
+      // the flat table cannot see that, so the index reverts to the map.
+      index->all_int = false;
+      index->flat.clear();
+    }
   }
-  if (new_bucket) {
-    index->flat.Insert(constant.AsIntUnchecked(),
-                       static_cast<int32_t>(index->buckets.size()));
-    index->buckets.push_back(&bucket);
-  }
-}
-
-int PredicateIndexMop::num_flat_indexes() const {
-  int n = 0;
-  for (const AttrIndex& ai : indexes_) n += ai.all_int ? 1 : 0;
-  return n;
+  index->buckets[it->second].push_back(entry);
+  index->residuals[it->second].push_back(std::move(residual));
 }
 
 int PredicateIndexMop::AddMember(SelectionDef def) {
@@ -85,34 +80,92 @@ int PredicateIndexMop::AddMember(SelectionDef def) {
   return i;
 }
 
-void PredicateIndexMop::MatchTuple(const ChannelTuple& ct) {
-  RUMOR_DCHECK(ct.membership.Test(0)) << "sσ members all read slot 0";
-  matched_scratch_.AssignZero(num_members());
-  const ExprContext ctx{&ct.tuple, nullptr};
+int64_t PredicateIndexMop::StateBytes() const {
+  constexpr int64_t kNodeOverhead = 48;  // unordered_map node estimate
+  int64_t b = 0;
   for (const AttrIndex& index : indexes_) {
-    const std::vector<IndexedMember>* bucket =
-        Probe(index, ct.tuple.at(index.attr));
-    if (bucket == nullptr) continue;
-    for (const IndexedMember& im : *bucket) {
-      if (!im.has_residual || im.residual.EvalBool(ctx)) {
-        matched_scratch_.Set(im.member);
-      }
+    b += static_cast<int64_t>(index.buckets.capacity() *
+                              sizeof(index.buckets[0]));
+    for (const std::vector<Entry>& bucket : index.buckets) {
+      b += static_cast<int64_t>(bucket.capacity() * sizeof(Entry));
     }
+    b += static_cast<int64_t>(index.residuals.capacity() *
+                              sizeof(index.residuals[0]));
+    for (const std::vector<Program>& programs : index.residuals) {
+      b += static_cast<int64_t>(programs.capacity() * sizeof(Program));
+      for (const Program& p : programs) b += p.ApproxBytes();
+    }
+    b += static_cast<int64_t>(index.by_value.size()) *
+             (kNodeOverhead + static_cast<int64_t>(sizeof(Value))) +
+         static_cast<int64_t>(index.by_value.bucket_count() * sizeof(void*));
+    b += index.flat.ApproxBytes();
   }
+  b += static_cast<int64_t>(sequential_.capacity() *
+                            sizeof(SequentialMember));
+  for (const SequentialMember& sm : sequential_) {
+    b += sm.program.ApproxBytes();
+  }
+  return b;
+}
+
+int PredicateIndexMop::MatchIndexed(const Tuple& tuple) {
+  int sources = 0;
+  int64_t fused = 0;
+  for (const AttrIndex& index : indexes_) {
+    const int32_t b = Probe(index, tuple.at(index.attr));
+    if (b < 0) continue;
+    const std::vector<Entry>& bucket = index.buckets[b];
+    const size_t before = matched_.size();
+    for (const Entry& e : bucket) {
+      bool hit = true;
+      if (e.check == Check::kFused &&
+          tuple.at(e.attr).type() == ValueType::kInt) {
+        ++fused;
+        hit = CompareInts(e.op, tuple.at(e.attr).AsIntUnchecked(), e.constant);
+      } else if (e.check != Check::kNone) {
+        const Program& residual = index.residuals[b][&e - bucket.data()];
+        hit = residual.EvalBool(ExprContext{&tuple, nullptr});
+      }
+      if (hit) matched_.push_back(e.member);
+    }
+    sources += matched_.size() > before ? 1 : 0;
+  }
+  RUMOR_METRIC(internal::tl_program_counters.fused += fused);
+  (void)fused;
+  return sources;
+}
+
+void PredicateIndexMop::EmitMatched(int sources, const Tuple& tuple,
+                                    Emitter& out) {
+  if (matched_.empty()) return;
+  if (sources > 1) std::sort(matched_.begin(), matched_.end());
+  if (mode_ == OutputMode::kChannel) {
+    membership_scratch_.AssignZero(num_members());
+    for (int32_t m : matched_) membership_scratch_.Set(m);
+    out.Emit(0, ChannelTuple{tuple, membership_scratch_});
+    CountOut(1);
+    return;
+  }
+  for (int32_t m : matched_) {
+    out.Emit(m, ChannelTuple{tuple, BitVector::Singleton(0, 1)});
+  }
+  CountOut(static_cast<int64_t>(matched_.size()));
 }
 
 void PredicateIndexMop::Process(int input_port, const ChannelTuple& ct,
                                 Emitter& out) {
   RUMOR_DCHECK(input_port == 0);
   (void)input_port;
-  MatchTuple(ct);
+  RUMOR_DCHECK(ct.membership.Test(0)) << "sσ members all read slot 0";
+  matched_.clear();
+  int sources = MatchIndexed(ct.tuple);
+  const size_t before = matched_.size();
   const ExprContext ctx{&ct.tuple, nullptr};
   for (const SequentialMember& sm : sequential_) {
-    if (sm.program.EvalBool(ctx)) matched_scratch_.Set(sm.member);
+    if (sm.program.EvalBool(ctx)) matched_.push_back(sm.member);
   }
-  EmitForMembers(mode_, matched_scratch_, ct.tuple, out);
-  CountOut(mode_ == OutputMode::kChannel ? (matched_scratch_.Any() ? 1 : 0)
-                                         : matched_scratch_.Count());
+  sources += matched_.size() > before ? 1 : 0;
+  EmitMatched(sources, ct.tuple, out);
 }
 
 void PredicateIndexMop::ProcessBatch(int input_port,
@@ -120,24 +173,39 @@ void PredicateIndexMop::ProcessBatch(int input_port,
                                      Emitter& out) {
   RUMOR_DCHECK(input_port == 0);
   (void)input_port;
-  // Member-major pass over the sequential members (vectorized evaluation);
-  // probes and residuals stay tuple-major — residuals must only run on
-  // probe-hit tuples, exactly as the scalar path does.
-  seq_match_scratch_.resize(sequential_.size());
+  // Member-major pass over the sequential members (vectorized evaluation),
+  // turned into per-tuple lists by a counting sort: count into
+  // seq_offsets_[j + 2], prefix-sum, then fill through seq_offsets_[j + 1],
+  // which leaves tuple j's list at [seq_offsets_[j], seq_offsets_[j + 1]).
+  // Sequential members ascend, so each list does too. Probes and residuals
+  // stay tuple-major: residuals must only run on probe-hit tuples, exactly
+  // as the scalar path does.
+  seq_masks_.resize(sequential_.size());
+  seq_offsets_.assign(n + 2, 0);
   for (size_t s = 0; s < sequential_.size(); ++s) {
-    sequential_[s].program.EvalBoolBatch(tuples, n, seq_match_scratch_[s]);
+    sequential_[s].program.EvalBoolBatch(tuples, n, seq_masks_[s]);
+    seq_masks_[s].ForEach([&](int j) { ++seq_offsets_[j + 2]; });
+  }
+  for (size_t j = 2; j < n + 2; ++j) seq_offsets_[j] += seq_offsets_[j - 1];
+  seq_matches_.resize(seq_offsets_[n + 1]);
+  for (size_t s = 0; s < sequential_.size(); ++s) {
+    seq_masks_[s].ForEach([&](int j) {
+      seq_matches_[seq_offsets_[j + 1]++] = sequential_[s].member;
+    });
   }
   for (size_t j = 0; j < n; ++j) {
-    const ChannelTuple& ct = tuples[j];
-    MatchTuple(ct);
-    for (size_t s = 0; s < sequential_.size(); ++s) {
-      if (seq_match_scratch_[s].Test(static_cast<int>(j))) {
-        matched_scratch_.Set(sequential_[s].member);
-      }
+    const Tuple& tuple = tuples[j].tuple;
+    RUMOR_DCHECK(tuples[j].membership.Test(0)) << "sσ members all read slot 0";
+    matched_.clear();
+    int sources = MatchIndexed(tuple);
+    const int32_t begin = seq_offsets_[j];
+    const int32_t end = seq_offsets_[j + 1];
+    if (begin < end) {
+      matched_.insert(matched_.end(), seq_matches_.begin() + begin,
+                      seq_matches_.begin() + end);
+      ++sources;
     }
-    EmitForMembers(mode_, matched_scratch_, ct.tuple, out);
-    CountOut(mode_ == OutputMode::kChannel ? (matched_scratch_.Any() ? 1 : 0)
-                                           : matched_scratch_.Count());
+    EmitMatched(sources, tuple, out);
   }
 }
 

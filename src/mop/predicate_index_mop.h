@@ -1,16 +1,26 @@
 // PredicateIndexMop — target of rule sσ (paper §2.4): a set of selections
 // reading the same stream, evaluated with predicate indexing [Fabret 01,
 // CACQ]. Members whose predicate contains an `attr = const` conjunct are
-// grouped into per-attribute hash indexes (const -> members); a probe plus a
-// per-member residual check replaces evaluating every predicate. Members
-// without an indexable equality fall back to sequential evaluation.
+// grouped into per-attribute hash indexes (const -> bucket of members); a
+// probe plus a per-member residual check replaces evaluating every
+// predicate. Members without an indexable equality fall back to sequential
+// evaluation.
 //
-// Probe fast path: while every constant of an attribute index is an int, the
-// index also maintains a flat open-addressing int64 table mapping the
-// constant to its member bucket, so the per-tuple probe is a Mix64 + linear
-// scan with no Value hashing; non-int probes (and indexes holding any
-// non-int constant) fall back to the authoritative unordered_map, whose
-// numeric Value equality handles cross-type matches (3 vs 3.0).
+// Layout (after [Fabret 01], which keeps each equality cluster's
+// subscriptions contiguous): a bucket is one array of 16-byte entries, each
+// the member id plus its residual's fused `attr <op> int` compare inline
+// (Program::fused()), so a probe reads one short run of memory. A residual
+// that is not fused, or a fused one meeting a non-int value, runs its
+// Program from a side array parallel to the bucket. Constants map to
+// bucket ids through a FlatInt64Map (a Mix64 + linear scan, no Value
+// hashing) for int probes while every constant of the index is an int, and
+// through the authoritative Value map otherwise, whose numeric equality
+// matches 3 against 3.0.
+//
+// A tuple's matches are a list of member ids in ascending order, as
+// one-by-one evaluation emits them: buckets stay in append order, which is
+// ascending, so the list is sorted only when two attribute indexes, or an
+// index and the sequential members, both add to it.
 //
 // This same m-op is what the Cayuga FR and AN indexes translate to in RUMOR
 // (paper §4.3).
@@ -22,7 +32,6 @@
 
 #include "common/flat_map.h"
 #include "expr/program.h"
-#include "expr/shape.h"
 #include "mop/selection_mop.h"
 
 namespace rumor {
@@ -43,17 +52,10 @@ class PredicateIndexMop : public Mop {
 
   // Number of members served by hash indexes (observability / tests).
   int num_indexed_members() const { return num_indexed_; }
-  // Number of attribute indexes currently served by the flat int probe.
-  int num_flat_indexes() const;
   // Probe fast-path efficacy: probes answered by the flat int table vs the
-  // unordered_map fallback (compiled out under RUMOR_METRICS=OFF).
+  // Value map (compiled out under RUMOR_METRICS=OFF).
   int64_t flat_probes() const { return flat_probes_; }
   int64_t map_probes() const { return map_probes_; }
-
-  // Disables the flat int probe for m-ops constructed afterwards (ablation
-  // benchmarks and equivalence tests; production leaves it on).
-  static void SetFlatProbeEnabled(bool enabled);
-  static bool flat_probe_enabled();
 
   // Adds a member selection (online query churn: a new query's σ snaps onto
   // the warm index). Selections are stateless, so this is always safe; in
@@ -66,74 +68,83 @@ class PredicateIndexMop : public Mop {
   void ProcessBatch(int input_port, const ChannelTuple* tuples, size_t n,
                     Emitter& out) override;
 
-  int64_t StateBytes() const override {
-    constexpr int64_t kNodeOverhead = 48;  // unordered_map node estimate
-    int64_t b = 0;
-    for (const auto& index : indexes_) {
-      for (const auto& [key, bucket] : index.by_constant) {
-        b += kNodeOverhead + static_cast<int64_t>(sizeof(key)) +
-             static_cast<int64_t>(bucket.capacity() * sizeof(IndexedMember));
-      }
-      b += index.flat.ApproxBytes();
-      b += static_cast<int64_t>(index.buckets.capacity() *
-                                sizeof(index.buckets[0]));
-    }
-    b += static_cast<int64_t>(sequential_.capacity() *
-                              sizeof(SequentialMember));
-    return b;
-  }
+  // Buckets, both constant tables, and the heap of every residual and
+  // sequential Program.
+  int64_t StateBytes() const override;
 
  private:
-  // Routes member `i` into the hash indexes or the sequential list.
-  void IndexMember(int i);
-  struct IndexedMember {
-    int member;
-    Program residual;   // empty => unconditional on probe hit
-    bool has_residual;
+  // How a bucket entry checks its member's residual.
+  enum class Check : uint8_t {
+    kNone,     // no residual: a probe hit matches
+    kFused,    // `attr <op> constant` inline; the Program on a non-int value
+    kProgram,  // the member's Program
   };
+  struct Entry {
+    int64_t constant;  // kFused only
+    int32_t member;
+    uint16_t attr;     // kFused only
+    OpCode op;         // kFused only
+    Check check;
+  };
+  static_assert(sizeof(Entry) == 16);
   struct AttrIndex {
-    int attr;
-    std::unordered_map<Value, std::vector<IndexedMember>> by_constant;
-    // Flat probe (engaged while all_int): constant -> index into buckets,
-    // which points at the by_constant bucket (mapped references are stable).
+    int attr = -1;
+    std::vector<std::vector<Entry>> buckets;
+    // residuals[b][k] is the residual of buckets[b][k] (empty when none).
+    // Kept per bucket, not in one array indexed by member id: an array that
+    // large, reallocated on every live add and rebuilt on every σ remove,
+    // raised query_churn's peak RSS by 2.5%.
+    std::vector<std::vector<Program>> residuals;
+    // Authoritative constant -> bucket id table.
+    std::unordered_map<Value, int32_t> by_value;
+    // Int constant -> bucket id, kept while every constant is an int.
     bool all_int = true;
     FlatInt64Map flat;
-    std::vector<const std::vector<IndexedMember>*> buckets;
   };
   struct SequentialMember {
-    int member;
+    int32_t member;
     Program program;  // full predicate
   };
 
-  // Members matching `v` on this index, or null. Defined inline: this is
-  // the innermost per-tuple operation of the batch path. Non-static so the
+  // Routes member `i` into the hash indexes or the sequential list.
+  void IndexMember(int i);
+
+  // Bucket id of the members whose constant equals `v`, or -1. Defined
+  // inline: this is the innermost per-tuple operation. Non-static so the
   // probe-efficacy counters can live on the m-op.
-  const std::vector<IndexedMember>* Probe(const AttrIndex& index,
-                                          const Value& v) {
+  int32_t Probe(const AttrIndex& index, const Value& v) {
     if (index.all_int && v.type() == ValueType::kInt) {
       RUMOR_METRIC(++flat_probes_);
-      const int32_t bucket = index.flat.Find(v.AsIntUnchecked());
-      return bucket >= 0 ? index.buckets[bucket] : nullptr;
+      return index.flat.Find(v.AsIntUnchecked());
     }
     RUMOR_METRIC(++map_probes_);
-    auto it = index.by_constant.find(v);
-    return it == index.by_constant.end() ? nullptr : &it->second;
+    auto it = index.by_value.find(v);
+    return it == index.by_value.end() ? -1 : it->second;
   }
-  // Sets the matched-member bits for one tuple into matched_scratch_.
-  void MatchTuple(const ChannelTuple& ct);
+  // Appends the indexed members `tuple` matches to matched_; returns how
+  // many attribute indexes added to it.
+  int MatchIndexed(const Tuple& tuple);
+  // Emits `tuple` for matched_, sorting it first when `sources` > 1.
+  void EmitMatched(int sources, const Tuple& tuple, Emitter& out);
 
   std::vector<SelectionDef> members_;
   std::vector<AttrIndex> indexes_;
-  std::vector<SequentialMember> sequential_;
+  std::vector<SequentialMember> sequential_;  // ascending member ids
   int num_indexed_ = 0;
   OutputMode mode_;
   int64_t flat_probes_ = 0;
   int64_t map_probes_ = 0;
 
   // Recycled per-tuple/batch scratch (never shrinks; allocation-free in
-  // steady state).
-  BitVector matched_scratch_;
-  std::vector<BitVector> seq_match_scratch_;
+  // steady state): the tuple's matched member ids, channel-mode membership,
+  // and in ProcessBatch the sequential members' masks and their per-tuple
+  // lists (tuple j's matches are seq_matches_[seq_offsets_[j] ..
+  // seq_offsets_[j + 1])).
+  std::vector<int32_t> matched_;
+  BitVector membership_scratch_;
+  std::vector<BitVector> seq_masks_;
+  std::vector<int32_t> seq_offsets_;
+  std::vector<int32_t> seq_matches_;
 };
 
 }  // namespace rumor

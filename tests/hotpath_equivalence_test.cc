@@ -1,11 +1,11 @@
 // Hot-path equivalence fuzz: the three data-plane execution paths — scalar
-// Process, generic ProcessBatch (vectorization and the flat int probe
-// disabled), and the vectorized batch path (typed/fused predicate
-// evaluation + flat int-key index probes) — must produce byte-identical
-// per-query output sequences and delivery counts on randomized σ /
-// predicate-index / join / aggregate plans, including string-attribute
-// schemas (exercising the interned string handle and the non-int probe
-// fallback).
+// Process, generic ProcessBatch (vectorization disabled), and the
+// vectorized batch path (typed/fused predicate evaluation, with fused
+// residuals inlined in the predicate index's buckets) — must produce
+// byte-identical per-query output sequences and delivery counts on
+// randomized σ / predicate-index / join / aggregate plans, including
+// string-attribute schemas (exercising the interned string handle and the
+// non-int probe fallback).
 //
 // Also covers the supporting structures: TupleArena block recycling and the
 // FlatInt64Map used by the predicate index.
@@ -18,7 +18,7 @@
 
 #include "common/flat_map.h"
 #include "common/rng.h"
-#include "mop/predicate_index_mop.h"
+#include "expr/program.h"
 #include "plan/compile.h"
 #include "plan/executor.h"
 #include "plan/sharded_executor.h"
@@ -92,10 +92,7 @@ RunResult RunOnce(const std::vector<Query>& queries, const Feed& feed,
   return result;
 }
 
-void SetFastPaths(bool enabled) {
-  Program::SetVectorizationEnabled(enabled);
-  PredicateIndexMop::SetFlatProbeEnabled(enabled);
-}
+void SetFastPaths(bool enabled) { Program::SetVectorizationEnabled(enabled); }
 
 // Runs scalar / generic-batch / vectorized-batch (each at several batch
 // sizes) and asserts byte-identical results.

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/str_util.h"
 #include "mop/predicate_index_mop.h"
 #include "mop_test_util.h"
 
@@ -88,61 +89,195 @@ TEST(PredicateIndexMopTest, ResidualChecked) {
   EXPECT_EQ(out.port(0)[0].tuple.ts(), 0);
 }
 
-// Property: PredicateIndexMop ≡ one-by-one SelectionMop on random workloads.
+// Records every emission in order as "port membership tuple", so two
+// m-ops compare on the whole interleaved sequence, not only per port.
+class SequenceEmitter : public Emitter {
+ public:
+  void Emit(int port, ChannelTuple ct) override {
+    log.push_back(StrCat(port, " ", ct.membership.ToString(), " ",
+                         ct.tuple.ToString()));
+  }
+  std::vector<std::string> log;
+};
+
+constexpr int kArity = 4;       // a0..a2 numeric; a3 numeric or a string
+constexpr int64_t kDomain = 8;  // small domain => frequent matches
+
+ExprPtr EqValue(int attr, Value c) {
+  return Expr::Cmp(CmpOp::kEq, Expr::Attr(Side::kLeft, attr),
+                   Expr::Const(c));
+}
+
+// A random member predicate covering every bucket-entry kind: no residual,
+// a fused `attr <op> int` residual, a residual that only a Program runs,
+// double constants equal to ints (3.0) and string constants (the Value
+// map), and predicates with no indexable equality (sequential members).
+ExprPtr RandomMemberPredicate(Rng& rng) {
+  auto attr = [&] { return static_cast<int>(rng.UniformInt(0, kArity - 1)); };
+  auto numeric_attr = [&] {
+    return Expr::Attr(Side::kLeft, static_cast<int>(rng.UniformInt(0, 2)));
+  };
+  auto c = [&] { return rng.UniformInt(0, kDomain - 1); };
+  switch (rng.UniformInt(0, 7)) {
+    case 0:
+      return EqConst(attr(), c());
+    case 1:
+      return Expr::And(
+          EqConst(attr(), c()),
+          Expr::Cmp(static_cast<CmpOp>(rng.UniformInt(0, 5)),
+                    Expr::Attr(Side::kLeft, attr()), Expr::ConstInt(c())));
+    case 2:
+      return Expr::And(
+          EqConst(attr(), c()),
+          Expr::Cmp(CmpOp::kLe,
+                    Expr::Arith(ArithOp::kAdd, numeric_attr(), numeric_attr()),
+                    Expr::ConstInt(2 * c())));
+    case 3:
+      return Expr::And(EqValue(attr(), Value(static_cast<double>(c()))),
+                       GtConst(attr(), c()));
+    case 4:
+      return EqValue(3, Value(rng.Bernoulli(0.5) ? "s0" : "s1"));
+    case 5:
+      return GtConst(attr(), c());
+    case 6:
+      return Expr::Or(EqConst(0, c()), EqConst(1, c()));
+    default:
+      return Expr::And(
+          EqConst(attr(), c()),
+          Expr::Cmp(CmpOp::kLt, numeric_attr(),
+                    Expr::Const(Value(static_cast<double>(c()) + 0.5))));
+  }
+}
+
+// Random tuple: ints in [0, kDomain), sometimes a double (integral or not)
+// on any attribute and a string on a3, so fused residuals meet non-int
+// values and probes meet non-int keys.
+Tuple RandomMixedTuple(Rng& rng, Timestamp ts) {
+  std::vector<Value> values;
+  for (int a = 0; a < kArity; ++a) {
+    const int64_t v = rng.UniformInt(0, kDomain - 1);
+    const double roll = rng.UniformDouble();
+    if (roll < 0.08) {
+      values.push_back(Value(static_cast<double>(v)));
+    } else if (roll < 0.12) {
+      values.push_back(Value(static_cast<double>(v) + 0.5));
+    } else if (roll < 0.2 && a == 3) {
+      values.push_back(Value(v % 2 == 0 ? "s0" : "s1"));
+    } else {
+      values.push_back(Value(v));
+    }
+  }
+  return Tuple::Make(values, ts);
+}
+
+// Property: PredicateIndexMop ≡ one-by-one SelectionMop on random workloads,
+// on the whole emission sequence, through Process and ProcessBatch, in both
+// output modes, with members added after tuples have flowed.
 class PredicateIndexPropertyTest : public ::testing::TestWithParam<uint64_t> {
 };
 
 TEST_P(PredicateIndexPropertyTest, MatchesReference) {
   Rng rng(GetParam());
-  const int num_members = 1 + static_cast<int>(rng.UniformInt(1, 40));
-  const int arity = 4;
-  const int64_t domain = 8;  // small domain => frequent matches
-
-  std::vector<SelectionDef> defs;
-  std::vector<SelectionMop::Member> ref_members;
-  for (int i = 0; i < num_members; ++i) {
-    ExprPtr pred;
-    switch (rng.UniformInt(0, 3)) {
-      case 0:  // indexable equality
-        pred = EqConst(static_cast<int>(rng.UniformInt(0, arity - 1)),
-                       rng.UniformInt(0, domain - 1));
-        break;
-      case 1:  // equality + residual
-        pred = Expr::And(
-            EqConst(static_cast<int>(rng.UniformInt(0, arity - 1)),
-                    rng.UniformInt(0, domain - 1)),
-            GtConst(static_cast<int>(rng.UniformInt(0, arity - 1)),
-                    rng.UniformInt(0, domain - 1)));
-        break;
-      case 2:  // non-indexable
-        pred = GtConst(static_cast<int>(rng.UniformInt(0, arity - 1)),
-                       rng.UniformInt(0, domain - 1));
-        break;
-      default:  // disjunction (never indexable)
-        pred = Expr::Or(EqConst(0, rng.UniformInt(0, domain - 1)),
-                        EqConst(1, rng.UniformInt(0, domain - 1)));
-        break;
-    }
-    defs.push_back({pred});
-    ref_members.push_back({0, {pred}});
+  // Fixed members make the all-ones tuple match two attribute indexes and
+  // the sequential members, out of member order: the a1 index (members 0
+  // and last) is built before the a0 index (member 2), and member 1 is
+  // sequential. {1, 1, 1, 0} matches the two indexes but not member 1.
+  std::vector<ExprPtr> preds = {EqConst(1, 1), GtConst(3, 0), EqConst(0, 1)};
+  const int num_random = static_cast<int>(rng.UniformInt(1, 40));
+  for (int i = 0; i < num_random; ++i) {
+    preds.push_back(RandomMemberPredicate(rng));
   }
+  preds.push_back(Expr::And(EqConst(1, 1), GtConst(2, 0)));
+  const int num_members = static_cast<int>(preds.size());
+  // Members past `num_initial` join through AddMember mid-feed.
+  const int num_initial = static_cast<int>(rng.UniformInt(1, num_members));
 
-  PredicateIndexMop optimized(defs, OutputMode::kPerMemberPorts);
-  SelectionMop reference(ref_members, OutputMode::kPerMemberPorts);
-  CollectingEmitter opt_out(num_members), ref_out(num_members);
+  std::vector<Tuple> feed;
   for (int i = 0; i < 300; ++i) {
-    Tuple t = RandomTuple(rng, arity, domain, i);
-    optimized.Process(0, Plain(t), opt_out);
-    reference.Process(0, Plain(t), ref_out);
+    if (i % 25 == 0) {
+      feed.push_back(Tuple::MakeInts({1, 1, 1, i % 50 == 0 ? 1 : 0}, i));
+    } else {
+      feed.push_back(RandomMixedTuple(rng, i));
+    }
   }
-  for (int m = 0; m < num_members; ++m) {
-    ExpectSameTuples(opt_out.PortTuples(m), ref_out.PortTuples(m),
-                     "member " + std::to_string(m));
+  const size_t add_at = feed.size() / 2;
+
+  for (OutputMode mode : {OutputMode::kPerMemberPorts, OutputMode::kChannel}) {
+    // The reference: one SelectionMop per phase over the members present.
+    SequenceEmitter ref_out;
+    for (int phase = 0; phase < 2; ++phase) {
+      std::vector<SelectionMop::Member> members;
+      for (int m = 0; m < (phase == 0 ? num_initial : num_members); ++m) {
+        members.push_back({0, {preds[m]}});
+      }
+      SelectionMop reference(members, mode);
+      for (size_t i = phase == 0 ? 0 : add_at;
+           i < (phase == 0 ? add_at : feed.size()); ++i) {
+        reference.Process(0, Plain(feed[i]), ref_out);
+      }
+    }
+    ASSERT_FALSE(ref_out.log.empty());
+
+    for (size_t batch : {size_t{0}, size_t{1}, size_t{7}, size_t{64}}) {
+      std::vector<SelectionDef> defs;
+      for (int m = 0; m < num_initial; ++m) defs.push_back({preds[m]});
+      PredicateIndexMop optimized(defs, mode);
+      SequenceEmitter opt_out;
+      std::vector<ChannelTuple> chunk;
+      auto push = [&](size_t from, size_t to) {
+        for (size_t i = from; i < to;) {
+          if (batch == 0) {
+            optimized.Process(0, Plain(feed[i++]), opt_out);
+            continue;
+          }
+          chunk.clear();
+          for (; i < to && chunk.size() < batch; ++i) {
+            chunk.push_back(Plain(feed[i]));
+          }
+          optimized.ProcessBatch(0, chunk.data(), chunk.size(), opt_out);
+        }
+      };
+      push(0, add_at);
+      for (int m = num_initial; m < num_members; ++m) {
+        EXPECT_EQ(optimized.AddMember({preds[m]}), m);
+      }
+      EXPECT_EQ(optimized.num_outputs(),
+                mode == OutputMode::kChannel ? 1 : num_members);
+      push(add_at, feed.size());
+      EXPECT_EQ(opt_out.log, ref_out.log)
+          << "batch " << batch << (mode == OutputMode::kChannel
+                                       ? " channel mode"
+                                       : " per-member ports");
+    }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PredicateIndexPropertyTest,
                          ::testing::Range<uint64_t>(0, 15));
+
+// StateBytes counts what the index holds: its bucket entries and the heap
+// of every residual and sequential Program, not only fixed-size records.
+TEST(PredicateIndexMopTest, StateBytesCountsEntriesAndProgramCode) {
+  std::vector<SelectionDef> defs;
+  int64_t program_bytes = 0;
+  for (int i = 0; i < 1000; ++i) {
+    // Six-conjunct residuals, so program code outweighs a fixed record.
+    std::vector<ExprPtr> residual;
+    for (int a = 1; a <= 6; ++a) residual.push_back(GtConst(a, i + a));
+    ExprPtr rest = Expr::AndAll(residual);
+    if (i % 10 == 0) {  // no indexable equality: a sequential member
+      defs.push_back({rest});
+    } else {
+      defs.push_back({Expr::And(EqConst(0, i % 50), rest)});
+    }
+    program_bytes += Program::Compile(rest).ApproxBytes();
+  }
+  PredicateIndexMop mop(defs, OutputMode::kPerMemberPorts);
+  ASSERT_EQ(mop.num_indexed_members(), 900);
+  // Each bucket entry holds at least a member id and an int constant.
+  const int64_t entry_bytes = 900 * (sizeof(int32_t) + sizeof(int64_t));
+  EXPECT_GE(mop.StateBytes(), entry_bytes + program_bytes);
+}
 
 // Property: ChannelSelectMop ≡ one-by-one members over channel slots.
 class ChannelSelectPropertyTest : public ::testing::TestWithParam<uint64_t> {
