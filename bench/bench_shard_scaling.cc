@@ -97,7 +97,7 @@ int main() {
     for (int64_t& a : attrs) a = rng.UniformInt(0, domain - 1);
     events.push_back(Event{0, Tuple::MakeInts(attrs, i)});
   }
-  const int64_t warm = tiny > 0 ? 0 : n / 10;
+  const int64_t warm = n / 10;
   const int64_t batch = 256;
 
   std::printf("# shard_scaling — %d σ queries (+20 GROUP BY for the keyed "
@@ -117,7 +117,7 @@ int main() {
   for (const Group& g : groups) {
     double single = 0;
     // Baseline: the plain single-threaded executor, same batched feed.
-    const int reps = tiny > 0 ? 1 : 3;
+    const int reps = 3;
     {
       Cell cell{g.name, 0};
       for (int rep = 0; rep < reps; ++rep) {

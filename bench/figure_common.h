@@ -1,5 +1,5 @@
-// Shared scaffolding for the figure-reproduction benchmarks (one binary per
-// paper figure). Scale is controlled by RUMOR_BENCH_SCALE:
+// Shared scaffolding for the paper reproduction (bench_figures) and the
+// scaling benches. Scale is controlled by RUMOR_BENCH_SCALE:
 //   quick (default) — small tuple counts / query caps, finishes in seconds;
 //   full            — the paper's scale (100k+ tuples, up to 100k queries).
 #ifndef RUMOR_BENCH_FIGURE_COMMON_H_
@@ -51,8 +51,9 @@ inline Scale GetScale() {
 
 // Batch size for the batched-dispatch column (RUMOR_BENCH_BATCH, default
 // 256). The W1/W2 feeds alternate S/T strictly, so same-stream runs are
-// length 1 and the column measures the batch API's fallback overhead; see
-// bench_agg_batch for a workload where batching has runs to work with.
+// length 1 and the column measures the batch API's fallback overhead; the
+// single-source feeds of bench_shard_scaling and perfbench's window_agg
+// give batching runs to work with.
 inline int64_t GetBatchSize() {
   const char* env = std::getenv("RUMOR_BENCH_BATCH");
   if (env != nullptr) {
@@ -91,56 +92,52 @@ inline void PrintRows(const std::vector<Row>& rows) {
   }
 }
 
-// Builds matched W1 workloads (Cayuga + RUMOR) and measures both engines.
-inline Row MeasureW1(const SyntheticParams& params, int64_t warmup) {
-  Rng rng(params.seed);
-  std::vector<W1Spec> specs = DrawW1Specs(params, rng);
-  Schema schema = params.MakeSchema();
-
+// One synthetic workload built for both engines: the same specs as RUMOR
+// queries and as Cayuga automata, and one interleaved S/T feed.
+struct Matched {
   std::vector<Query> queries;
   std::vector<CayugaAutomaton> automata;
-  for (size_t i = 0; i < specs.size(); ++i) {
-    std::string name = "Q" + std::to_string(i);
-    queries.push_back(MakeW1Query(name, specs[i], schema));
-    automata.push_back(MakeW1Automaton(name, specs[i], schema));
+  std::vector<Event> events;
+};
+
+// Workload 1 (`workload` 1) or Workload 2 (2; `iterate` selects the µ
+// variant of Fig. 10b).
+inline Matched BuildMatched(const SyntheticParams& params, int workload,
+                            bool iterate = false) {
+  Rng rng(params.seed);
+  Schema schema = params.MakeSchema();
+  Matched m;
+  auto add = [&](const auto& specs, auto make_query, auto make_automaton) {
+    for (size_t i = 0; i < specs.size(); ++i) {
+      std::string name = "Q" + std::to_string(i);
+      m.queries.push_back(make_query(name, specs[i], schema));
+      m.automata.push_back(make_automaton(name, specs[i], schema));
+    }
+  };
+  if (workload == 1) {
+    add(DrawW1Specs(params, rng), MakeW1Query, MakeW1Automaton);
+  } else {
+    add(DrawW2Specs(params, iterate, rng), MakeW2Query, MakeW2Automaton);
   }
   Rng feed_rng(params.seed ^ 0xfeed);
-  std::vector<Event> events =
-      GenerateInterleaved(params, params.num_tuples, 0, feed_rng);
-
-  RumorRun rumor = RunRumor(queries, OptimizerOptions{}, events, warmup);
-  RumorRun batched = RunRumorBatched(queries, OptimizerOptions{}, events,
-                                     warmup, GetBatchSize());
-  CayugaRun cayuga =
-      RunCayuga(automata, CayugaEngine::Options{}, events, warmup);
-  return Row{0, rumor.result.EventsPerSecond(),
-             batched.result.EventsPerSecond(),
-             cayuga.result.EventsPerSecond()};
+  m.events = GenerateInterleaved(params, params.num_tuples, 0, feed_rng);
+  return m;
 }
 
-// Matched W2 workloads (`iterate` selects the µ variant of Fig. 10b).
-inline Row MeasureW2(const SyntheticParams& params, bool iterate,
-                     int64_t warmup) {
-  Rng rng(params.seed);
-  std::vector<W2Spec> specs = DrawW2Specs(params, iterate, rng);
-  Schema schema = params.MakeSchema();
-
-  std::vector<Query> queries;
-  std::vector<CayugaAutomaton> automata;
-  for (size_t i = 0; i < specs.size(); ++i) {
-    std::string name = "Q" + std::to_string(i);
-    queries.push_back(MakeW2Query(name, specs[i], schema));
-    automata.push_back(MakeW2Automaton(name, specs[i], schema));
-  }
-  Rng feed_rng(params.seed ^ 0xfeed);
-  std::vector<Event> events =
-      GenerateInterleaved(params, params.num_tuples, 0, feed_rng);
-
-  RumorRun rumor = RunRumor(queries, OptimizerOptions{}, events, warmup);
-  RumorRun batched = RunRumorBatched(queries, OptimizerOptions{}, events,
+// Measures RUMOR (per tuple and batched) and Cayuga on one workload. All
+// three must deliver the same number of results, counted per query.
+inline Row MeasureSynthetic(const SyntheticParams& params, int workload,
+                            bool iterate, int64_t warmup) {
+  Matched m = BuildMatched(params, workload, iterate);
+  RumorRun rumor = RunRumor(m.queries, OptimizerOptions{}, m.events, warmup);
+  RumorRun batched = RunRumorBatched(m.queries, OptimizerOptions{}, m.events,
                                      warmup, GetBatchSize());
   CayugaRun cayuga =
-      RunCayuga(automata, CayugaEngine::Options{}, events, warmup);
+      RunCayuga(m.automata, CayugaEngine::Options{}, m.events, warmup);
+  RUMOR_CHECK(rumor.result.outputs == cayuga.result.outputs &&
+              batched.result.outputs == cayuga.result.outputs)
+      << "results disagree: rumor " << rumor.result.outputs << ", batched "
+      << batched.result.outputs << ", cayuga " << cayuga.result.outputs;
   return Row{0, rumor.result.EventsPerSecond(),
              batched.result.EventsPerSecond(),
              cayuga.result.EventsPerSecond()};

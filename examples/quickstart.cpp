@@ -68,7 +68,7 @@ int main() {
   // Batched execution: a run of consecutive tuples of one source can be
   // pushed in a single call. Results are identical to per-tuple pushes, but
   // the batch traverses each m-op of the shared plan once, which pays off
-  // under heavy traffic (see bench/bench_agg_batch.cc for the sweep).
+  // under heavy traffic (perfbench's window_agg pushes batches of 64).
   std::vector<Tuple> batch;
   for (int ts = 50; ts < 100; ++ts) {
     batch.push_back(Tuple::MakeInts({rng.UniformInt(0, 49),

@@ -18,6 +18,21 @@ int64_t TickerNowNs() {
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
 }
+
+// The value types a column of `type` accepts at ingress, one bit per
+// ValueType tag.
+uint8_t AcceptedTypes(ValueType type) {
+  auto bit = [](ValueType t) { return 1u << static_cast<int>(t); };
+  switch (type) {
+    case ValueType::kInt:
+    case ValueType::kDouble:
+      return bit(ValueType::kInt) | bit(ValueType::kDouble);
+    case ValueType::kNull:
+      return 0;
+    default:
+      return bit(type);
+  }
+}
 }  // namespace
 
 // Routes output-stream tuples to the per-query handler. One stream may
@@ -404,7 +419,11 @@ void StreamEngine::RefreshSourceIds() {
   std::vector<IngressSource> sources;
   for (StreamId s : plan.streams().Sources()) {
     const StreamDef& def = plan.streams().Get(s);
-    IngressSource src{def.name, s, def.schema.size()};
+    std::vector<uint8_t> accepts;
+    for (const Attribute& attr : def.schema.attributes()) {
+      accepts.push_back(AcceptedTypes(attr.type));
+    }
+    IngressSource src{def.name, s, def.schema, std::move(accepts)};
     for (const IngressSource& known : source_ids_) {
       if (known.name == def.name) src.last_ts = known.last_ts;
     }
@@ -433,12 +452,25 @@ Result<StreamId> StreamEngine::Admit(const std::string& source,
         "sharded");
   }
   // The whole batch is checked before any of it is pushed.
+  const int arity = src->schema.size();
+  const uint8_t* accepts = src->accepts.data();
   Timestamp last = src->last_ts;
   for (const Tuple& t : tuples) {
-    if (t.size() != src->arity) {
+    if (t.size() != arity) {
       return Status::InvalidArgument(
           StrCat("tuple for source '", source, "' has ", t.size(),
-                 " values, expected ", src->arity));
+                 " values, expected ", arity));
+    }
+    const Value* values = t.values().data();
+    for (int i = 0; i < arity; ++i) {
+      if (((accepts[i] >> static_cast<int>(values[i].type())) & 1) == 0) {
+        const Attribute& attr = src->schema.attribute(i);
+        return Status::InvalidArgument(
+            StrCat("value ", values[i].ToString(), " of type ",
+                   ValueTypeName(values[i].type()), " does not fit column '",
+                   attr.name, "' (", ValueTypeName(attr.type),
+                   ") of source '", source, "'"));
+      }
     }
     if (t.ts() < last) {
       return Status::InvalidArgument(

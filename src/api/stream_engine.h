@@ -108,7 +108,9 @@ class StreamEngine {
 
   // --- runtime (after Start) -------------------------------------------------
   // Pushes one tuple into a source stream. Returns InvalidArgument, and
-  // pushes nothing, when the tuple's arity differs from the source schema
+  // pushes nothing, when the tuple's arity differs from the source schema,
+  // a value does not fit its column (int and double columns take either
+  // number, string and bool columns their own type, no column takes null),
   // or its timestamp is below the last one pushed to that source. The last
   // timestamp is not part of a checkpoint: a restored engine accepts any
   // first timestamp per source.
@@ -234,12 +236,17 @@ class StreamEngine {
   struct IngressSource {
     std::string name;
     StreamId id = kInvalidStream;
-    int arity = 0;
+    Schema schema;
+    // Per column, the value types it accepts, one bit per ValueType tag:
+    // int and double columns take either number, string and bool columns
+    // their own type, and no column takes null.
+    std::vector<uint8_t> accepts;
     Timestamp last_ts = std::numeric_limits<Timestamp>::min();
   };
   // Stream id of `source` for a push of `tuples`: NotFound / not-started
-  // errors, or InvalidArgument unless every tuple has the source's arity
-  // and no timestamp falls below the last one pushed to the source.
+  // errors, or InvalidArgument unless every tuple has the source's arity,
+  // every value fits its column, and no timestamp falls below the last one
+  // pushed to the source.
   Result<StreamId> Admit(const std::string& source,
                          std::span<const Tuple> tuples);
   // Shared implementation of the Add* methods; `text` is the query's RQL

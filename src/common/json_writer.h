@@ -6,7 +6,7 @@
 //
 //   JsonWriter w;
 //   w.BeginObject()
-//       .Key("bench").String("hotpath")
+//       .Key("bench").String("shard_scaling")
 //       .Key("rows").BeginArray()
 //           .BeginObject().Key("batch").Int(64).EndObject()
 //       .EndArray()

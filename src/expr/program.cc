@@ -6,21 +6,12 @@ namespace rumor {
 
 namespace {
 
-// Process-wide fast-path switch (ablation benchmarks / equivalence tests).
-bool g_vectorization_enabled = true;
-
 EvalScratch& ThreadScratch() {
   static thread_local EvalScratch scratch;
   return scratch;
 }
 
 }  // namespace
-
-void Program::SetVectorizationEnabled(bool enabled) {
-  g_vectorization_enabled = enabled;
-}
-
-bool Program::vectorization_enabled() { return g_vectorization_enabled; }
 
 Program Program::Compile(const ExprPtr& expr) {
   Program p;
@@ -30,7 +21,7 @@ Program Program::Compile(const ExprPtr& expr) {
   } else {
     p.Emit(expr);
   }
-  if (g_vectorization_enabled) p.Specialize();
+  p.Specialize();
   return p;
 }
 

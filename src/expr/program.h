@@ -161,12 +161,6 @@ class Program {
   }
   static void ResetCounters() { internal::tl_program_counters = {}; }
 
-  // Disables the typed/fused fast paths process-wide (ablation benchmarks
-  // and equivalence tests; production leaves them on). Affects programs
-  // compiled afterwards.
-  static void SetVectorizationEnabled(bool enabled);
-  static bool vectorization_enabled();
-
   int size() const { return static_cast<int>(code_.size()); }
   bool empty() const { return code_.empty(); }
   std::string ToString() const;

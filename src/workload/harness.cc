@@ -4,6 +4,28 @@ namespace rumor {
 
 namespace {
 
+// Output stream of each query. CSE-merged queries share one stream, so a
+// result on it counts once per query reading it, as a Cayuga run (and
+// perfbench's outputs_per_s) counts it.
+std::vector<StreamId> QueryStreams(const Plan& plan,
+                                   const std::vector<Query>& queries) {
+  std::vector<StreamId> streams;
+  for (const Query& q : queries) {
+    auto id = plan.OutputStreamOf(q.name);
+    RUMOR_CHECK(id.has_value()) << "no output stream for " << q.name;
+    streams.push_back(*id);
+  }
+  return streams;
+}
+
+// Results delivered so far, summed over the queries.
+template <typename Sink>
+int64_t QueryOutputs(const Sink& sink, const std::vector<StreamId>& streams) {
+  int64_t total = 0;
+  for (StreamId s : streams) total += sink.ForStream(s);
+  return total;
+}
+
 // Shared measurement scaffolding: compile + optimize, then push events
 // [0, warmup) untimed and [warmup, n) timed via `push_range(exec, streams,
 // from, to)` — the one thing the per-tuple and batched runners differ in.
@@ -30,16 +52,17 @@ RumorRun MeasureRumor(const std::vector<Query>& queries,
     RUMOR_CHECK(id.has_value()) << "unknown source " << name;
     streams.push_back(*id);
   }
+  const std::vector<StreamId> query_streams = QueryStreams(plan, queries);
 
   const int64_t n = static_cast<int64_t>(events.size());
   const int64_t measured_from = std::min(warmup, n);
   push_range(exec, streams, int64_t{0}, measured_from);
-  const int64_t outputs_before = sink.total();
+  const int64_t outputs_before = QueryOutputs(sink, query_streams);
   Stopwatch timer;
   push_range(exec, streams, measured_from, n);
   run.result.seconds = timer.ElapsedSeconds();
   run.result.events = n - measured_from;
-  run.result.outputs = sink.total() - outputs_before;
+  run.result.outputs = QueryOutputs(sink, query_streams) - outputs_before;
   return run;
 }
 
@@ -121,6 +144,8 @@ RumorRun RunRumorSharded(const std::vector<Query>& queries,
     RUMOR_CHECK(id.has_value()) << "unknown source " << name;
     streams.push_back(*id);
   }
+  const std::vector<StreamId> query_streams =
+      QueryStreams(exec.plan(0), queries);
 
   std::vector<Tuple> batch;
   batch.reserve(batch_size);
@@ -142,13 +167,13 @@ RumorRun RunRumorSharded(const std::vector<Query>& queries,
   const int64_t measured_from = std::min(warmup, n);
   push_range(0, measured_from);
   exec.Flush();
-  const int64_t outputs_before = sink.total();
+  const int64_t outputs_before = QueryOutputs(sink, query_streams);
   Stopwatch timer;
   push_range(measured_from, n);
   exec.Flush();  // drain in-flight epochs inside the timed region
   run.result.seconds = timer.ElapsedSeconds();
   run.result.events = n - measured_from;
-  run.result.outputs = sink.total() - outputs_before;
+  run.result.outputs = QueryOutputs(sink, query_streams) - outputs_before;
   exec.Stop();
   return run;
 }

@@ -20,7 +20,9 @@
 namespace rumor {
 
 // Runs a compiled+optimized RUMOR plan over interleaved S/T events.
-// `warmup` events are processed untimed, the rest timed.
+// `warmup` events are processed untimed, the rest timed. Every runner
+// counts results per query (a result on a stream that CSE-merged queries
+// share counts once for each), so RUMOR and Cayuga counts compare.
 struct RumorRun {
   OptimizeStats optimize_stats;
   ThroughputResult result;

@@ -1,11 +1,11 @@
-// Hot-path equivalence fuzz: the three data-plane execution paths — scalar
-// Process, generic ProcessBatch (vectorization disabled), and the
-// vectorized batch path (typed/fused predicate evaluation, with fused
-// residuals inlined in the predicate index's buckets) — must produce
-// byte-identical per-query output sequences and delivery counts on
+// Hot-path equivalence fuzz: the batch data plane (ProcessBatch, with
+// typed/fused predicate evaluation and fused residuals inlined in the
+// predicate index's buckets) must produce the same per-query output
+// sequences and delivery counts as one-tuple-at-a-time Process on
 // randomized σ / predicate-index / join / aggregate plans, including
 // string-attribute schemas (exercising the interned string handle and the
-// non-int probe fallback).
+// non-int probe fallback). The typed and fused evaluators themselves are
+// checked against the expression tree in program_test.
 //
 // Also covers the supporting structures: TupleArena block recycling and the
 // FlatInt64Map used by the predicate index.
@@ -18,7 +18,6 @@
 
 #include "common/flat_map.h"
 #include "common/rng.h"
-#include "expr/program.h"
 #include "plan/compile.h"
 #include "plan/executor.h"
 #include "plan/sharded_executor.h"
@@ -42,8 +41,8 @@ struct RunResult {
   }
 };
 
-// Compiles + optimizes fresh under the current fast-path toggles and runs
-// the feed; batch_size 0 = event-at-a-time.
+// Compiles + optimizes fresh and runs the feed; batch_size 0 =
+// event-at-a-time.
 RunResult RunOnce(const std::vector<Query>& queries, const Feed& feed,
                   const std::vector<std::string>& stream_names,
                   int64_t batch_size) {
@@ -92,29 +91,19 @@ RunResult RunOnce(const std::vector<Query>& queries, const Feed& feed,
   return result;
 }
 
-void SetFastPaths(bool enabled) { Program::SetVectorizationEnabled(enabled); }
-
-// Runs scalar / generic-batch / vectorized-batch (each at several batch
-// sizes) and asserts byte-identical results.
+// Runs the feed one tuple at a time as the reference, then batched at
+// several batch sizes, and asserts byte-identical results.
 void ExpectHotpathEquivalence(const std::vector<Query>& queries,
                               const Feed& feed,
                               const std::vector<std::string>& stream_names) {
-  SetFastPaths(false);
   RunResult reference = RunOnce(queries, feed, stream_names, 0);
   int64_t total = 0;
   for (const auto& [name, tuples] : reference.outputs) total += tuples.size();
   EXPECT_GT(total, 0) << "workload produced no output; vacuous comparison";
 
   for (int64_t batch_size : {1, 7, 64, 100000}) {
-    RunResult generic = RunOnce(queries, feed, stream_names, batch_size);
-    EXPECT_TRUE(generic == reference) << "generic batch=" << batch_size;
-  }
-  SetFastPaths(true);
-  RunResult scalar = RunOnce(queries, feed, stream_names, 0);
-  EXPECT_TRUE(scalar == reference) << "vectorized scalar";
-  for (int64_t batch_size : {1, 7, 64, 100000}) {
-    RunResult vectorized = RunOnce(queries, feed, stream_names, batch_size);
-    EXPECT_TRUE(vectorized == reference) << "vectorized batch=" << batch_size;
+    RunResult batched = RunOnce(queries, feed, stream_names, batch_size);
+    EXPECT_TRUE(batched == reference) << "batch=" << batch_size;
   }
 }
 
@@ -353,7 +342,6 @@ RunResult RunSharded(const std::vector<Query>& queries, const Feed& feed,
 void ExpectShardedEquivalence(const std::vector<Query>& queries,
                               const Feed& feed,
                               const std::vector<std::string>& stream_names) {
-  SetFastPaths(true);
   RunResult reference = RunOnce(queries, feed, stream_names, 64);
   int64_t total = 0;
   for (const auto& [name, tuples] : reference.outputs) total += tuples.size();

@@ -348,38 +348,49 @@ TEST(MetricsTest, MemorySectionReportsStateAndShareIndexBytes) {
 }
 
 TEST(MetricsTest, MetricsTickerProducesTimeSeries) {
-  StreamEngine engine;
-  ASSERT_TRUE(engine.RegisterSource("S", S3()).ok());
-  AddSigmaAggQueries(&engine);
-  ASSERT_TRUE(engine.Start().ok());
-  engine.StartMetricsTicker(std::chrono::milliseconds(2),
-                            /*history_capacity=*/8);
-  for (const Tuple& t : KnownFeed()) {
-    ASSERT_TRUE(engine.Push("S", t).ok());
+  for (int shards : {1, 2}) {
+    SCOPED_TRACE(shards);
+    StreamEngine engine;
+    ASSERT_TRUE(engine.SetShardCount(shards).ok());
+    ASSERT_TRUE(engine.RegisterSource("S", S3()).ok());
+    AddSigmaAggQueries(&engine);
+    ASSERT_TRUE(engine.Start().ok());
+    engine.StartMetricsTicker(std::chrono::milliseconds(2),
+                              /*history_capacity=*/8);
+    for (const Tuple& t : KnownFeed()) {
+      ASSERT_TRUE(engine.Push("S", t).ok());
+    }
+    engine.Flush();  // a sharded engine publishes in-flight results here
+    // Wait until a tick lands after the flush (bounded: ~250 * 2ms). The
+    // ticker samples the same steady clock.
+    const int64_t flushed_ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            std::chrono::steady_clock::now().time_since_epoch())
+            .count();
+    std::vector<StreamEngine::MetricsTick> ticks;
+    for (int spin = 0; spin < 250; ++spin) {
+      ticks = engine.MetricsHistory();
+      if (!ticks.empty() && ticks.back().t_ns >= flushed_ns) break;
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    engine.StopMetricsTicker();
+    ASSERT_FALSE(ticks.empty());
+    EXPECT_LE(ticks.size(), 8u);  // ring is bounded
+    EXPECT_GE(ticks.back().t_ns, flushed_ns);
+    if (engine.CollectMetrics().metrics_compiled) {
+      EXPECT_EQ(ticks.back().push_calls, 6);
+      EXPECT_EQ(ticks.back().tuples_pushed, 6);
+      EXPECT_GT(ticks.back().outputs, 0);
+    }
+    std::string json = engine.MetricsHistoryJson();
+    std::string error;
+    EXPECT_TRUE(JsonLint(json, &error)) << error << "\n" << json;
+    EXPECT_NE(json.find("\"ticks\""), std::string::npos) << json;
+    // Stopping twice is a no-op; restart replaces the ticker.
+    engine.StopMetricsTicker();
+    engine.StartMetricsTicker(std::chrono::milliseconds(50));
+    engine.StopMetricsTicker();
   }
-  // Wait until at least one tick lands (bounded: ~250 * 2ms).
-  std::vector<StreamEngine::MetricsTick> ticks;
-  for (int spin = 0; spin < 250 && ticks.empty(); ++spin) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-    ticks = engine.MetricsHistory();
-  }
-  engine.StopMetricsTicker();
-  ASSERT_FALSE(ticks.empty());
-  EXPECT_LE(ticks.size(), 8u);  // ring is bounded
-  EXPECT_GT(ticks.back().t_ns, 0);
-  if (engine.CollectMetrics().metrics_compiled) {
-    EXPECT_EQ(ticks.back().push_calls, 6);
-    EXPECT_EQ(ticks.back().tuples_pushed, 6);
-    EXPECT_GT(ticks.back().outputs, 0);
-  }
-  std::string json = engine.MetricsHistoryJson();
-  std::string error;
-  EXPECT_TRUE(JsonLint(json, &error)) << error << "\n" << json;
-  EXPECT_NE(json.find("\"ticks\""), std::string::npos) << json;
-  // Stopping twice is a no-op; restart replaces the ticker.
-  engine.StopMetricsTicker();
-  engine.StartMetricsTicker(std::chrono::milliseconds(50));
-  engine.StopMetricsTicker();
 }
 
 #if RUMOR_METRICS_ENABLED

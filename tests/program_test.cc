@@ -116,7 +116,84 @@ class RandomExprGen {
     return Tuple::MakeInts(vals, rng_.UniformInt(0, 1000));
   }
 
+  // A left-side (selection-style) predicate. Single `attr <op> int`
+  // comparisons, the shape Compile fuses, are drawn often, also at the top;
+  // a double constant keeps a subtree off the typed path.
+  ExprPtr LeftBool(int depth) {
+    int pick = static_cast<int>(rng_.UniformInt(0, depth <= 0 ? 2 : 5));
+    switch (pick) {
+      case 0:
+      case 1:
+        return Expr::Cmp(static_cast<CmpOp>(rng_.UniformInt(0, 5)),
+                         LeftAttr(), Expr::ConstInt(rng_.UniformInt(-5, 5)));
+      case 2: {
+        CmpOp op = static_cast<CmpOp>(rng_.UniformInt(0, 5));
+        ExprPtr rhs = rng_.Bernoulli(0.2)
+                          ? Expr::Const(Value(
+                                0.5 + static_cast<double>(
+                                          rng_.UniformInt(-5, 5))))
+                          : LeftNum(depth - 1);
+        return Expr::Cmp(op, LeftNum(depth - 1), rhs);
+      }
+      case 3:
+        return Expr::And(LeftBool(depth - 1), LeftBool(depth - 1));
+      case 4:
+        return Expr::Or(LeftBool(depth - 1), LeftBool(depth - 1));
+      default:
+        return Expr::Not(LeftBool(depth - 1));
+    }
+  }
+
+  // No modulo: it CHECKs on a double operand, and attributes may hold
+  // doubles. Division is by non-zero constants only.
+  ExprPtr LeftNum(int depth) {
+    int pick = static_cast<int>(rng_.UniformInt(0, depth <= 0 ? 2 : 4));
+    switch (pick) {
+      case 0:
+        return Expr::ConstInt(rng_.UniformInt(-5, 5));
+      case 1:
+        return LeftAttr();
+      case 2:
+        return Expr::Ts(Side::kLeft);
+      case 3:
+        return Expr::Arith(ArithOp::kDiv, LeftNum(depth - 1),
+                           Expr::ConstInt(rng_.UniformInt(1, 4)));
+      default: {
+        ArithOp op = static_cast<ArithOp>(rng_.UniformInt(0, 2));
+        return Expr::Arith(op, LeftNum(depth - 1), LeftNum(depth - 1));
+      }
+    }
+  }
+
+  // Four int attributes, each holding an int, an integral double (3.0) or
+  // a non-integral one (2.5) in about a third of the tuples each.
+  ChannelTuple MixedTuple(int membership_size) {
+    std::vector<Value> vals;
+    for (int i = 0; i < 4; ++i) {
+      const int64_t v = rng_.UniformInt(-5, 5);
+      switch (rng_.UniformInt(0, 2)) {
+        case 0: vals.push_back(Value(v)); break;
+        case 1: vals.push_back(Value(static_cast<double>(v))); break;
+        default: vals.push_back(Value(static_cast<double>(v) + 0.5)); break;
+      }
+    }
+    ChannelTuple t{Tuple::Make(vals, rng_.UniformInt(0, 20)),
+                   BitVector(membership_size)};
+    for (int m = 0; m < membership_size; ++m) {
+      if (rng_.Bernoulli(0.5)) t.membership.Set(m);
+    }
+    return t;
+  }
+
+  int64_t UniformInt(int64_t lo, int64_t hi) {
+    return rng_.UniformInt(lo, hi);
+  }
+
  private:
+  ExprPtr LeftAttr() {
+    return Expr::Attr(Side::kLeft, static_cast<int>(rng_.UniformInt(0, 3)));
+  }
+
   Rng rng_;
 };
 
@@ -132,6 +209,35 @@ TEST_P(ProgramEquivalenceTest, TreeAndProgramAgree) {
       ExprContext ctx{&l, &r};
       EXPECT_EQ(e->EvalBool(ctx), p.EvalBool(ctx))
           << "expr: " << e->ToString();
+    }
+  }
+  // Left-side predicates over batches with doubles in int attributes: the
+  // scalar, batch and gated-batch evaluators (fused, typed and generic)
+  // must each match the tree on every tuple.
+  constexpr int kSlots = 3;
+  for (int trial = 0; trial < 100; ++trial) {
+    ExprPtr e = gen.LeftBool(3);
+    Program p = Program::Compile(e);
+    std::vector<ChannelTuple> batch;
+    const int64_t n = gen.UniformInt(1, 40);
+    for (int64_t i = 0; i < n; ++i) batch.push_back(gen.MixedTuple(kSlots));
+    const int slot = static_cast<int>(gen.UniformInt(0, kSlots - 1));
+    BitVector matches, gated;
+    p.EvalBoolBatch(batch.data(), batch.size(), matches);
+    p.EvalBoolBatchGated(batch.data(), batch.size(), slot, gated);
+    ASSERT_EQ(matches.size(), n);
+    ASSERT_EQ(gated.size(), n);
+    for (int i = 0; i < n; ++i) {
+      ExprContext ctx{&batch[i].tuple, nullptr};
+      const bool want = e->EvalBool(ctx);
+      EXPECT_EQ(p.EvalBool(ctx), want)
+          << "expr: " << e->ToString() << " tuple " << batch[i].ToString();
+      EXPECT_EQ(matches.Test(i), want)
+          << "batch, expr: " << e->ToString() << " tuple " << i << " of "
+          << n;
+      EXPECT_EQ(gated.Test(i), want && batch[i].membership.Test(slot))
+          << "gated, expr: " << e->ToString() << " tuple " << i << " of "
+          << n;
     }
   }
 }

@@ -113,6 +113,28 @@ TEST(StreamEngineTest, IngressRejectsBadTuples) {
                         "C")
                     .ok());
     ASSERT_TRUE(engine.AddQueryText("SELECT * FROM CPU", "ALL").ok());
+    // Each of these aborted on a string or null value before ingress
+    // checked value types.
+    ASSERT_TRUE(engine
+                    .AddQueryText(
+                        "SELECT pid, SUM(load) FROM CPU [RANGE 10] GROUP BY pid",
+                        "SUM")
+                    .ok());
+    ASSERT_TRUE(engine
+                    .AddQueryText(
+                        "SELECT pid, MAX(load) FROM CPU [RANGE 10] GROUP BY pid",
+                        "MAX")
+                    .ok());
+    ASSERT_TRUE(
+        engine.AddQueryText("SELECT * FROM CPU WHERE pid + 1 > 5", "ARITH")
+            .ok());
+    ASSERT_TRUE(
+        engine.AddQueryText("SELECT * FROM CPU WHERE pid > 5", "CMP").ok());
+    ASSERT_TRUE(engine
+                    .RegisterSource("TAG", Schema({{"name", ValueType::kString},
+                                                   {"on", ValueType::kBool}}))
+                    .ok());
+    ASSERT_TRUE(engine.AddQueryText("SELECT * FROM TAG", "TAGS").ok());
     std::vector<std::string> seen;
     engine.SetOutputHandler([&](const std::string& q, const Tuple& t) {
       if (q == "ALL") seen.push_back(t.ToString());
@@ -143,13 +165,42 @@ TEST(StreamEngineTest, IngressRejectsBadTuples) {
                                Tuple::MakeInts({6, 2}, 11)};
     ASSERT_TRUE(engine.PushBatch("CPU", good).ok());
     EXPECT_TRUE(bad(engine.Push("CPU", Tuple::MakeInts({7, 1}, 10))));
+
+    // Int columns take ints and doubles, never strings, bools or nulls.
+    const Value seven(int64_t{7});
+    EXPECT_TRUE(bad(engine.Push("CPU", Tuple::Make({seven, Value("x")}, 12))));
+    EXPECT_TRUE(bad(engine.Push("CPU", Tuple::Make({seven, Value()}, 12))));
+    EXPECT_TRUE(bad(engine.Push("CPU", Tuple::Make({Value(), seven}, 12))));
+    EXPECT_TRUE(bad(engine.Push("CPU", Tuple::Make({seven, Value(true)}, 12))));
+    std::vector<Tuple> mistyped = {Tuple::Make({seven, Value(2.5)}, 12),
+                                   Tuple::Make({seven, Value("x")}, 13)};
+    EXPECT_TRUE(bad(engine.PushBatch("CPU", mistyped)));
+    // The rejected batch pushed nothing and left the last timestamp at 11.
+    const Tuple doubles = Tuple::Make({Value(8.0), Value(2.5)}, 11);
+    ASSERT_TRUE(engine.PushBatch("CPU", std::vector<Tuple>{doubles}).ok());
+
+    // String and bool columns take only their own type.
+    const Tuple tag = Tuple::Make({Value("a"), Value(true)}, 1);
+    ASSERT_TRUE(engine.Push("TAG", tag).ok());
+    EXPECT_TRUE(bad(engine.Push("TAG", Tuple::Make({seven, Value(true)}, 2))));
+    EXPECT_TRUE(bad(engine.Push("TAG", Tuple::Make({Value("a"), seven}, 2))));
+    EXPECT_TRUE(bad(engine.Push("TAG", Tuple::Make({Value("a"), Value()}, 2))));
+    std::vector<Tuple> mixed = {tag, Tuple::Make({Value(1.5), Value(true)}, 2)};
+    EXPECT_TRUE(bad(engine.PushBatch("TAG", mixed)));
+
     engine.Flush();
     EXPECT_EQ(seen, (std::vector<std::string>{
                         Tuple::MakeInts({1, 5}, 10).ToString(),
                         Tuple::MakeInts({2, 5}, 10).ToString(),
                         Tuple::MakeInts({6, 1}, 11).ToString(),
-                        Tuple::MakeInts({6, 2}, 11).ToString()}));
-    EXPECT_EQ(engine.OutputCount("C"), 4);
+                        Tuple::MakeInts({6, 2}, 11).ToString(),
+                        doubles.ToString()}));
+    EXPECT_EQ(engine.OutputCount("C"), 5);
+    EXPECT_EQ(engine.OutputCount("SUM"), 5);
+    EXPECT_EQ(engine.OutputCount("MAX"), 5);
+    EXPECT_EQ(engine.OutputCount("ARITH"), 3);
+    EXPECT_EQ(engine.OutputCount("CMP"), 3);
+    EXPECT_EQ(engine.OutputCount("TAGS"), 1);
   }
 }
 
