@@ -202,6 +202,7 @@ Status StreamEngine::AddQueryWithText(Query query, std::string text) {
   if (query.root == nullptr) {
     return Status::InvalidArgument("query has no body");
   }
+  RUMOR_RETURN_IF_ERROR(CheckQueryTypes(*query.root));
   if (FindQuery(query.name) >= 0) {
     return Status::AlreadyExists(
         StrCat("query '", query.name, "' already exists"));
@@ -564,6 +565,11 @@ Status StreamEngine::Checkpoint(std::string* out) const {
         w.Str(attr.name);
         w.U8(static_cast<uint8_t>(attr.type));
       }
+      Timestamp last_ts = std::numeric_limits<Timestamp>::min();
+      for (const IngressSource& in : source_ids_) {
+        if (in.name == src.name) last_ts = in.last_ts;
+      }
+      w.I64(last_ts);
     }
     builder.AddSection(SnapshotSection::kSources, w.Take());
   }
@@ -614,7 +620,8 @@ Status StreamEngine::Restore(std::string_view snapshot) {
   // Stage 1: decode and validate the whole snapshot before touching any
   // engine state — a corrupt snapshot must leave the engine fully usable.
   std::vector<SnapshotSectionView> sections;
-  RUMOR_RETURN_IF_ERROR(ParseSnapshot(snapshot, &sections));
+  uint32_t version = 0;
+  RUMOR_RETURN_IF_ERROR(ParseSnapshot(snapshot, &sections, &version));
   const SnapshotSectionView* engine_section = nullptr;
   const SnapshotSectionView* sources_section = nullptr;
   const SnapshotSectionView* queries_section = nullptr;
@@ -649,6 +656,8 @@ Status StreamEngine::Restore(std::string_view snapshot) {
   }
 
   std::vector<RegisteredSource> sources;
+  // The last timestamp pushed to each source (version 2 on).
+  std::vector<Timestamp> last_ts;
   {
     SnapshotReader r(sources_section->payload);
     uint32_t n = 0;
@@ -675,6 +684,9 @@ Status StreamEngine::Restore(std::string_view snapshot) {
       }
       src.schema = Schema(std::move(attributes));
       sources.push_back(std::move(src));
+      int64_t ts = std::numeric_limits<Timestamp>::min();
+      if (version >= 2) RUMOR_RETURN_IF_ERROR(r.I64(&ts));
+      last_ts.push_back(ts);
     }
   }
 
@@ -735,7 +747,13 @@ Status StreamEngine::Restore(std::string_view snapshot) {
     return st;
   }
 
-  // Stage 4: carry the observable counters across the crash.
+  // Stage 4: carry the observable counters and the ingress order across
+  // the crash.
+  for (IngressSource& in : source_ids_) {
+    for (size_t i = 0; i < sources_.size(); ++i) {
+      if (sources_[i].name == in.name) in.last_ts = last_ts[i];
+    }
+  }
   push_calls_.store(saved_push_calls, std::memory_order_relaxed);
   tuples_pushed_.store(saved_tuples, std::memory_order_relaxed);
   outputs_total_.store(saved_outputs, std::memory_order_relaxed);
@@ -832,17 +850,15 @@ EngineMetrics StreamEngine::CollectMetrics() const {
     // the control thread.
     em.latency = sharded_->merge_latency();
     // Per-m-op rows: sum every replica's counters by m-op id. Data-plane
-    // counters: sum each worker's published snapshot plus this (control)
+    // counters: add each worker's published snapshot to this (control)
     // thread's own, which pays for the ordered-merge decode.
-    DataPlaneCounters totals = DataPlaneCounters::Capture();
     int64_t deliveries = 0;
     for (const EngineMetrics::ShardRow& row : em.shard_rows) {
       if (row.shard > 0) AccumulateShardPlan(&em, sharded_->plan(row.shard));
-      totals += row.counters;
+      em.data_plane += row.counters;
       deliveries += row.deliveries;
     }
     em.deliveries = deliveries;
-    SetDataPlaneCounters(&em, totals);
   } else if (executor_ != nullptr) {
     em.latency = executor_->output_latency();
   }

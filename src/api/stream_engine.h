@@ -112,8 +112,9 @@ class StreamEngine {
   // a value does not fit its column (int and double columns take either
   // number, string and bool columns their own type, no column takes null),
   // or its timestamp is below the last one pushed to that source. The last
-  // timestamp is not part of a checkpoint: a restored engine accepts any
-  // first timestamp per source.
+  // timestamp is part of a checkpoint, so a restored engine rejects what
+  // the checkpointed one would (a version-1 snapshot carries none, and its
+  // restored engine accepts any first timestamp per source).
   Status Push(const std::string& source, const Tuple& tuple);
 
   // Pushes a run of consecutive tuples of one source in a single call.

@@ -30,9 +30,7 @@ struct Registry {
   std::unordered_map<std::string, Spec> sites;
 };
 
-// Fast path: sites armed right now. One relaxed load decides whether Hit
-// must take the registry mutex at all.
-std::atomic<int> g_armed{0};
+using internal::g_armed;
 
 Registry& registry() {
   static Registry* r = new Registry;
@@ -78,11 +76,11 @@ bool ParseSpec(std::string_view mode, Spec* out) {
   return false;
 }
 
-// Parses RUMOR_FAILPOINTS="a=after(3);b=prob(0.5,42)" into the registry.
+// Parses RUMOR_FAILPOINTS="a=after(3);b=prob(0.5,42)" into the registry and
+// replaces g_armed's kEnvUnread with the count of sites armed.
 void LoadFromEnv(Registry& r) {
   const char* env = std::getenv("RUMOR_FAILPOINTS");
-  if (env == nullptr || *env == '\0') return;
-  std::string_view rest(env);
+  std::string_view rest(env == nullptr ? "" : env);
   while (!rest.empty()) {
     const size_t semi = rest.find(';');
     std::string_view item =
@@ -94,8 +92,8 @@ void LoadFromEnv(Registry& r) {
     Spec spec;
     if (!ParseSpec(item.substr(eq + 1), &spec)) continue;
     r.sites[std::string(item.substr(0, eq))] = spec;
-    g_armed.fetch_add(1, std::memory_order_relaxed);
   }
+  g_armed.store(static_cast<int>(r.sites.size()), std::memory_order_relaxed);
 }
 
 std::once_flag g_env_once;
@@ -106,21 +104,14 @@ void EnsureEnvLoaded(Registry& r) {
 
 }  // namespace
 
-bool Hit(const char* site) {
-  if (g_armed.load(std::memory_order_relaxed) == 0) {
-    // Nothing armed programmatically yet — but the environment may arm
-    // sites; load it once so env-only runs work without any Set call.
-    static const bool env_checked = [] {
-      Registry& r = registry();
-      std::lock_guard<std::mutex> lock(r.mu);
-      EnsureEnvLoaded(r);
-      return true;
-    }();
-    (void)env_checked;
-    if (g_armed.load(std::memory_order_relaxed) == 0) return false;
-  }
+namespace internal {
+
+std::atomic<int> g_armed{kEnvUnread};
+
+bool HitSlow(const char* site) {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
+  EnsureEnvLoaded(r);
   auto it = r.sites.find(site);
   if (it == r.sites.end()) return false;
   Spec& spec = it->second;
@@ -141,6 +132,8 @@ bool Hit(const char* site) {
   }
   return false;
 }
+
+}  // namespace internal
 
 bool Set(const std::string& site, const std::string& mode) {
   Registry& r = registry();

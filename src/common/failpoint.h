@@ -19,13 +19,17 @@
 //                    seed always yields the same firing pattern)
 //
 // Environment activation: RUMOR_FAILPOINTS="site=mode;site2=mode2" is read
-// once on first use. Programmatic Set/Clear override the environment.
+// once, at the first hit or the first Set/Clear. Programmatic Set/Clear
+// override the environment.
 //
-// Cost: one relaxed atomic load per hit while no site is armed; compiled
-// out entirely (constant false, zero code) by -DRUMOR_FAILPOINTS=OFF.
+// Cost: one inlined relaxed atomic load and compare per hit while no site is
+// armed (the out-of-line call happens only while a site is armed, or before
+// the environment has been read); compiled out entirely (constant false,
+// zero code) by -DRUMOR_FAILPOINTS=OFF.
 #ifndef RUMOR_COMMON_FAILPOINT_H_
 #define RUMOR_COMMON_FAILPOINT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 
@@ -38,8 +42,19 @@ namespace failpoint {
 
 #if RUMOR_FAILPOINTS_ENABLED
 
+namespace internal {
+// Sites armed right now, or kEnvUnread until RUMOR_FAILPOINTS has been read.
+inline constexpr int kEnvUnread = -1;
+extern std::atomic<int> g_armed;
+// The armed (or environment-unread) path of Hit.
+bool HitSlow(const char* site);
+}  // namespace internal
+
 // True if the armed trigger for `site` fires on this hit. Thread-safe.
-bool Hit(const char* site);
+inline bool Hit(const char* site) {
+  return internal::g_armed.load(std::memory_order_relaxed) != 0 &&
+         internal::HitSlow(site);
+}
 
 // Arms `site` with a mode string (see file comment). Returns false on an
 // unparsable mode. Overrides any environment-armed mode for the site.

@@ -196,7 +196,8 @@ void SnapshotBuilder::AddSection(SnapshotSection id, std::string payload) {
 }
 
 Status ParseSnapshot(std::string_view bytes,
-                     std::vector<SnapshotSectionView>* out) {
+                     std::vector<SnapshotSectionView>* out,
+                     uint32_t* version_out) {
   constexpr size_t kHeaderSize = sizeof(kSnapshotMagic) + 4;
   if (bytes.size() < kHeaderSize) {
     return Status::InvalidArgument(
@@ -211,10 +212,10 @@ Status ParseSnapshot(std::string_view bytes,
   SnapshotReader header(bytes.substr(sizeof(kSnapshotMagic), 4));
   uint32_t version = 0;
   RUMOR_RETURN_IF_ERROR(header.U32(&version));
-  if (version != kSnapshotVersion) {
+  if (version < 1 || version > kSnapshotVersion) {
     return Status::InvalidArgument(
         StrCat("snapshot format version ", version, " is not supported (",
-               "this build reads version ", kSnapshotVersion, ")"));
+               "this build reads versions 1 to ", kSnapshotVersion, ")"));
   }
 
   std::vector<SnapshotSectionView> sections;
@@ -250,6 +251,7 @@ Status ParseSnapshot(std::string_view bytes,
     pos += len;
   }
   *out = std::move(sections);
+  if (version_out != nullptr) *version_out = version;
   return Status::OK();
 }
 

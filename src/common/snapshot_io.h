@@ -32,12 +32,14 @@ uint32_t Crc32(std::string_view bytes);
 
 inline constexpr char kSnapshotMagic[8] = {'R', 'U', 'M', 'R',
                                            'S', 'N', 'A', 'P'};
-inline constexpr uint32_t kSnapshotVersion = 1;
+// Version 2 adds each source's last pushed timestamp to kSources; version 1
+// snapshots still parse and restore, without timestamps.
+inline constexpr uint32_t kSnapshotVersion = 2;
 
 // Well-known section ids of the engine snapshot.
 enum class SnapshotSection : uint32_t {
   kEngine = 1,   // counters, shard layout of the checkpoint
-  kSources = 2,  // registered source streams (name, schema, label)
+  kSources = 2,  // registered source streams (name, schema, label, last ts)
   kQueries = 3,  // live query set (name, RQL text) in add order
   kState = 4,    // per-m-op operator state; one section per shard
 };
@@ -108,11 +110,13 @@ struct SnapshotSectionView {
 };
 
 // Validates the header, every section frame, and every section CRC. On
-// success fills `out` with views into `bytes` (which must outlive them).
+// success fills `out` with views into `bytes` (which must outlive them) and
+// `version` (when non-null) with the format version, 1 to kSnapshotVersion.
 // Any malformed byte — bad magic, unknown version, truncated frame,
 // checksum mismatch — yields a descriptive error and an untouched `out`.
 Status ParseSnapshot(std::string_view bytes,
-                     std::vector<SnapshotSectionView>* out);
+                     std::vector<SnapshotSectionView>* out,
+                     uint32_t* version = nullptr);
 
 // --- file IO ------------------------------------------------------------------
 // Whole-file read/write used by CheckpointToFile/RestoreFromFile. Both are

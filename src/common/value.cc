@@ -117,35 +117,39 @@ bool BothInt(const Value& a, const Value& b) {
   return a.type() == ValueType::kInt && b.type() == ValueType::kInt;
 }
 
+bool BothNumeric(const Value& a, const Value& b) {
+  return a.IsNumeric() && b.IsNumeric();
+}
+
 }  // namespace
 
 Value ValueAdd(const Value& a, const Value& b) {
-  if (BothInt(a, b)) return Value(a.AsInt() + b.AsInt());
+  if (BothInt(a, b)) return Value(WrappingAdd(a.AsInt(), b.AsInt()));
+  if (!BothNumeric(a, b)) return Value();
   return Value(a.ToNumeric() + b.ToNumeric());
 }
 
 Value ValueSub(const Value& a, const Value& b) {
-  if (BothInt(a, b)) return Value(a.AsInt() - b.AsInt());
+  if (BothInt(a, b)) return Value(WrappingSub(a.AsInt(), b.AsInt()));
+  if (!BothNumeric(a, b)) return Value();
   return Value(a.ToNumeric() - b.ToNumeric());
 }
 
 Value ValueMul(const Value& a, const Value& b) {
-  if (BothInt(a, b)) return Value(a.AsInt() * b.AsInt());
+  if (BothInt(a, b)) return Value(WrappingMul(a.AsInt(), b.AsInt()));
+  if (!BothNumeric(a, b)) return Value();
   return Value(a.ToNumeric() * b.ToNumeric());
 }
 
 Value ValueDiv(const Value& a, const Value& b) {
-  if (BothInt(a, b)) {
-    RUMOR_CHECK(b.AsInt() != 0) << "integer division by zero";
-    return Value(a.AsInt() / b.AsInt());
-  }
+  if (!BothNumeric(a, b) || b.ToNumeric() == 0.0) return Value();
+  if (BothInt(a, b)) return Value(WrappingDiv(a.AsInt(), b.AsInt()));
   return Value(a.ToNumeric() / b.ToNumeric());
 }
 
 Value ValueMod(const Value& a, const Value& b) {
-  RUMOR_CHECK(BothInt(a, b)) << "modulo requires integer operands";
-  RUMOR_CHECK(b.AsInt() != 0) << "modulo by zero";
-  return Value(a.AsInt() % b.AsInt());
+  if (!BothInt(a, b) || b.AsInt() == 0) return Value();
+  return Value(WrappingMod(a.AsInt(), b.AsInt()));
 }
 
 }  // namespace rumor

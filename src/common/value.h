@@ -150,8 +150,30 @@ static_assert(sizeof(Value) <= 16, "Value must stay a compact 16 bytes");
 static_assert(std::is_trivially_copyable_v<Value>);
 static_assert(std::is_trivially_destructible_v<Value>);
 
+// int64 arithmetic wraps in two's complement (signed overflow is otherwise
+// undefined): INT64_MIN / -1 is INT64_MIN and INT64_MIN % -1 is 0. The
+// divisor of WrappingDiv and WrappingMod is not zero.
+inline int64_t WrappingAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+inline int64_t WrappingSub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+}
+inline int64_t WrappingMul(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) *
+                              static_cast<uint64_t>(b));
+}
+inline int64_t WrappingDiv(int64_t a, int64_t b) {
+  return b == -1 ? WrappingSub(0, a) : a / b;
+}
+inline int64_t WrappingMod(int64_t a, int64_t b) { return b == -1 ? 0 : a % b; }
+
 // Arithmetic on values with numeric promotion. Integer op integer stays
-// integer (division by zero CHECKs); any double operand promotes to double.
+// integer and wraps; any double operand promotes to double. A null or
+// string operand, a zero divisor of / or %, and a non-int operand of %
+// yield null.
 Value ValueAdd(const Value& a, const Value& b);
 Value ValueSub(const Value& a, const Value& b);
 Value ValueMul(const Value& a, const Value& b);

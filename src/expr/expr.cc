@@ -3,6 +3,7 @@
 #include <sstream>
 
 #include "common/hash.h"
+#include "common/str_util.h"
 
 namespace rumor {
 
@@ -141,6 +142,7 @@ Value Expr::Eval(const ExprContext& ctx) const {
     case ExprKind::kCmp: {
       Value l = children_[0]->Eval(ctx);
       Value r = children_[1]->Eval(ctx);
+      if (l.is_null() || r.is_null()) return Value(false);
       int c = l.Compare(r);
       switch (cmp_op_) {
         case CmpOp::kEq: return Value(c == 0);
@@ -166,6 +168,7 @@ Value Expr::Eval(const ExprContext& ctx) const {
 
 bool Expr::EvalBool(const ExprContext& ctx) const {
   Value v = Eval(ctx);
+  if (v.is_null()) return false;
   RUMOR_CHECK(v.type() == ValueType::kBool)
       << "predicate did not evaluate to bool: " << ToString();
   return v.AsBool();
@@ -256,6 +259,38 @@ ValueType Expr::InferType(const Schema& left, const Schema* right) const {
       return ValueType::kBool;
   }
   return ValueType::kNull;
+}
+
+Status Expr::CheckTypes(const Schema& left, const Schema* right,
+                        bool predicate) const {
+  if (kind_ == ExprKind::kAttr || kind_ == ExprKind::kTs) {
+    const Schema* s = side_ == Side::kLeft ? &left : right;
+    if (s == nullptr ||
+        (kind_ == ExprKind::kAttr &&
+         (attr_index_ < 0 || attr_index_ >= s->size()))) {
+      return Status::InvalidArgument(
+          StrCat("no attribute ", ToString(), " on its side"));
+    }
+  }
+  for (const ExprPtr& c : children_) {
+    RUMOR_RETURN_IF_ERROR(c->CheckTypes(left, right, /*predicate=*/false));
+    const ValueType t = c->InferType(left, right);
+    if (kind_ == ExprKind::kArith && t == ValueType::kString) {
+      return Status::InvalidArgument(
+          StrCat("string operand of arithmetic in ", ToString()));
+    }
+    if ((kind_ == ExprKind::kAnd || kind_ == ExprKind::kOr ||
+         kind_ == ExprKind::kNot) &&
+        t != ValueType::kBool) {
+      return Status::InvalidArgument(
+          StrCat("non-boolean operand ", c->ToString(), " in ", ToString()));
+    }
+  }
+  if (predicate && InferType(left, right) != ValueType::kBool) {
+    return Status::InvalidArgument(
+        StrCat("predicate ", ToString(), " is not boolean"));
+  }
+  return Status::OK();
 }
 
 std::string Expr::ToString() const {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/schema.h"
+#include "common/status.h"
 #include "common/tuple.h"
 #include "common/value.h"
 
@@ -79,7 +80,8 @@ class Expr {
   // Tree-walking evaluation (the reference semantics; see Program for the
   // compiled form used on hot paths). AND/OR short-circuit.
   Value Eval(const ExprContext& ctx) const;
-  // Evaluates and coerces to bool; non-bool results CHECK.
+  // Evaluates and coerces to bool: null reads as false, other non-bool
+  // results CHECK (CheckTypes rules them out).
   bool EvalBool(const ExprContext& ctx) const;
 
   // --- structure -----------------------------------------------------------
@@ -90,6 +92,12 @@ class Expr {
   uint64_t Signature() const { return signature_; }
   // Result type given the input schemas (`right` may be null).
   ValueType InferType(const Schema& left, const Schema* right) const;
+  // What makes the expression safe to run over (left, right): every
+  // attribute exists, arithmetic takes no string operand, AND, OR and NOT
+  // take boolean operands, and with `predicate` the result is boolean.
+  // InvalidArgument names the first violation.
+  Status CheckTypes(const Schema& left, const Schema* right,
+                    bool predicate) const;
   // e.g. "(l.a0 = 5 AND r.a1 > l.a2)".
   std::string ToString() const;
 

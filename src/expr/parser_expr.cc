@@ -1,6 +1,9 @@
 #include "expr/parser_expr.h"
 
 #include <cctype>
+#include <cerrno>
+#include <charconv>
+#include <cstdlib>
 
 #include "common/str_util.h"
 
@@ -60,12 +63,22 @@ Result<std::vector<Token>> Tokenize(const std::string& text) {
         while (j < n && std::isdigit(static_cast<unsigned char>(text[j]))) ++j;
       }
       std::string num = text.substr(i, j - i);
+      bool in_range;
       if (is_float) {
         tok.kind = TokenKind::kFloat;
-        tok.float_value = std::stod(num);
+        errno = 0;
+        tok.float_value = std::strtod(num.c_str(), nullptr);
+        in_range = errno != ERANGE;
       } else {
         tok.kind = TokenKind::kInt;
-        tok.int_value = std::stoll(num);
+        in_range = std::from_chars(num.data(), num.data() + num.size(),
+                                   tok.int_value)
+                       .ec == std::errc();
+      }
+      if (!in_range) {
+        return Status::InvalidArgument(
+            StrCat("literal ", num, " at offset ", i, " is out of the ",
+                   is_float ? "double" : "int64", " range"));
       }
       tok.text = num;
       i = j;

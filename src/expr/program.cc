@@ -224,7 +224,8 @@ Value Program::EvalGeneric(const ExprContext& ctx,
       }
       case OpCode::kJumpIfFalsePeek: {
         RUMOR_DCHECK(!st.empty());
-        const Value& top = st.back();
+        Value& top = st.back();
+        if (top.is_null()) top = Value(false);  // null reads as false
         RUMOR_CHECK(top.type() == ValueType::kBool);
         if (!top.AsBool()) {
           pc = static_cast<size_t>(ins.arg);
@@ -236,7 +237,8 @@ Value Program::EvalGeneric(const ExprContext& ctx,
       }
       case OpCode::kJumpIfTruePeek: {
         RUMOR_DCHECK(!st.empty());
-        const Value& top = st.back();
+        Value& top = st.back();
+        if (top.is_null()) top = Value(false);
         RUMOR_CHECK(top.type() == ValueType::kBool);
         if (top.AsBool()) {
           pc = static_cast<size_t>(ins.arg);
@@ -250,6 +252,7 @@ Value Program::EvalGeneric(const ExprContext& ctx,
         RUMOR_DCHECK(!st.empty());
         Value v = st.back();
         st.pop_back();
+        if (v.is_null()) v = Value(false);
         RUMOR_CHECK(v.type() == ValueType::kBool);
         st.push_back(Value(!v.AsBool()));
         ++pc;
@@ -261,6 +264,12 @@ Value Program::EvalGeneric(const ExprContext& ctx,
         st.pop_back();
         Value a = st.back();
         st.pop_back();
+        if (ins.op >= OpCode::kEq && ins.op <= OpCode::kGe &&
+            (a.is_null() || b.is_null())) {
+          st.push_back(Value(false));  // a comparison with null is false
+          ++pc;
+          break;
+        }
         switch (ins.op) {
           case OpCode::kAdd: st.push_back(ValueAdd(a, b)); break;
           case OpCode::kSub: st.push_back(ValueSub(a, b)); break;
@@ -287,6 +296,7 @@ Value Program::EvalGeneric(const ExprContext& ctx,
 bool Program::EvalBoolGeneric(const ExprContext& ctx) const {
   RUMOR_METRIC(++internal::tl_program_counters.generic);
   Value v = EvalGeneric(ctx, ThreadScratch());
+  if (v.is_null()) return false;
   RUMOR_CHECK(v.type() == ValueType::kBool) << "program result not bool";
   return v.AsBool();
 }
@@ -347,18 +357,17 @@ bool Program::EvalBoolTyped(const Tuple* left, const Tuple* right,
       default: {
         const int64_t b = st[--sp];
         int64_t& a = st[sp - 1];
+        if ((ins.op == OpCode::kDiv || ins.op == OpCode::kMod) && b == 0) {
+          // The result is null: the generic evaluator decides.
+          RUMOR_METRIC(++internal::tl_program_counters.typed_fallbacks);
+          return false;
+        }
         switch (ins.op) {
-          case OpCode::kAdd: a = a + b; break;
-          case OpCode::kSub: a = a - b; break;
-          case OpCode::kMul: a = a * b; break;
-          case OpCode::kDiv:
-            RUMOR_CHECK(b != 0) << "integer division by zero";
-            a = a / b;
-            break;
-          case OpCode::kMod:
-            RUMOR_CHECK(b != 0) << "modulo by zero";
-            a = a % b;
-            break;
+          case OpCode::kAdd: a = WrappingAdd(a, b); break;
+          case OpCode::kSub: a = WrappingSub(a, b); break;
+          case OpCode::kMul: a = WrappingMul(a, b); break;
+          case OpCode::kDiv: a = WrappingDiv(a, b); break;
+          case OpCode::kMod: a = WrappingMod(a, b); break;
           case OpCode::kEq: a = a == b ? 1 : 0; break;
           case OpCode::kNe: a = a != b ? 1 : 0; break;
           case OpCode::kLt: a = a < b ? 1 : 0; break;

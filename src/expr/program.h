@@ -14,8 +14,9 @@
 //    boolean over int attributes and int/bool constants (type-simulated at
 //    compile time), EvalBool runs on a raw int64 stack with no Value
 //    boxing. A per-attribute runtime tag check guards the proof (the shape
-//    analysis cannot see schemas); a non-int attribute falls back to the
-//    generic evaluator for that tuple, so semantics are byte-identical.
+//    analysis cannot see schemas); a non-int attribute or a zero divisor
+//    falls back to the generic evaluator for that tuple, so semantics are
+//    byte-identical.
 //  * fused single-comparison — programs of the shape `attr <op> const-int`
 //    skip interpreter dispatch entirely in EvalBool and EvalBoolBatch.
 //    `fused()` exposes that form, so a predicate index can store it inline
@@ -40,7 +41,8 @@ namespace rumor {
 // every Program on the thread (Programs are immutable and shared, so the
 // counters live beside the thread's EvalScratch rather than in the Program).
 // `typed_fallbacks` counts typed evaluations that bailed to the generic
-// evaluator on a non-int attribute (those evals are also in `generic`).
+// evaluator on a non-int attribute or a zero divisor (those evals are also
+// in `generic`).
 struct ProgramCounters {
   int64_t fused = 0;    // fused attr-op-const comparisons
   int64_t typed = 0;    // int64-register evaluations that completed
@@ -114,9 +116,10 @@ class Program {
   // Convenience overload borrowing a thread_local scratch.
   Value Eval(const ExprContext& ctx) const;
 
-  // Evaluates and coerces to bool (CHECKs on non-bool results). Takes the
-  // fused-comparison or typed int register path when the program is
-  // int-specialized and the referenced attributes are ints at runtime.
+  // Evaluates and coerces to bool (null reads as false; other non-bool
+  // results CHECK). Takes the fused-comparison or typed int register path
+  // when the program is int-specialized and the referenced attributes are
+  // ints at runtime.
   bool EvalBool(const ExprContext& ctx) const {
     if (fused_) {
       const Value& v = ctx.left->at(fused_->attr);
@@ -138,7 +141,7 @@ class Program {
                      BitVector& matches) const;
   // As above, but tuples whose membership bit `slot` is unset are skipped
   // (bit stays 0) without evaluating — exactly the per-tuple gating of the
-  // scalar m-op paths, so evaluation side effects (division CHECKs) match.
+  // scalar m-op paths.
   void EvalBoolBatchGated(const ChannelTuple* tuples, size_t n, int slot,
                           BitVector& matches) const;
 

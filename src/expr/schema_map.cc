@@ -56,10 +56,14 @@ Schema SchemaMap::OutputSchema(const Schema& left, const Schema* right) const {
   return Schema(std::move(attrs));
 }
 
-Tuple SchemaMap::Apply(const ExprContext& ctx, Timestamp ts) const {
+std::optional<Tuple> SchemaMap::Apply(const ExprContext& ctx,
+                                      Timestamp ts) const {
   std::vector<Value> values;
   values.reserve(exprs_.size());
-  for (const ExprPtr& e : exprs_) values.push_back(e->Eval(ctx));
+  for (const ExprPtr& e : exprs_) {
+    values.push_back(e->Eval(ctx));
+    if (values.back().is_null()) return std::nullopt;
+  }
   return Tuple::Make(std::move(values), ts);
 }
 

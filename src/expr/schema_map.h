@@ -5,6 +5,7 @@
 #ifndef RUMOR_EXPR_SCHEMA_MAP_H_
 #define RUMOR_EXPR_SCHEMA_MAP_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -40,8 +41,9 @@ class SchemaMap {
   // Output schema given input schemas (`right` may be null).
   Schema OutputSchema(const Schema& left, const Schema* right = nullptr) const;
 
-  // Applies the map; output timestamp is `ts`.
-  Tuple Apply(const ExprContext& ctx, Timestamp ts) const;
+  // Applies the map; output timestamp is `ts`. Returns nothing when a value
+  // is null (e.g. a division by zero): a projection drops that tuple.
+  std::optional<Tuple> Apply(const ExprContext& ctx, Timestamp ts) const;
 
   // Definition identity (used by m-rules).
   bool Equals(const SchemaMap& other) const;

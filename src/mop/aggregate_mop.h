@@ -1,6 +1,7 @@
 // Sliding-window aggregation m-ops, in three sharing modes:
 //
-//  * kIsolated  — reference: every member keeps its own window state.
+//  * kIsolated  — the compile output for one logical α, and the reference
+//    the merged modes are tested against (one per member): one member.
 //  * kShared    — target of rule sα [Zhang 05]: members read the same
 //    stream with the same aggregate function/attribute but possibly
 //    different group-by specifications and window lengths; one shared entry
@@ -15,7 +16,6 @@
 #ifndef RUMOR_MOP_AGGREGATE_MOP_H_
 #define RUMOR_MOP_AGGREGATE_MOP_H_
 
-#include <memory>
 #include <vector>
 
 #include "mop/mop.h"
@@ -47,8 +47,8 @@ class AggregateMop : public Mop {
   // --- dynamic membership (online query churn) -------------------------------
   // True if `m` can be absorbed as a new member without disturbing warm
   // state: per-member-ports output, same fn/attr/input_slot, and this m-op
-  // is either the sα target or a lone isolated member (which converts to an
-  // sα target in place, reusing its warm engine).
+  // is either the sα target or an isolated α (which converts to an sα target
+  // in place, reusing its warm engine).
   bool CanAttach(const Member& m) const;
   // Absorbs `m` (CanAttach must hold), backfilling its state from the
   // retained log. A deactivated member slot is reused when one exists —
@@ -66,17 +66,10 @@ class AggregateMop : public Mop {
   bool DeactivateMember(int i) override;
   bool member_active(int i) const override;
 
-  // Size of the shared entry log (for tests/ablation; isolated mode sums
-  // per-member logs).
-  size_t log_size() const;
+  // Size of the entry log (for tests/ablation).
+  size_t log_size() const { return engine_.log_size(); }
 
-  int64_t StateBytes() const override {
-    int64_t b = 0;
-    for (const auto& engine : engines_) {
-      if (engine != nullptr) b += engine->ApproxBytes();
-    }
-    return b;
-  }
+  int64_t StateBytes() const override { return engine_.ApproxBytes(); }
 
   void Process(int input_port, const ChannelTuple& tuple,
                Emitter& out) override;
@@ -92,6 +85,9 @@ class AggregateMop : public Mop {
 
  private:
   static MopType TypeFor(Sharing sharing);
+  // Checks the members against `sharing` and returns their specs.
+  static std::vector<AggMemberSpec> SpecsOf(const std::vector<Member>& members,
+                                            Sharing sharing);
 
   void ProcessOne(const ChannelTuple& tuple, Emitter& out);
   void EmitResult(Emitter& out, int member, Tuple result);
@@ -99,9 +95,7 @@ class AggregateMop : public Mop {
   std::vector<Member> members_;
   Sharing sharing_;
   OutputMode mode_;
-  // kIsolated: one single-member engine per member; otherwise one shared
-  // engine for all members.
-  std::vector<std::unique_ptr<SharedAggEngine>> engines_;
+  SharedAggEngine engine_;
 };
 
 }  // namespace rumor

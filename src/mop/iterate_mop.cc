@@ -29,12 +29,9 @@ IterateMop::IterateMop(std::vector<Member> members, Sharing sharing,
           << "cµ members must have identical definitions";
     }
   }
-  const size_t stores = sharing == Sharing::kIsolated ? members_.size() : 1;
-  for (size_t k = 0; k < stores; ++k) {
-    match_programs_.push_back(Program::Compile(members_[k].def.match));
-    rebind_programs_.push_back(Program::Compile(members_[k].def.rebind));
-    AddStore(AnalyzeJoin(members_[k].def.match));
-  }
+  match_program_ = Program::Compile(first.match);
+  rebind_program_ = Program::Compile(first.rebind);
+  SetShape(AnalyzeJoin(first.match));
 }
 
 Tuple IterateMop::MakeInitialConcat(const Tuple& start,
@@ -56,24 +53,23 @@ Tuple IterateMop::MakeInitialConcat(const Tuple& start,
 void IterateMop::Process(int input_port, const ChannelTuple& ct,
                          Emitter& out) {
   if (input_port == 0) {
-    StartInstances(ct, [&](int k) {
-      return MakeInitialConcat(ct.tuple, members_[k].def);
-    });
+    StartInstance(
+        ct, [&] { return MakeInitialConcat(ct.tuple, members_[0].def); });
     return;
   }
   RUMOR_DCHECK(input_port == 1);
   const Tuple& e = ct.tuple;
-  ForCandidates(ct, [&](int k, Store& store, int64_t abs, auto& slot) {
+  ForCandidates(ct, [&](Store& store, int64_t abs, auto& slot) {
     Instance& inst = slot.item;
     if (slot.ts >= e.ts()) return;  // start must precede the event
     ExprContext ctx{&inst.tuple, &e};
-    if (!match_programs_[k].EvalBool(ctx)) return;  // irrelevant event
-    if (!rebind_programs_[k].EvalBool(ctx)) {
+    if (!match_program_.EvalBool(ctx)) return;  // irrelevant event
+    if (!rebind_program_.EvalBool(ctx)) {
       store.Kill(abs);  // run broken
       return;
     }
     // Rebind: replace the last-part with the event, emit the new concat.
-    const IterateDef& def = members_[k].def;
+    const IterateDef& def = members_[0].def;
     std::vector<Value> values;
     values.reserve(def.left_size + def.right_size);
     for (int a = 0; a < def.left_size; ++a) {
@@ -81,7 +77,7 @@ void IterateMop::Process(int input_port, const ChannelTuple& ct,
     }
     values.insert(values.end(), e.values().begin(), e.values().end());
     Tuple updated = Tuple::Make(std::move(values), e.ts());
-    EmitCounted(mode_, Recipients(k, slot, e.ts()), updated, out);
+    EmitCounted(mode_, Recipients(slot, e.ts()), updated, out);
     inst.tuple = std::move(updated);
   });
 }

@@ -83,8 +83,8 @@ class IterateMop : public PatternMop {
   static Tuple MakeInitialConcat(const Tuple& start, const IterateDef& def);
 
   std::vector<Member> members_;
-  std::vector<Program> match_programs_;   // per store
-  std::vector<Program> rebind_programs_;  // per store
+  Program match_program_;   // the match predicate every member shares
+  Program rebind_program_;  // the rebind predicate every member shares
 };
 
 }  // namespace rumor

@@ -25,18 +25,15 @@ JoinMop::JoinMop(std::vector<Member> members, Sharing sharing,
       sharing_(sharing),
       mode_(mode) {
   RUMOR_CHECK(!members_.empty());
+  RUMOR_CHECK(sharing_ != Sharing::kIsolated || members_.size() == 1)
+      << "an isolated ⋈ has one member";
   const Member& first = members_[0];
-
-  if (sharing_ == Sharing::kIsolated) {
-    for (const Member& m : members_) {
-      programs_.push_back(Program::Compile(m.def.predicate));
-      shapes_.push_back(AnalyzeJoin(m.def.predicate));
-      bool idx = !shapes_.back().equi.empty();
-      states_.push_back(std::make_unique<MemberState>(idx));
-    }
-    indexed_ = !shapes_[0].equi.empty();
-    return;
-  }
+  program_ = Program::Compile(first.def.predicate);
+  shape_ = AnalyzeJoin(first.def.predicate);
+  indexed_ = !shape_.equi.empty();
+  left_ = KeyedBuffer<StoredTuple>(indexed_);
+  right_ = KeyedBuffer<StoredTuple>(indexed_);
+  if (sharing_ == Sharing::kIsolated) return;
 
   // Shared modes: one predicate, one state.
   std::vector<int64_t> left_windows, right_windows;
@@ -57,10 +54,6 @@ JoinMop::JoinMop(std::vector<Member> members, Sharing sharing,
     left_windows.push_back(m.def.left_window);
     right_windows.push_back(m.def.right_window);
   }
-  program_ = Program::Compile(first.def.predicate);
-  shape_ = AnalyzeJoin(first.def.predicate);
-  indexed_ = !shape_.equi.empty();
-  states_.push_back(std::make_unique<MemberState>(indexed_));
   left_routing_ = WindowRouting(std::move(left_windows));
   right_routing_ = WindowRouting(std::move(right_windows));
 }
@@ -79,15 +72,11 @@ bool JoinMop::SaveState(MopState* out) const {
   // every member wholesale; c⋈ slots belong to the members in their stored
   // membership.
   out->member_filtered = sharing_ == Sharing::kPrecision;
-  out->left.clear();
-  out->right.clear();
-  for (const auto& state : states_) {
-    const auto tuple_of = [](const StoredTuple& st) -> const Tuple& {
-      return st.tuple;
-    };
-    out->left.push_back(ExtractLiveSlots(state->left, tuple_of));
-    out->right.push_back(ExtractLiveSlots(state->right, tuple_of));
-  }
+  const auto tuple_of = [](const StoredTuple& st) -> const Tuple& {
+    return st.tuple;
+  };
+  out->left = {ExtractLiveSlots(left_, tuple_of)};
+  out->right = {ExtractLiveSlots(right_, tuple_of)};
   return true;
 }
 
@@ -103,39 +92,34 @@ Status JoinMop::LoadState(const MopState& src, const MopStateBinding& binding) {
       binding.input_capacities.size() < 2) {
     return Status::Internal("join state binding size mismatch");
   }
-  // Loads one state (a member's, or the s⋈ m-op's one) from `source`. The
+  // The isolated member's buffers, or the s⋈ m-op's shared ones. The
   // stored membership is the one the live path would store: the tuple's
   // slot on the restored input channel (inert unless a later batch
   // re-optimize ever precision-merges this m-op). A source buffer can hold
   // tuples outside the restored windows (another saved member's window was
   // wider); that superset is harmless, as ExpireBefore runs ahead of every
   // probe.
-  auto load = [&](MemberState& st, const Member& m, BufferSource source) {
-    const BitVector left_membership =
-        BitVector::Singleton(m.left_slot, binding.input_capacities[0]);
-    const BitVector right_membership =
-        BitVector::Singleton(m.right_slot, binding.input_capacities[1]);
-    RUMOR_RETURN_IF_ERROR(LoadSlots(
-        src.left, source, &st.left, [&](const BufferSlotState& slot) {
-          return StoredTuple{Tuple::Make(slot.tuple.values, slot.tuple.ts),
-                             left_membership};
-        }));
-    return LoadSlots(
-        src.right, source, &st.right, [&](const BufferSlotState& slot) {
-          return StoredTuple{Tuple::Make(slot.tuple.values, slot.tuple.ts),
-                             right_membership};
-        });
-  };
+  BufferSource source;
   if (sharing_ == Sharing::kShared) {
-    BufferSource source;
     RUMOR_RETURN_IF_ERROR(SharedBufferSource(src, binding, &source));
-    return load(*states_[0], members_[0], source);
+  } else {
+    source = BufferSourceOf(src, binding.saved_slot[0]);
   }
-  for (int r = 0; r < num_members(); ++r) {
-    RUMOR_RETURN_IF_ERROR(load(*states_[r], members_[r],
-                               BufferSourceOf(src, binding.saved_slot[r])));
-  }
-  return Status::OK();
+  const Member& m = members_[0];
+  const BitVector left_membership =
+      BitVector::Singleton(m.left_slot, binding.input_capacities[0]);
+  const BitVector right_membership =
+      BitVector::Singleton(m.right_slot, binding.input_capacities[1]);
+  RUMOR_RETURN_IF_ERROR(
+      LoadSlots(src.left, source, &left_, [&](const BufferSlotState& slot) {
+        return StoredTuple{Tuple::Make(slot.tuple.values, slot.tuple.ts),
+                           left_membership};
+      }));
+  return LoadSlots(
+      src.right, source, &right_, [&](const BufferSlotState& slot) {
+        return StoredTuple{Tuple::Make(slot.tuple.values, slot.tuple.ts),
+                           right_membership};
+      });
 }
 
 void JoinMop::EmitMatch(const BitVector& members, const Tuple& left,
@@ -158,48 +142,38 @@ void JoinMop::ProcessIsolated(int port, const ChannelTuple& ct,
                               Emitter& out) {
   const bool from_left = port == 0;
   const Tuple& t = ct.tuple;
-  for (int i = 0; i < num_members(); ++i) {
-    const Member& m = members_[i];
-    const int slot = from_left ? m.left_slot : m.right_slot;
-    if (!ct.membership.Test(slot)) continue;
-    MemberState& st = *states_[i];
-    const JoinShape& shape = shapes_[i];
-    KeyedBuffer<StoredTuple>& store = from_left ? st.left : st.right;
-    KeyedBuffer<StoredTuple>& probe = from_left ? st.right : st.left;
-    // Partner tuples older than the window cannot match this or any later
-    // arrival (timestamps are non-decreasing).
-    const int64_t partner_window =
-        from_left ? m.def.right_window : m.def.left_window;
-    probe.ExpireBefore(t.ts() - partner_window);
+  const Member& m = members_[0];
+  if (!ct.membership.Test(from_left ? m.left_slot : m.right_slot)) return;
+  KeyedBuffer<StoredTuple>& store = from_left ? left_ : right_;
+  KeyedBuffer<StoredTuple>& probe = from_left ? right_ : left_;
+  // Partner tuples older than the window cannot match this or any later
+  // arrival (timestamps are non-decreasing).
+  probe.ExpireBefore(t.ts() -
+                     (from_left ? m.def.right_window : m.def.left_window));
 
-    Value probe_key, store_key;
-    const Value* probe_key_ptr = nullptr;
-    if (!shape.equi.empty()) {
-      const EquiPair& ep = shape.equi[0];
-      probe_key = t.at(from_left ? ep.left_attr : ep.right_attr);
-      store_key = probe_key;
-      probe_key_ptr = &probe_key;
-    }
-    BitVector self(num_members());
-    self.Set(i);
-    probe.ForCandidates(probe_key_ptr, [&](int64_t, auto& slot_ref) {
-      const Tuple& other = slot_ref.item.tuple;
-      const Tuple& l = from_left ? t : other;
-      const Tuple& r = from_left ? other : t;
-      ExprContext ctx{&l, &r};
-      if (programs_[i].EvalBool(ctx)) EmitMatch(self, l, r, out);
-    });
-    store.Add(StoredTuple{t, ct.membership}, store_key, t.ts());
+  Value key;
+  const Value* key_ptr = nullptr;
+  if (indexed_) {
+    const EquiPair& ep = shape_.equi[0];
+    key = t.at(from_left ? ep.left_attr : ep.right_attr);
+    key_ptr = &key;
   }
+  probe.ForCandidates(key_ptr, [&](int64_t, auto& slot_ref) {
+    const Tuple& other = slot_ref.item.tuple;
+    const Tuple& l = from_left ? t : other;
+    const Tuple& r = from_left ? other : t;
+    ExprContext ctx{&l, &r};
+    if (program_.EvalBool(ctx)) EmitMatch(only_member_, l, r, out);
+  });
+  store.Add(StoredTuple{t, ct.membership}, key, t.ts());
 }
 
 void JoinMop::ProcessSharedOrPrecision(int port, const ChannelTuple& ct,
                                        Emitter& out) {
   const bool from_left = port == 0;
   const Tuple& t = ct.tuple;
-  MemberState& st = *states_[0];
-  KeyedBuffer<StoredTuple>& store = from_left ? st.left : st.right;
-  KeyedBuffer<StoredTuple>& probe = from_left ? st.right : st.left;
+  KeyedBuffer<StoredTuple>& store = from_left ? left_ : right_;
+  KeyedBuffer<StoredTuple>& probe = from_left ? right_ : left_;
   probe.ExpireBefore((from_left ? right_routing_ : left_routing_)
                          .OldestKept(t.ts()));
 

@@ -1,6 +1,8 @@
 // Sliding-window join m-ops, in three sharing modes:
 //
-//  * kIsolated  — reference: per-member symmetric hash join state.
+//  * kIsolated  — the compile output for one logical ⋈, and the reference
+//    the merged modes are tested against (one per member): one member's
+//    symmetric hash join state.
 //  * kShared    — target of rule s⋈ [Hammad 03]: members read the same two
 //    streams with the same predicate but different window lengths; one
 //    shared state serves all members, and each match is routed to exactly
@@ -19,7 +21,6 @@
 #ifndef RUMOR_MOP_JOIN_MOP_H_
 #define RUMOR_MOP_JOIN_MOP_H_
 
-#include <memory>
 #include <vector>
 
 #include "expr/program.h"
@@ -85,12 +86,7 @@ class JoinMop : public Mop {
                    const MopStateBinding& binding) override;
 
   int64_t StateBytes() const override {
-    int64_t b = 0;
-    for (const auto& state : states_) {
-      if (state == nullptr) continue;
-      b += state->left.ApproxBytes() + state->right.ApproxBytes();
-    }
-    return b;
+    return left_.ApproxBytes() + right_.ApproxBytes();
   }
 
  private:
@@ -98,13 +94,9 @@ class JoinMop : public Mop {
     Tuple tuple;
     BitVector membership;  // meaningful for kPrecision
   };
-  struct MemberState {
-    KeyedBuffer<StoredTuple> left;
-    KeyedBuffer<StoredTuple> right;
-    explicit MemberState(bool indexed) : left(indexed), right(indexed) {}
-  };
 
   static MopType TypeFor(Sharing sharing);
+  // kIsolated: the one member's own expiry, probe and store.
   void ProcessIsolated(int port, const ChannelTuple& ct, Emitter& out);
   void ProcessSharedOrPrecision(int port, const ChannelTuple& ct,
                                 Emitter& out);
@@ -114,17 +106,17 @@ class JoinMop : public Mop {
   std::vector<Member> members_;
   Sharing sharing_;
   OutputMode mode_;
-  Program program_;                 // shared modes: the common predicate
-  std::vector<Program> programs_;   // isolated mode: per member
-  JoinShape shape_;                 // of members_[0] (shared modes)
-  std::vector<JoinShape> shapes_;   // isolated mode
+  Program program_;  // the predicate every member shares
+  JoinShape shape_;
   bool indexed_ = false;
-  // kIsolated: one state per member; shared modes: states_[0].
-  std::vector<std::unique_ptr<MemberState>> states_;
+  KeyedBuffer<StoredTuple> left_{false};
+  KeyedBuffer<StoredTuple> right_{false};
   // Shared modes: routing by member.left_window / member.right_window (c⋈
   // members' windows are equal; it reads only the expiry bound).
   WindowRouting left_routing_;
   WindowRouting right_routing_;
+  // kIsolated: the recipients of every match, {member 0}.
+  BitVector only_member_ = BitVector::Singleton(0, 1);
 };
 
 }  // namespace rumor

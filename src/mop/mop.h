@@ -2,9 +2,11 @@
 //
 // An m-op *implements a set of operators* (its members) and is the unit of
 // scheduling and execution. Its semantics are defined by the one-by-one
-// execution of its members; optimized m-ops (predicate indexes, shared
-// state) must preserve exactly that observable behaviour, and the test suite
-// checks them against the reference m-ops.
+// execution of its members. Compiling a query gives one unmerged m-op per
+// operator, with one member; only an m-rule builds an m-op with several.
+// Merged m-ops (predicate indexes, shared state, channels) must preserve
+// exactly the observable behaviour of one unmerged m-op per member, and the
+// test suite checks them against that reference.
 //
 // Port conventions used throughout this library:
 //  * Each m-op has a fixed number of input and output ports; the plan wires

@@ -62,9 +62,7 @@ struct AggMemberState {
 };
 
 // One SharedAggEngine: the shared window log plus per-member state.
-// `slots[i]` is the m-op member index engine-member i serves (so an
-// isolated AggregateMop's per-member engines and a shared engine serialize
-// through the same record).
+// `slots[i]` is the m-op member index engine-member i serves.
 struct AggEngineState {
   std::vector<int> slots;
   std::vector<AggLogEntry> entries;
@@ -107,12 +105,12 @@ struct MopState {
   // member wholesale (matches are routed by window age, not membership).
   bool member_filtered = false;
 
-  // kAggregate: one engine per isolated member, or a single shared engine.
+  // kAggregate: the m-op's one engine (a record with more does not load).
   std::vector<AggEngineState> engines;
-  // kJoin: per-member (isolated/precision) or single (shared) side buffers.
+  // kJoin: the m-op's one pair of side buffers.
   std::vector<BufferState> left;
   std::vector<BufferState> right;
-  // kSequence / kIterate: partial-match stores, same per-member convention.
+  // kSequence / kIterate: the m-op's one partial-match store.
   std::vector<BufferState> stores;
 };
 

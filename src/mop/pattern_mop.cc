@@ -17,12 +17,9 @@ PatternMop::PatternMop(MopType type, MopState::Kind kind, Sharing sharing,
       sharing_(sharing),
       wiring_(std::move(wiring)) {
   RUMOR_CHECK(!wiring_.empty());
-  if (sharing_ == Sharing::kIsolated) {
-    for (int i = 0; i < num_members(); ++i) {
-      self_.push_back(BitVector::Singleton(i, num_members()));
-    }
-    return;
-  }
+  RUMOR_CHECK(sharing_ != Sharing::kIsolated || wiring_.size() == 1)
+      << "an isolated " << MopTypeName(type) << " has one member";
+  if (sharing_ == Sharing::kIsolated) return;
   std::vector<int64_t> windows;
   for (int i = 0; i < num_members(); ++i) {
     const Wiring& w = wiring_[i];
@@ -42,22 +39,9 @@ PatternMop::PatternMop(MopType type, MopState::Kind kind, Sharing sharing,
   }
 }
 
-void PatternMop::AddStore(JoinShape shape) {
-  stores_.push_back(std::make_unique<Store>(!shape.equi.empty()));
-  shapes_.push_back(std::move(shape));
-}
-
-void PatternMop::AddInstance(int k, Tuple tuple, BitVector membership) {
-  Value key;
-  if (!shapes_[k].equi.empty()) key = tuple.at(shapes_[k].equi[0].left_attr);
-  const Timestamp start = tuple.ts();
-  stores_[k]->Add(Instance{std::move(tuple), std::move(membership)}, key,
-                  start);
-}
-
-Timestamp PatternMop::OldestKept(int k, Timestamp now) const {
+Timestamp PatternMop::OldestKept(Timestamp now) const {
   if (sharing_ == Sharing::kShared) return routing_.OldestKept(now);
-  const int64_t window = wiring_[k].window;
+  const int64_t window = wiring_[0].window;
   return window > 0 ? now - window : std::numeric_limits<Timestamp>::min();
 }
 
@@ -67,17 +51,7 @@ bool PatternMop::DeactivateMember(int i) {
   return true;
 }
 
-size_t PatternMop::instance_count() const {
-  size_t n = 0;
-  for (const auto& s : stores_) n += s->live_size();
-  return n;
-}
-
-int64_t PatternMop::StateBytes() const {
-  int64_t b = 0;
-  for (const auto& s : stores_) b += s->ApproxBytes();
-  return b;
-}
+int64_t PatternMop::StateBytes() const { return store_.ApproxBytes(); }
 
 bool PatternMop::SaveState(MopState* out) const {
   out->kind = kind_;
@@ -85,15 +59,10 @@ bool PatternMop::SaveState(MopState* out) const {
   // c;/cµ instances carry channel memberships (bit s selects saved member
   // s's instances); the s;/sµ store belongs to every member wholesale.
   out->member_filtered = sharing_ == Sharing::kChannel;
-  out->stores.clear();
-  for (const auto& store : stores_) {
-    // The slot keeps the start timestamp; the instance tuple's own (which µ
-    // rebinds advance) travels inside the tuple record.
-    out->stores.push_back(ExtractLiveSlots(
-        *store, [](const Instance& inst) -> const Tuple& {
-          return inst.tuple;
-        }));
-  }
+  // The slot keeps the start timestamp; the instance tuple's own (which µ
+  // rebinds advance) travels inside the tuple record.
+  out->stores = {ExtractLiveSlots(
+      store_, [](const Instance& inst) -> const Tuple& { return inst.tuple; })};
   return true;
 }
 
@@ -115,17 +84,13 @@ Status PatternMop::LoadState(const MopState& src,
     return Instance{Tuple::Make(slot.tuple.values, slot.tuple.ts),
                     BitVector()};
   };
+  BufferSource source;
   if (sharing_ == Sharing::kShared) {
-    BufferSource source;
     RUMOR_RETURN_IF_ERROR(SharedBufferSource(src, binding, &source));
-    return LoadSlots(src.stores, source, stores_[0].get(), make);
+  } else {
+    source = BufferSourceOf(src, binding.saved_slot[0]);
   }
-  for (int r = 0; r < num_members(); ++r) {
-    RUMOR_RETURN_IF_ERROR(
-        LoadSlots(src.stores, BufferSourceOf(src, binding.saved_slot[r]),
-                  stores_[r].get(), make));
-  }
-  return Status::OK();
+  return LoadSlots(src.stores, source, &store_, make);
 }
 
 }  // namespace rumor

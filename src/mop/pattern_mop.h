@@ -1,12 +1,14 @@
 // The skeleton the Cayuga pattern m-ops, sequence (;) and iterate (µ), share
 // (paper §4.2/§4.4): a left tuple starts an *instance*, and right tuples
-// match, advance or end it. PatternMop owns the instance stores, the
+// match, advance or end it. PatternMop owns the instance store, the
 // sharing modes, the member lifecycle, state save/load, expiry and where a
 // result goes; SequenceMop and IterateMop define the instance tuple and
 // what a right tuple does to it.
 //
 // Sharing modes:
-//  * kIsolated — reference: one instance store per member.
+//  * kIsolated — the compile output for one logical ; or µ, and the
+//    reference the merged modes are tested against (one per member): one
+//    member's instance store.
 //  * kShared   — target of s; and sµ (Cayuga prefix state merging, widened
 //    across windows the way s⋈ is): members read the same streams with the
 //    same predicate and may differ in the window. One store, kept to the
@@ -26,7 +28,6 @@
 #ifndef RUMOR_MOP_PATTERN_MOP_H_
 #define RUMOR_MOP_PATTERN_MOP_H_
 
-#include <memory>
 #include <vector>
 
 #include "expr/shape.h"
@@ -45,9 +46,9 @@ class PatternMop : public Mop {
     return static_cast<int>(wiring_.size());
   }
   Sharing sharing() const { return sharing_; }
-  bool indexed() const { return !shapes_[0].equi.empty(); }
-  // Live instances (for tests; isolated mode sums per-member stores).
-  size_t instance_count() const;
+  bool indexed() const { return !shape_.equi.empty(); }
+  // Live instances (for tests).
+  size_t instance_count() const { return store_.live_size(); }
 
   // s;/sµ only: a deactivated member is skipped by the routing, and the
   // store keeps only the widest active window.
@@ -86,91 +87,79 @@ class PatternMop : public Mop {
   };
   using Store = KeyedBuffer<Instance>;
 
-  // Checks the wiring against `sharing`; the subclass then adds the stores.
+  // Checks the wiring against `sharing`; the subclass then sets the shape.
   PatternMop(MopType type, MopState::Kind kind, Sharing sharing,
              OutputMode mode, std::vector<Wiring> wiring);
 
-  // Adds the next store (member k's in kIsolated mode, else the only one);
   // `shape` is the predicate the store is probed with.
-  void AddStore(JoinShape shape);
+  void SetShape(JoinShape shape) {
+    store_ = Store(!shape.equi.empty());
+    shape_ = std::move(shape);
+  }
 
-  // Stores the instance(s) left tuple `ct` starts: one for each member
-  // reading it (kIsolated), or one in the single store. tuple_for(k) builds
-  // store k's instance tuple.
+  // Stores the instance left tuple `ct` starts, if it reaches a member;
+  // tuple_for() builds the instance tuple.
   template <typename TupleFor>
-  void StartInstances(const ChannelTuple& ct, const TupleFor& tuple_for) {
-    if (sharing_ == Sharing::kIsolated) {
-      for (int i = 0; i < num_members(); ++i) {
-        if (ct.membership.Test(wiring_[i].left_slot)) {
-          AddInstance(i, tuple_for(i), BitVector());
-        }
-      }
-      return;
-    }
+  void StartInstance(const ChannelTuple& ct, const TupleFor& tuple_for) {
     BitVector membership;  // kChannel: member i <-> slot i
-    if (sharing_ == Sharing::kShared) {
+    if (sharing_ != Sharing::kChannel) {
       if (!ct.membership.Test(wiring_[0].left_slot)) return;
     } else {
       membership = ct.membership;
       if (membership.None()) return;
     }
-    AddInstance(0, tuple_for(0), std::move(membership));
+    Tuple tuple = tuple_for();
+    Value key;
+    if (!shape_.equi.empty()) key = tuple.at(shape_.equi[0].left_attr);
+    const Timestamp start = tuple.ts();
+    store_.Add(Instance{std::move(tuple), std::move(membership)}, key, start);
   }
 
-  // Offers right tuple `ct` to every store it reaches, after expiring the
-  // instances none of the store's members can match any more.
-  // visit(k, store, abs, slot) sees each candidate instance of store k
-  // (probed on the equi key when the store is indexed); it may Kill(abs).
+  // Offers right tuple `ct` to the store, after expiring the instances none
+  // of the members can match any more. visit(store, abs, slot) sees each
+  // candidate instance (probed on the equi key when the store is indexed);
+  // it may Kill(abs).
   template <typename Visit>
   void ForCandidates(const ChannelTuple& ct, const Visit& visit) {
+    if (!ct.membership.Test(wiring_[0].right_slot)) return;
     const Tuple& r = ct.tuple;
-    auto run = [&](int k) {
-      Store& store = *stores_[k];
-      store.ExpireBefore(OldestKept(k, r.ts()));
-      Value key;
-      const Value* key_ptr = nullptr;
-      if (!shapes_[k].equi.empty()) {
-        key = r.at(shapes_[k].equi[0].right_attr);
-        key_ptr = &key;
-      }
-      store.ForCandidates(key_ptr, [&](int64_t abs, auto& slot) {
-        visit(k, store, abs, slot);
-      });
-    };
-    if (sharing_ == Sharing::kIsolated) {
-      for (int i = 0; i < num_members(); ++i) {
-        if (ct.membership.Test(wiring_[i].right_slot)) run(i);
-      }
-      return;
+    store_.ExpireBefore(OldestKept(r.ts()));
+    Value key;
+    const Value* key_ptr = nullptr;
+    if (!shape_.equi.empty()) {
+      key = r.at(shape_.equi[0].right_attr);
+      key_ptr = &key;
     }
-    if (ct.membership.Test(wiring_[0].right_slot)) run(0);
+    store_.ForCandidates(key_ptr, [&](int64_t abs, auto& slot) {
+      visit(store_, abs, slot);
+    });
   }
 
-  // The members a result of store k's instance in `slot` goes to at `now`.
+  // The members a result of the instance in `slot` goes to at `now`.
   template <typename Slot>
-  const BitVector& Recipients(int k, const Slot& slot, Timestamp now) const {
+  const BitVector& Recipients(const Slot& slot, Timestamp now) const {
     switch (sharing_) {
       case Sharing::kShared: return routing_.Covering(now - slot.ts);
       case Sharing::kChannel: return slot.item.membership;
       case Sharing::kIsolated: break;
     }
-    return self_[k];
+    return only_member_;
   }
 
   OutputMode mode_;
 
  private:
-  void AddInstance(int k, Tuple tuple, BitVector membership);
-  // The oldest start store k keeps at `now`.
-  Timestamp OldestKept(int k, Timestamp now) const;
+  // The oldest start the store keeps at `now`.
+  Timestamp OldestKept(Timestamp now) const;
 
   MopState::Kind kind_;
   Sharing sharing_;
   std::vector<Wiring> wiring_;
-  std::vector<JoinShape> shapes_;               // per store
-  std::vector<std::unique_ptr<Store>> stores_;  // per member, or [0]
-  std::vector<BitVector> self_;                 // kIsolated: {k} per store
-  WindowRouting routing_;                       // kShared
+  JoinShape shape_;
+  Store store_{false};
+  WindowRouting routing_;  // kShared
+  // kIsolated: the recipients of every result, {member 0}.
+  BitVector only_member_ = BitVector::Singleton(0, 1);
 };
 
 }  // namespace rumor

@@ -2,47 +2,20 @@
 
 namespace rumor {
 
-ProjectionMop::ProjectionMop(std::vector<Member> members, OutputMode mode)
-    : Mop(MopType::kProjection, /*num_inputs=*/1,
-          /*num_outputs=*/mode == OutputMode::kChannel
-              ? 1
-              : static_cast<int>(members.size())),
-      members_(std::move(members)),
-      mode_(mode) {
-  RUMOR_CHECK(!members_.empty());
-  // Channel-mode output requires identical maps (otherwise member outputs
-  // differ and cannot share one channel tuple).
-  if (mode_ == OutputMode::kChannel) {
-    for (const Member& m : members_) {
-      RUMOR_CHECK(m.def.map.Equals(members_[0].def.map))
-          << "channel-mode projection requires identical maps";
-    }
-  }
-}
+ProjectionMop::ProjectionMop(Member member)
+    : Mop(MopType::kProjection, /*num_inputs=*/1, /*num_outputs=*/1),
+      member_(std::move(member)) {}
 
 void ProjectionMop::Process(int input_port, const ChannelTuple& ct,
                             Emitter& out) {
   RUMOR_DCHECK(input_port == 0);
   (void)input_port;
+  if (!ct.membership.Test(member_.input_slot)) return;
   ExprContext ctx{&ct.tuple, nullptr};
-  if (mode_ == OutputMode::kChannel) {
-    // Identical maps: apply once.
-    BitVector members(num_members());
-    for (int i = 0; i < num_members(); ++i) {
-      if (ct.membership.Test(members_[i].input_slot)) members.Set(i);
-    }
-    if (members.None()) return;
-    Tuple result = members_[0].def.map.Apply(ctx, ct.tuple.ts());
-    out.Emit(0, ChannelTuple{std::move(result), std::move(members)});
-    CountOut();
-    return;
-  }
-  for (int i = 0; i < num_members(); ++i) {
-    if (!ct.membership.Test(members_[i].input_slot)) continue;
-    Tuple result = members_[i].def.map.Apply(ctx, ct.tuple.ts());
-    out.Emit(i, ChannelTuple{std::move(result), BitVector::Singleton(0, 1)});
-    CountOut();
-  }
+  std::optional<Tuple> result = member_.def.map.Apply(ctx, ct.tuple.ts());
+  if (!result) return;
+  out.Emit(0, ChannelTuple{std::move(*result), BitVector::Singleton(0, 1)});
+  CountOut();
 }
 
 ChannelProjectMop::ChannelProjectMop(ProjectionDef def, int num_members,
@@ -61,8 +34,9 @@ void ChannelProjectMop::Process(int input_port, const ChannelTuple& ct,
   (void)input_port;
   RUMOR_DCHECK(ct.membership.size() == num_members_);
   ExprContext ctx{&ct.tuple, nullptr};
-  Tuple result = def_.map.Apply(ctx, ct.tuple.ts());
-  EmitForMembers(mode_, ct.membership, result, out);
+  std::optional<Tuple> result = def_.map.Apply(ctx, ct.tuple.ts());
+  if (!result) return;
+  EmitForMembers(mode_, ct.membership, *result, out);
   CountOut(mode_ == OutputMode::kChannel ? 1 : ct.membership.Count());
 }
 

@@ -1,14 +1,12 @@
 // Projection m-ops.
 //
-//  * ProjectionMop — reference: applies each member's schema map
-//    independently.
+//  * ProjectionMop — the compile output for one logical π, and the
+//    reference the channel projection is tested against.
 //  * ChannelProjectMop — the paper's π{1..n} example (§3.1): n projections
 //    with the same map over streams encoded in one channel; the map is
 //    applied once and the membership component passes through unchanged.
 #ifndef RUMOR_MOP_PROJECTION_MOP_H_
 #define RUMOR_MOP_PROJECTION_MOP_H_
-
-#include <vector>
 
 #include "expr/schema_map.h"
 #include "mop/mop.h"
@@ -28,22 +26,20 @@ class ProjectionMop : public Mop {
     ProjectionDef def;
   };
 
-  ProjectionMop(std::vector<Member> members, OutputMode mode);
+  // One member, written to output port 0.
+  explicit ProjectionMop(Member member);
 
-  int num_members() const override {
-    return static_cast<int>(members_.size());
+  int num_members() const override { return 1; }
+  uint64_t MemberSignature(int) const override {
+    return member_.def.Signature();
   }
-  uint64_t MemberSignature(int i) const override {
-    return members_[i].def.Signature();
-  }
-  const Member& member(int i) const { return members_[i]; }
+  const Member& member() const { return member_; }
 
   void Process(int input_port, const ChannelTuple& tuple,
                Emitter& out) override;
 
  private:
-  std::vector<Member> members_;
-  OutputMode mode_;
+  Member member_;
 };
 
 class ChannelProjectMop : public Mop {

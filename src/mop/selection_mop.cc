@@ -2,58 +2,30 @@
 
 namespace rumor {
 
-SelectionMop::SelectionMop(std::vector<Member> members, OutputMode mode)
-    : Mop(MopType::kSelection, /*num_inputs=*/1,
-          /*num_outputs=*/mode == OutputMode::kChannel
-              ? 1
-              : static_cast<int>(members.size())),
-      members_(std::move(members)),
-      mode_(mode) {
-  RUMOR_CHECK(!members_.empty());
-  programs_.reserve(members_.size());
-  for (const Member& m : members_) {
-    programs_.push_back(Program::Compile(m.def.predicate));
-  }
-}
+SelectionMop::SelectionMop(Member member)
+    : Mop(MopType::kSelection, /*num_inputs=*/1, /*num_outputs=*/1),
+      member_(std::move(member)),
+      program_(Program::Compile(member_.def.predicate)) {}
 
 void SelectionMop::Process(int input_port, const ChannelTuple& ct,
                            Emitter& out) {
   RUMOR_DCHECK(input_port == 0);
   (void)input_port;
-  ExprContext ctx{&ct.tuple, nullptr};
-  BitVector& matched = matched_scratch_;
-  matched.AssignZero(num_members());
-  for (int i = 0; i < num_members(); ++i) {
-    if (!ct.membership.Test(members_[i].input_slot)) continue;
-    if (programs_[i].EvalBool(ctx)) matched.Set(i);
-  }
-  EmitForMembers(mode_, matched, ct.tuple, out);
-  CountOut(mode_ == OutputMode::kChannel ? (matched.Any() ? 1 : 0)
-                                         : matched.Count());
+  if (!ct.membership.Test(member_.input_slot)) return;
+  if (!program_.EvalBool(ExprContext{&ct.tuple, nullptr})) return;
+  out.Emit(0, ChannelTuple{ct.tuple, BitVector::Singleton(0, 1)});
+  CountOut();
 }
 
 void SelectionMop::ProcessBatch(int input_port, const ChannelTuple* tuples,
                                 size_t n, Emitter& out) {
   RUMOR_DCHECK(input_port == 0);
   (void)input_port;
-  // Member-major: each program sweeps the whole batch (vectorized/typed
-  // evaluation, membership-gated per tuple exactly like the scalar path),
-  // then tuples emit in order with their member sets reassembled.
-  const int nm = num_members();
-  member_match_scratch_.resize(nm);
-  for (int i = 0; i < nm; ++i) {
-    programs_[i].EvalBoolBatchGated(tuples, n, members_[i].input_slot,
-                                    member_match_scratch_[i]);
-  }
+  program_.EvalBoolBatchGated(tuples, n, member_.input_slot, match_scratch_);
   for (size_t j = 0; j < n; ++j) {
-    BitVector& matched = matched_scratch_;
-    matched.AssignZero(nm);
-    for (int i = 0; i < nm; ++i) {
-      if (member_match_scratch_[i].Test(static_cast<int>(j))) matched.Set(i);
-    }
-    EmitForMembers(mode_, matched, tuples[j].tuple, out);
-    CountOut(mode_ == OutputMode::kChannel ? (matched.Any() ? 1 : 0)
-                                           : matched.Count());
+    if (!match_scratch_.Test(static_cast<int>(j))) continue;
+    out.Emit(0, ChannelTuple{tuples[j].tuple, BitVector::Singleton(0, 1)});
+    CountOut();
   }
 }
 

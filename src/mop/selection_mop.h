@@ -1,8 +1,7 @@
 // Selection m-ops.
 //
-//  * SelectionMop — the reference m-op: implements its member selections
-//    one-by-one (paper §2.2 semantics). Also the compile output for a single
-//    logical σ.
+//  * SelectionMop — the compile output for one logical σ, and the reference
+//    the merged selection m-ops are tested against (one per member).
 //  * ChannelSelectMop — target of rule cσ: same-definition selections whose
 //    inputs are encoded in one channel; the predicate is evaluated once per
 //    channel tuple and the membership component is passed through.
@@ -10,8 +9,6 @@
 // (The predicate-index target of rule sσ lives in predicate_index_mop.h.)
 #ifndef RUMOR_MOP_SELECTION_MOP_H_
 #define RUMOR_MOP_SELECTION_MOP_H_
-
-#include <vector>
 
 #include "expr/program.h"
 #include "mop/mop.h"
@@ -28,19 +25,18 @@ struct SelectionDef {
 class SelectionMop : public Mop {
  public:
   struct Member {
-    int input_slot = 0;  // slot of the input channel this member reads
+    int input_slot = 0;  // slot of the input channel the selection reads
     SelectionDef def;
   };
 
-  SelectionMop(std::vector<Member> members, OutputMode mode);
+  // One member, written to output port 0.
+  explicit SelectionMop(Member member);
 
-  int num_members() const override {
-    return static_cast<int>(members_.size());
+  int num_members() const override { return 1; }
+  uint64_t MemberSignature(int) const override {
+    return member_.def.Signature();
   }
-  uint64_t MemberSignature(int i) const override {
-    return members_[i].def.Signature();
-  }
-  const Member& member(int i) const { return members_[i]; }
+  const Member& member() const { return member_; }
 
   void Process(int input_port, const ChannelTuple& tuple,
                Emitter& out) override;
@@ -48,13 +44,9 @@ class SelectionMop : public Mop {
                     Emitter& out) override;
 
  private:
-  std::vector<Member> members_;
-  std::vector<Program> programs_;
-  OutputMode mode_;
-  // Recycled scratch: per-member batch match masks + the per-tuple member
-  // set (allocation-free in steady state).
-  BitVector matched_scratch_;
-  std::vector<BitVector> member_match_scratch_;
+  Member member_;
+  Program program_;
+  BitVector match_scratch_;  // recycled batch match mask
 };
 
 class ChannelSelectMop : public Mop {

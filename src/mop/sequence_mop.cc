@@ -26,28 +26,25 @@ SequenceMop::SequenceMop(std::vector<Member> members, Sharing sharing,
           << "c; members must have identical definitions";
     }
   }
-  const size_t stores = sharing == Sharing::kIsolated ? members_.size() : 1;
-  for (size_t k = 0; k < stores; ++k) {
-    programs_.push_back(Program::Compile(members_[k].def.predicate));
-    AddStore(AnalyzeJoin(members_[k].def.predicate));
-  }
+  program_ = Program::Compile(first.predicate);
+  SetShape(AnalyzeJoin(first.predicate));
 }
 
 void SequenceMop::Process(int input_port, const ChannelTuple& ct,
                           Emitter& out) {
   if (input_port == 0) {
-    StartInstances(ct, [&](int) { return ct.tuple; });
+    StartInstance(ct, [&] { return ct.tuple; });
     return;
   }
   RUMOR_DCHECK(input_port == 1);
   const Tuple& r = ct.tuple;
-  ForCandidates(ct, [&](int k, Store& store, int64_t abs, auto& slot) {
+  ForCandidates(ct, [&](Store& store, int64_t abs, auto& slot) {
     const Tuple& start = slot.item.tuple;
     // A left tuple can only be followed by a strictly later right tuple.
     if (start.ts() >= r.ts()) return;
     ExprContext ctx{&start, &r};
-    if (!programs_[k].EvalBool(ctx)) return;
-    EmitCounted(mode_, Recipients(k, slot, r.ts()),
+    if (!program_.EvalBool(ctx)) return;
+    EmitCounted(mode_, Recipients(slot, r.ts()),
                 ConcatTuples(start, r, r.ts()), out);
     store.Kill(abs);  // consume-on-match
   });

@@ -56,7 +56,7 @@ class SequenceMop : public PatternMop {
   static MopType TypeFor(Sharing sharing);
 
   std::vector<Member> members_;
-  std::vector<Program> programs_;  // per store
+  Program program_;  // the predicate every member shares
 };
 
 }  // namespace rumor

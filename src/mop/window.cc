@@ -126,7 +126,8 @@ void SharedAggEngine::Apply(MemberState& st, int64_t abs, int sign) {
   acc.count += sign;
   if (members_[0].fn != AggFn::kCount) {
     if (v.type() == ValueType::kInt) {
-      acc.isum += sign * v.AsInt();
+      acc.isum = sign > 0 ? WrappingAdd(acc.isum, v.AsInt())
+                          : WrappingSub(acc.isum, v.AsInt());
     } else {
       acc.dsum += sign * v.ToNumeric();
       acc.double_count += sign;

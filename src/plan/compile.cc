@@ -26,14 +26,12 @@ class Compiler {
       case QueryOp::kSelect:
         return LowerUnary(node, [&](const QueryNode& n) {
           return std::make_unique<SelectionMop>(
-              std::vector<SelectionMop::Member>{{0, {n.predicate()}}},
-              OutputMode::kPerMemberPorts);
+              SelectionMop::Member{0, {n.predicate()}});
         });
       case QueryOp::kProject:
         return LowerUnary(node, [&](const QueryNode& n) {
           return std::make_unique<ProjectionMop>(
-              std::vector<ProjectionMop::Member>{{0, {n.map()}}},
-              OutputMode::kPerMemberPorts);
+              ProjectionMop::Member{0, {n.map()}});
         });
       case QueryOp::kAggregate:
         return LowerUnary(node, [&](const QueryNode& n) {

@@ -64,19 +64,6 @@ void AccumulateShardPlan(EngineMetrics* em, const Plan& shard_plan) {
   }
 }
 
-void SetDataPlaneCounters(EngineMetrics* em, const DataPlaneCounters& t) {
-  em->program_fused = t.program_fused;
-  em->program_typed = t.program_typed;
-  em->program_generic = t.program_generic;
-  em->program_typed_fallbacks = t.program_typed_fallbacks;
-  em->arena_requests = t.arena_requests;
-  em->arena_heap_allocations = t.arena_heap_allocations;
-  em->arena_pooled = t.arena_pooled;
-  em->arena_outstanding = t.arena_outstanding;
-  em->arena_bytes_outstanding = t.arena_bytes_outstanding;
-  em->arena_bytes_pooled = t.arena_bytes_pooled;
-}
-
 EngineMetrics CollectEngineMetrics(const Plan& plan,
                                    const OptimizeStats& optimize,
                                    int64_t deliveries) {
@@ -129,7 +116,7 @@ EngineMetrics CollectEngineMetrics(const Plan& plan,
   em.optimize.total_members = em.total_members;
   em.optimize.shared_mops = em.shared_mops;
 
-  SetDataPlaneCounters(&em, DataPlaneCounters::Capture());
+  em.data_plane = DataPlaneCounters::Capture();
   return em;
 }
 
@@ -146,10 +133,11 @@ std::string EngineMetrics::ToString() const {
   std::snprintf(buf, sizeof(buf),
                 "fast paths: vectorized_share=%.3f (fused=%lld typed=%lld "
                 "generic=%lld fallbacks=%lld)",
-                vectorized_share(), static_cast<long long>(program_fused),
-                static_cast<long long>(program_typed),
-                static_cast<long long>(program_generic),
-                static_cast<long long>(program_typed_fallbacks));
+                data_plane.vectorized_share(),
+                static_cast<long long>(data_plane.program_fused),
+                static_cast<long long>(data_plane.program_typed),
+                static_cast<long long>(data_plane.program_generic),
+                static_cast<long long>(data_plane.program_typed_fallbacks));
   os << buf << "\n";
   std::snprintf(buf, sizeof(buf),
                 "  index probes: flat=%lld map=%lld (flat_share=%.3f)",
@@ -159,18 +147,19 @@ std::string EngineMetrics::ToString() const {
   std::snprintf(buf, sizeof(buf),
                 "  tuple arena: requests=%lld heap=%lld recycle_hit=%.3f "
                 "pooled=%lld outstanding=%lld",
-                static_cast<long long>(arena_requests),
-                static_cast<long long>(arena_heap_allocations),
-                arena_recycle_hit_rate(), static_cast<long long>(arena_pooled),
-                static_cast<long long>(arena_outstanding));
+                static_cast<long long>(data_plane.arena_requests),
+                static_cast<long long>(data_plane.arena_heap_allocations),
+                data_plane.arena_recycle_hit_rate(),
+                static_cast<long long>(data_plane.arena_pooled),
+                static_cast<long long>(data_plane.arena_outstanding));
   os << buf << "\n";
   if (latency.count() > 0) {
     os << "latency (ingress->sink, sampled): " << latency.Summary() << "\n";
   }
   std::snprintf(buf, sizeof(buf),
                 "memory: arena_bytes=%lld (pooled=%lld) mop_state_bytes=%lld",
-                static_cast<long long>(arena_bytes_outstanding),
-                static_cast<long long>(arena_bytes_pooled),
+                static_cast<long long>(data_plane.arena_bytes_outstanding),
+                static_cast<long long>(data_plane.arena_bytes_pooled),
                 static_cast<long long>(mop_state_bytes));
   os << buf << "\n";
   if (share_index.present) {
@@ -276,11 +265,11 @@ std::string EngineMetrics::ToJson() const {
       .BeginObject()
       .Key("program")
       .BeginObject()
-      .KV("fused", program_fused)
-      .KV("typed", program_typed)
-      .KV("generic", program_generic)
-      .KV("typed_fallbacks", program_typed_fallbacks)
-      .KV("vectorized_share", vectorized_share())
+      .KV("fused", data_plane.program_fused)
+      .KV("typed", data_plane.program_typed)
+      .KV("generic", data_plane.program_generic)
+      .KV("typed_fallbacks", data_plane.program_typed_fallbacks)
+      .KV("vectorized_share", data_plane.vectorized_share())
       .EndObject()
       .Key("predicate_index")
       .BeginObject()
@@ -290,11 +279,11 @@ std::string EngineMetrics::ToJson() const {
       .EndObject()
       .Key("tuple_arena")
       .BeginObject()
-      .KV("requests", arena_requests)
-      .KV("heap_allocations", arena_heap_allocations)
-      .KV("recycle_hit_rate", arena_recycle_hit_rate())
-      .KV("pooled", arena_pooled)
-      .KV("outstanding", arena_outstanding)
+      .KV("requests", data_plane.arena_requests)
+      .KV("heap_allocations", data_plane.arena_heap_allocations)
+      .KV("recycle_hit_rate", data_plane.arena_recycle_hit_rate())
+      .KV("pooled", data_plane.arena_pooled)
+      .KV("outstanding", data_plane.arena_outstanding)
       .EndObject()
       .EndObject();
   w.Key("latency")
@@ -310,8 +299,8 @@ std::string EngineMetrics::ToJson() const {
       .EndObject();
   w.Key("memory")
       .BeginObject()
-      .KV("arena_bytes_outstanding", arena_bytes_outstanding)
-      .KV("arena_bytes_pooled", arena_bytes_pooled)
+      .KV("arena_bytes_outstanding", data_plane.arena_bytes_outstanding)
+      .KV("arena_bytes_pooled", data_plane.arena_bytes_pooled)
       .KV("mop_state_bytes", mop_state_bytes)
       .Key("share_index")
       .BeginObject()

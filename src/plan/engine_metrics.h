@@ -40,6 +40,19 @@ struct DataPlaneCounters {
   // Counters of the calling thread.
   static DataPlaneCounters Capture();
   DataPlaneCounters& operator+=(const DataPlaneCounters& o);
+
+  double vectorized_share() const {
+    const int64_t t = program_fused + program_typed + program_generic;
+    return t > 0
+               ? static_cast<double>(program_fused + program_typed) / t
+               : 0.0;
+  }
+  double arena_recycle_hit_rate() const {
+    return arena_requests > 0
+               ? static_cast<double>(arena_requests - arena_heap_allocations) /
+                     arena_requests
+               : 0.0;
+  }
 };
 
 struct EngineMetrics {
@@ -103,10 +116,9 @@ struct EngineMetrics {
 
   // --- memory ---------------------------------------------------------------
   // Byte gauges (zero under -DRUMOR_METRICS=OFF except share_index, which is
-  // a container-walk estimate and always available).
-  int64_t arena_bytes_outstanding = 0;  // live tuple payload blocks
-  int64_t arena_bytes_pooled = 0;       // recycled blocks held for reuse
-  int64_t mop_state_bytes = 0;          // sum of MopRow::state_bytes
+  // a container-walk estimate and always available). The arena's live and
+  // pooled bytes are in data_plane.
+  int64_t mop_state_bytes = 0;  // sum of MopRow::state_bytes
   struct ShareIndexStats {
     bool present = false;  // engine keeps a ShareIndex (indexed merge path)
     int64_t exact_entries = 0;
@@ -120,35 +132,16 @@ struct EngineMetrics {
   ShareIndexStats share_index;
 
   // --- fast-path efficacy ---------------------------------------------------
-  // Predicate evaluation on this thread (fused/typed vs generic).
-  int64_t program_fused = 0;
-  int64_t program_typed = 0;
-  int64_t program_generic = 0;
-  int64_t program_typed_fallbacks = 0;
+  // Predicate evaluation and the tuple arena: the calling thread's, or the
+  // sum over shards.
+  DataPlaneCounters data_plane;
   // Predicate-index probes, summed over the plan's sσ m-ops.
   int64_t flat_probes = 0;
   int64_t map_probes = 0;
-  // This thread's tuple arena.
-  int64_t arena_requests = 0;
-  int64_t arena_heap_allocations = 0;
-  int64_t arena_pooled = 0;
-  int64_t arena_outstanding = 0;
 
-  double vectorized_share() const {
-    const int64_t t = program_fused + program_typed + program_generic;
-    return t > 0
-               ? static_cast<double>(program_fused + program_typed) / t
-               : 0.0;
-  }
   double flat_probe_share() const {
     const int64_t t = flat_probes + map_probes;
     return t > 0 ? static_cast<double>(flat_probes) / t : 0.0;
-  }
-  double arena_recycle_hit_rate() const {
-    return arena_requests > 0
-               ? static_cast<double>(arena_requests - arena_heap_allocations) /
-                     arena_requests
-               : 0.0;
   }
 
   // Human-readable report (sections mirror the JSON schema).
@@ -170,10 +163,6 @@ EngineMetrics CollectEngineMetrics(const Plan& plan,
 // line up) and predicate-index probe counters accumulate. The caller must
 // only invoke this while the replica's worker is quiesced.
 void AccumulateShardPlan(EngineMetrics* em, const Plan& shard_plan);
-
-// Replaces the snapshot's thread-scoped fast-path counters with `totals`
-// (the sum over every participating thread).
-void SetDataPlaneCounters(EngineMetrics* em, const DataPlaneCounters& totals);
 
 }  // namespace rumor
 

@@ -129,6 +129,7 @@ void Executor::ApplyPlanDelta(const std::vector<PlanEvent>& events) {
   }
   if (static_cast<StreamId>(source_route_.size()) < plan_->streams().size()) {
     source_route_.resize(plan_->streams().size(), kInvalidChannel);
+    source_roots_.resize(plan_->streams().size());
   }
   // Any rewiring can change reachability; invalidate all cached batch
   // safety in O(1) and recompute lazily.
@@ -146,9 +147,15 @@ void Executor::ApplyPlanDelta(const std::vector<PlanEvent>& events) {
       case PlanEvent::kChannelKilled:
         routes_[e.a] = Route{};  // tombstone: routes stay empty
         delivery_[e.a] = 0;
+        if (!plan_->ProducerOf(e.a).has_value()) {
+          // A dead root: its sources enter the plan elsewhere now.
+          for (StreamId s : plan_->channel(e.a).streams()) {
+            if (plan_->streams().Get(s).is_source) RouteSource(s);
+          }
+        }
         break;
       case PlanEvent::kSourceBound:
-        source_route_[e.a] = e.b;
+        RouteSource(e.a);
         break;
       case PlanEvent::kOutputMarked:
       case PlanEvent::kOutputUnmarked:
@@ -235,9 +242,8 @@ void Executor::BuildRouting() {
     delivery_[c] = DeliveryWord(routes_[c]);
   }
   source_route_.assign(plan_->streams().size(), kInvalidChannel);
-  for (StreamId s = 0; s < plan_->streams().size(); ++s) {
-    if (auto c = plan_->FindSourceChannel(s)) source_route_[s] = *c;
-  }
+  source_roots_.assign(plan_->streams().size(), {});
+  for (StreamId s : plan_->streams().Sources()) RouteSource(s);
   ++batch_epoch_;  // invalidates all cached batch safety
   batch_safe_.assign(plan_->num_channels(), 0);
   batch_safe_epoch_.assign(plan_->num_channels(), 0);
@@ -246,6 +252,26 @@ void Executor::BuildRouting() {
     channel_buffers_.resize(plan_->num_channels());
   }
   plan_cursor_ = plan_->mutation_seq();
+}
+
+void Executor::RouteSource(StreamId s) {
+  std::vector<SourceRoot>& roots = source_roots_[s];
+  roots.clear();
+  for (ChannelId c : plan_->ChannelsOfStream(s)) {
+    if (plan_->ProducerOf(c).has_value()) continue;
+    const ChannelDef& def = plan_->channel(c);
+    for (int slot = 0; slot < def.capacity(); ++slot) {
+      if (def.stream_at(slot) == s) roots.push_back({c, slot, def.capacity()});
+    }
+  }
+  if (roots.empty()) {
+    source_route_[s] = kInvalidChannel;
+  } else if (roots.size() == 1 && roots[0].capacity == 1) {
+    source_route_[s] = roots[0].channel;
+    roots.clear();
+  } else {
+    source_route_[s] = kManyRoots;
+  }
 }
 
 bool Executor::BatchSafe(ChannelId channel) {
@@ -319,7 +345,14 @@ void Executor::PushSource(StreamId stream, const Tuple& tuple) {
   RUMOR_CHECK(channel != kInvalidChannel)
       << "stream " << stream << " is not a wired source";
   const bool stamped = MaybeStampIngress();
-  Dispatch(channel, ChannelTuple{tuple, BitVector::Singleton(0, 1)});
+  if (channel != kManyRoots) {
+    Dispatch(channel, ChannelTuple{tuple, BitVector::Singleton(0, 1)});
+  } else {
+    for (const SourceRoot& root : source_roots_[stream]) {
+      Dispatch(root.channel, ChannelTuple{tuple, BitVector::Singleton(
+                                                     root.slot, root.capacity)});
+    }
+  }
   if (stamped) ingress_t0_ = -1;
 }
 
@@ -331,9 +364,10 @@ void Executor::PushSourceBatch(StreamId stream,
   RUMOR_CHECK(channel != kInvalidChannel)
       << "stream " << stream << " is not a wired source";
   // Re-entrant batch pushes (from a sink handler mid-drain or mid-batch)
-  // take the per-tuple path, whose deferral keeps timestamp order intact.
+  // take the per-tuple path, whose deferral keeps timestamp order intact,
+  // and so does a source with several roots.
   if (tuples.size() == 1 || in_run_batch_ || draining_ ||
-      !BatchSafe(channel)) {
+      channel == kManyRoots || !BatchSafe(channel)) {
     for (const Tuple& t : tuples) PushSource(stream, t);
     return;
   }

@@ -194,9 +194,23 @@ class Executor {
   class PortEmitter;
   class BatchEmitter;
 
+  // A producer-less channel a pushed source tuple enters: the source's own
+  // channel, or a group channel the channel rule made from sharable-labeled
+  // sources. The tuple's membership there is the stream's slot.
+  struct SourceRoot {
+    ChannelId channel;
+    int slot;
+    int capacity;
+  };
+  // source_route_ value of a source with roots other than its own
+  // capacity-1 channel alone; source_roots_ lists them.
+  static constexpr ChannelId kManyRoots = -2;
+
   // Derives routes_/source_route_/batch_safe_ from the current plan (one
   // pass over the m-ops; Prepare and the Refresh fallback).
   void BuildRouting();
+  // Re-derives source stream `s`'s roots from the plan.
+  void RouteSource(StreamId s);
   // Patches the routing tables from a batch of plan mutation events
   // (Refresh fast path). The caller has checked the batch contains no kBulk.
   void ApplyPlanDelta(const std::vector<PlanEvent>& events);
@@ -242,7 +256,10 @@ class Executor {
   bool prepared_ = false;
   std::vector<Route> routes_;            // by channel id
   std::vector<uint32_t> delivery_;       // by channel id, from routes_
-  std::vector<ChannelId> source_route_;  // by stream id (source streams)
+  // By source stream id: the one root channel (capacity 1) a pushed tuple
+  // enters, kManyRoots, or kInvalidChannel for no wired source.
+  std::vector<ChannelId> source_route_;
+  std::vector<std::vector<SourceRoot>> source_roots_;  // by source stream
   // Lazily computed batch safety, invalidated wholesale by bumping
   // batch_epoch_ (an O(channels) reset per Refresh would dominate live
   // adds on large plans). An entry is valid iff its epoch matches.

@@ -8,89 +8,79 @@
 
 namespace rumor {
 
-std::string ExplainPlan(const Plan& plan, const ExplainOptions& options) {
+namespace {
+
+// The line head both reports share: "  name  reads[chI,...] writes[chO,...]".
+void RenderMop(std::ostringstream& os, const Plan& plan, MopId id) {
+  os << "  " << plan.mop(id).name() << "  reads[";
+  const auto& ins = plan.input_channels(id);
+  for (size_t p = 0; p < ins.size(); ++p) {
+    os << (p ? "," : "") << "ch" << ins[p];
+  }
+  os << "] writes[";
+  const auto& outs = plan.output_channels(id);
+  for (size_t p = 0; p < outs.size(); ++p) {
+    os << (p ? "," : "") << "ch" << outs[p];
+  }
+  os << "]";
+}
+
+void RenderOutputs(std::ostringstream& os, const Plan& plan) {
+  for (const Plan::OutputDef& def : plan.outputs()) {
+    os << "  output " << def.query_name << " <- "
+       << plan.streams().Get(def.stream).name << "\n";
+  }
+}
+
+}  // namespace
+
+std::string ExplainPlan(const Plan& plan) {
   std::ostringstream os;
   os << SummarizePlan(plan) << "\n";
   for (MopId id : plan.LiveMops()) {
     const Mop& mop = plan.mop(id);
-    os << "  " << mop.name();
-    os << "  reads[";
-    const auto& ins = plan.input_channels(id);
-    for (size_t p = 0; p < ins.size(); ++p) {
-      if (p) os << ",";
-      os << "ch" << ins[p];
-    }
-    os << "] writes[";
-    const auto& outs = plan.output_channels(id);
-    for (size_t p = 0; p < outs.size(); ++p) {
-      if (p) os << ",";
-      os << "ch" << outs[p];
-    }
-    os << "]";
-    if (options.include_counters) {
-      os << "  in=" << mop.tuples_in() << " out=" << mop.tuples_out();
-    }
-    os << "\n";
+    RenderMop(os, plan, id);
+    os << "  in=" << mop.tuples_in() << " out=" << mop.tuples_out() << "\n";
   }
-  if (options.include_channels) {
-    for (ChannelId c = 0; c < plan.num_channels(); ++c) {
-      const ChannelDef& ch = plan.channel(c);
-      // Skip channels that are no longer wired to anything.
-      bool wired = plan.ProducerOf(c).has_value() ||
-                   !plan.ConsumersOf(c).empty() ||
-                   plan.FindSourceChannel(ch.stream_at(0)) == c;
-      if (!wired) continue;
-      os << "  ch" << c << " capacity=" << ch.capacity() << " streams{";
-      for (int i = 0; i < ch.capacity(); ++i) {
-        if (i) os << ",";
-        os << plan.streams().Get(ch.stream_at(i)).name;
-      }
-      os << "}\n";
+  for (ChannelId c = 0; c < plan.num_channels(); ++c) {
+    const ChannelDef& ch = plan.channel(c);
+    // Skip channels that are no longer wired to anything.
+    bool wired = plan.ProducerOf(c).has_value() ||
+                 !plan.ConsumersOf(c).empty() ||
+                 plan.FindSourceChannel(ch.stream_at(0)) == c;
+    if (!wired) continue;
+    os << "  ch" << c << " capacity=" << ch.capacity() << " streams{";
+    for (int i = 0; i < ch.capacity(); ++i) {
+      if (i) os << ",";
+      os << plan.streams().Get(ch.stream_at(i)).name;
     }
+    os << "}\n";
   }
-  if (options.include_outputs) {
-    for (const Plan::OutputDef& def : plan.outputs()) {
-      os << "  output " << def.query_name << " <- "
-         << plan.streams().Get(def.stream).name << "\n";
-    }
-  }
+  RenderOutputs(os, plan);
   return os.str();
 }
 
-std::string ExplainAnalyze(const Plan& plan,
-                           const ExplainAnalyzeOptions& options) {
+std::string ExplainAnalyze(const Plan& plan) {
   std::ostringstream os;
   os << SummarizePlan(plan) << "\n";
   const std::vector<int> refs = plan.QueryRefCounts();
   char buf[128];
   for (MopId id : plan.LiveMops()) {
     const Mop& mop = plan.mop(id);
-    os << "  " << mop.name();
-    os << "  reads[";
-    const auto& ins = plan.input_channels(id);
-    for (size_t p = 0; p < ins.size(); ++p) {
-      if (p) os << ",";
-      os << "ch" << ins[p];
-    }
-    os << "] writes[";
-    const auto& outs = plan.output_channels(id);
-    for (size_t p = 0; p < outs.size(); ++p) {
-      if (p) os << ",";
-      os << "ch" << outs[p];
-    }
-    os << "]  queries=" << refs[id] << " members=" << mop.num_members()
+    RenderMop(os, plan, id);
+    os << "  queries=" << refs[id] << " members=" << mop.num_members()
        << "\n";
     const MopMetrics& m = mop.metrics();
     os << "      in=" << m.tuples_in << " out=" << m.tuples_out;
     std::snprintf(buf, sizeof(buf), " sel=%.4f", m.selectivity());
     os << buf << " batches=" << m.batches;
-    if (options.include_timing && m.sampled_tuples > 0) {
+    if (m.sampled_tuples > 0) {
       std::snprintf(buf, sizeof(buf), " ns/tuple≈%.1f (%lld sampled)",
                     m.ns_per_tuple(),
                     static_cast<long long>(m.sampled_tuples));
       os << buf;
     }
-    if (options.include_timing && m.eval_hist.count() > 0) {
+    if (m.eval_hist.count() > 0) {
       std::snprintf(buf, sizeof(buf), " eval p50=%lldns p99=%lldns",
                     static_cast<long long>(m.eval_hist.p50()),
                     static_cast<long long>(m.eval_hist.p99()));
@@ -100,12 +90,7 @@ std::string ExplainAnalyze(const Plan& plan,
     if (state > 0) os << " state≈" << state << "B";
     os << "\n";
   }
-  if (options.include_outputs) {
-    for (const Plan::OutputDef& def : plan.outputs()) {
-      os << "  output " << def.query_name << " <- "
-         << plan.streams().Get(def.stream).name << "\n";
-    }
-  }
+  RenderOutputs(os, plan);
   return os.str();
 }
 

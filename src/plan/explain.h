@@ -11,35 +11,23 @@
 
 namespace rumor {
 
-struct ExplainOptions {
-  bool include_channels = true;
-  bool include_counters = true;  // tuples in/out per m-op (after a run)
-  bool include_outputs = true;
-};
-
-// Renders the plan. Counters are the Mop::tuples_in/out() values and are
-// zero before execution.
-std::string ExplainPlan(const Plan& plan,
-                        const ExplainOptions& options = ExplainOptions());
-
-struct ExplainAnalyzeOptions {
-  bool include_timing = true;   // sampled ns/tuple where available
-  bool include_outputs = true;  // query output lines
-};
+// Renders the plan: each m-op with its wiring and tuples in/out, the wired
+// channels, and the query outputs. Counters are the Mop::tuples_in/out()
+// values and are zero before execution.
+std::string ExplainPlan(const Plan& plan);
 
 // EXPLAIN ANALYZE: the plan tree annotated with live runtime metrics — per
 // m-op member count, query reach (shared vs private), tuples in/out,
-// selectivity, batch count, and (sampled) per-tuple cost. On a merged
-// N-query plan this is the view that shows exactly where events die:
+// selectivity, batch count, (sampled) per-tuple cost and state bytes, then
+// the query outputs. On a merged N-query plan this is the view that shows
+// exactly where events die:
 //
 //   σ-index#2[100]  reads[ch0] writes[ch1]  queries=100 members=100
 //       in=300000 out=11930 sel=0.0398 batches=4688 ns/tuple≈210.4
 //
 // Counters are zero before execution (and when compiled with
 // RUMOR_METRICS=OFF).
-std::string ExplainAnalyze(
-    const Plan& plan,
-    const ExplainAnalyzeOptions& options = ExplainAnalyzeOptions());
+std::string ExplainAnalyze(const Plan& plan);
 
 // One-line summary: "#m-ops, #channels (max capacity), #queries".
 std::string SummarizePlan(const Plan& plan);

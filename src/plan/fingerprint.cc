@@ -61,7 +61,7 @@ KindClass ClassOf(MopType type) {
 
 // The input channel slot member `i` reads on each input port. Container
 // m-ops (predicate index, channel variants) encode the member-slot mapping
-// in their type; the reference m-ops record it per member.
+// in their type; the others record it per member.
 struct MemberInputs {
   // Parallel arrays: port p reads slot slots[p] of input channel p.
   std::vector<int> ports;
@@ -71,14 +71,14 @@ struct MemberInputs {
 MemberInputs InputsOf(const Mop& m, int i) {
   switch (m.type()) {
     case MopType::kSelection:
-      return {{0}, {static_cast<const SelectionMop&>(m).member(i).input_slot}};
+      return {{0}, {static_cast<const SelectionMop&>(m).member().input_slot}};
     case MopType::kChannelSelect:
       return {{0}, {i}};
     case MopType::kPredicateIndex:
       return {{0}, {0}};
     case MopType::kProjection:
       return {{0},
-              {static_cast<const ProjectionMop&>(m).member(i).input_slot}};
+              {static_cast<const ProjectionMop&>(m).member().input_slot}};
     case MopType::kChannelProject:
       return {{0}, {i}};
     case MopType::kAggregate:

@@ -67,9 +67,7 @@ bool TraceAttr(const Plan& plan, ChannelId c, int attr,
     case MopType::kChannelProject: {
       const SchemaMap& map =
           mop.type() == MopType::kProjection
-              ? static_cast<const ProjectionMop&>(mop)
-                    .member(ProducingMember(mop, prod->port))
-                    .def.map
+              ? static_cast<const ProjectionMop&>(mop).member().def.map
               : static_cast<const ChannelProjectMop&>(mop).def().map;
       if (attr >= map.size()) return false;
       const ExprPtr& e = map.exprs()[attr];

@@ -282,4 +282,54 @@ std::string QueryNode::ToString() const {
   return os.str();
 }
 
+Status CheckQueryTypes(const QueryNode& node) {
+  for (int i = 0; i < node.num_children(); ++i) {
+    RUMOR_RETURN_IF_ERROR(CheckQueryTypes(*node.child(i)));
+  }
+  auto check = [](const ExprPtr& e, const Schema& left, const Schema* right,
+                  bool predicate) {
+    return e == nullptr ? Status::OK()
+                        : e->CheckTypes(left, right, predicate);
+  };
+  switch (node.op()) {
+    case QueryOp::kSource:
+    case QueryOp::kZip:
+      return Status::OK();
+    case QueryOp::kSelect:
+      return check(node.predicate(), node.child(0)->output_schema(), nullptr,
+                   true);
+    case QueryOp::kProject:
+      for (const ExprPtr& e : node.map().exprs()) {
+        RUMOR_RETURN_IF_ERROR(
+            check(e, node.child(0)->output_schema(), nullptr, false));
+      }
+      return Status::OK();
+    case QueryOp::kAggregate: {
+      const Schema& in = node.child(0)->output_schema();
+      const bool sum_or_avg =
+          node.agg_fn() == AggFn::kSum || node.agg_fn() == AggFn::kAvg;
+      if (sum_or_avg && (node.agg_attr() < 0 || node.agg_attr() >= in.size() ||
+                         in.attribute(node.agg_attr()).type ==
+                             ValueType::kString)) {
+        return Status::InvalidArgument(
+            StrCat(AggFnName(node.agg_fn()), " needs a numeric attribute"));
+      }
+      return Status::OK();
+    }
+    case QueryOp::kJoin:
+    case QueryOp::kSequence:
+      return check(node.predicate(), node.child(0)->output_schema(),
+                   &node.child(1)->output_schema(), true);
+    case QueryOp::kIterate: {
+      // Over (left = the instance, start ⊕ last; right = the event).
+      const Schema& event = node.child(1)->output_schema();
+      RUMOR_RETURN_IF_ERROR(
+          check(node.match_predicate(), node.output_schema(), &event, true));
+      return check(node.rebind_predicate(), node.output_schema(), &event,
+                   true);
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace rumor

@@ -33,6 +33,7 @@
 #include <vector>
 
 #include "common/schema.h"
+#include "common/status.h"
 #include "expr/expr.h"
 #include "expr/schema_map.h"
 
@@ -148,6 +149,12 @@ struct Query {
 // instance's last-part and is a rebind conjunct. Exposed for tests.
 void SplitIteratePredicate(const ExprPtr& predicate, int start_size,
                            ExprPtr* match, ExprPtr* rebind);
+
+// Checks, before a query runs, that every expression in its tree can run
+// over its input schemas (Expr::CheckTypes: predicates are boolean, AND,
+// OR and NOT take booleans, arithmetic takes no strings) and that SUM and
+// AVG read a numeric attribute. StreamEngine adds only queries that pass.
+Status CheckQueryTypes(const QueryNode& node);
 
 }  // namespace rumor
 

@@ -131,14 +131,14 @@ std::unique_ptr<Mop> MakeChannelConsumer(const Plan& plan,
     case MopType::kSelection: {
       const auto& c0 =
           static_cast<const SelectionMop&>(plan.mop(cand.consumers[0]));
-      return std::make_unique<ChannelSelectMop>(c0.member(0).def, n,
+      return std::make_unique<ChannelSelectMop>(c0.member().def, n,
                                                 OutputMode::kPerMemberPorts);
     }
     case MopType::kProjection: {
       const auto& c0 =
           static_cast<const ProjectionMop&>(plan.mop(cand.consumers[0]));
       return std::make_unique<ChannelProjectMop>(
-          c0.member(0).def, n, OutputMode::kPerMemberPorts);
+          c0.member().def, n, OutputMode::kPerMemberPorts);
     }
     case MopType::kAggregate: {
       std::vector<AggregateMop::Member> members;

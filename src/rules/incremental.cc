@@ -53,7 +53,7 @@ bool ApplyCandidate(Plan* plan, ShareIndex* index,
     }
     case ShareIndex::Candidate::kAttachSelection: {
       const auto& sel = static_cast<const SelectionMop&>(plan->mop(c.fresh));
-      SelectionDef def = sel.member(0).def;
+      SelectionDef def = sel.member().def;
       ChannelId out = plan->output_channel(c.fresh, 0);
       auto& target = static_cast<PredicateIndexMop&>(plan->mop(c.target));
       target.AddMember(std::move(def));
@@ -93,7 +93,7 @@ bool ApplyCandidate(Plan* plan, ShareIndex* index,
       defs.reserve(singles.size());
       for (MopId id : singles) {
         const auto& sel = static_cast<const SelectionMop&>(plan->mop(id));
-        defs.push_back(sel.member(0).def);
+        defs.push_back(sel.member().def);
         outs.push_back(plan->output_channel(id, 0));
       }
       MopId formed = plan->AddMop(std::make_unique<PredicateIndexMop>(
@@ -157,7 +157,7 @@ IncrementalMergeStats MergeNewQueryIndexed(Plan* plan, ShareIndex* index,
   // or this round's sα phase, never by the next round's exact-CSE phase.
   // The scan-based oracle in tests/ applies the same phases by rescanning
   // the plan; the two must build byte-identical plans.
-  for (int round = 0; round < options.max_rounds; ++round) {
+  for (int round = 0; round < kMaxRuleRounds; ++round) {
     int applied = 0;
     if (options.enable_cse) {
       // Exact CSE cascades to fixpoint within the phase: merging two

@@ -67,7 +67,7 @@ struct IncrementalMergeStats {
 // candidates by descending benefit (ties: lowest fresh id first) and
 // applies them greedily, re-probing each at apply time so earlier merges in
 // the batch invalidate or improve later ones. Rounds repeat while merges
-// cascade (a merged σ exposes the α above it), up to options.max_rounds.
+// cascade (a merged σ exposes the α above it), up to kMaxRuleRounds.
 // O(fresh) per add instead of O(plan).
 IncrementalMergeStats MergeNewQueryIndexed(Plan* plan, ShareIndex* index,
                                            MopId first_fresh,

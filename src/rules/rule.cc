@@ -15,12 +15,6 @@ namespace rumor {
 
 std::unique_ptr<Mop> CloneWithOutputMode(const Mop& mop, OutputMode mode) {
   switch (mop.type()) {
-    case MopType::kSelection: {
-      const auto& m = static_cast<const SelectionMop&>(mop);
-      std::vector<SelectionMop::Member> members;
-      for (int i = 0; i < m.num_members(); ++i) members.push_back(m.member(i));
-      return std::make_unique<SelectionMop>(std::move(members), mode);
-    }
     case MopType::kPredicateIndex: {
       const auto& m = static_cast<const PredicateIndexMop&>(mop);
       std::vector<SelectionDef> members;
@@ -32,18 +26,11 @@ std::unique_ptr<Mop> CloneWithOutputMode(const Mop& mop, OutputMode mode) {
       return std::make_unique<ChannelSelectMop>(m.def(), m.num_members(),
                                                 mode);
     }
-    case MopType::kProjection: {
-      const auto& m = static_cast<const ProjectionMop&>(mop);
-      std::vector<ProjectionMop::Member> members;
-      for (int i = 0; i < m.num_members(); ++i) members.push_back(m.member(i));
-      return std::make_unique<ProjectionMop>(std::move(members), mode);
-    }
     case MopType::kChannelProject: {
       const auto& m = static_cast<const ChannelProjectMop&>(mop);
       return std::make_unique<ChannelProjectMop>(m.def(), m.num_members(),
                                                  mode);
     }
-    case MopType::kAggregate:
     case MopType::kSharedAggregate:
     case MopType::kFragmentAggregate: {
       const auto& m = static_cast<const AggregateMop&>(mop);
@@ -52,7 +39,6 @@ std::unique_ptr<Mop> CloneWithOutputMode(const Mop& mop, OutputMode mode) {
       return std::make_unique<AggregateMop>(std::move(members), m.sharing(),
                                             mode);
     }
-    case MopType::kJoin:
     case MopType::kSharedJoin:
     case MopType::kPrecisionJoin: {
       const auto& m = static_cast<const JoinMop&>(mop);
@@ -60,7 +46,6 @@ std::unique_ptr<Mop> CloneWithOutputMode(const Mop& mop, OutputMode mode) {
       for (int i = 0; i < m.num_members(); ++i) members.push_back(m.member(i));
       return std::make_unique<JoinMop>(std::move(members), m.sharing(), mode);
     }
-    case MopType::kSequence:
     case MopType::kSharedSequence:
     case MopType::kChannelSequence: {
       const auto& m = static_cast<const SequenceMop&>(mop);
@@ -69,11 +54,6 @@ std::unique_ptr<Mop> CloneWithOutputMode(const Mop& mop, OutputMode mode) {
       return std::make_unique<SequenceMop>(std::move(members), m.sharing(),
                                            mode);
     }
-    case MopType::kZip:
-      // Zips have a single output port and thus never become channel-rule
-      // producers; fall through to the unsupported check.
-      break;
-    case MopType::kIterate:
     case MopType::kSharedIterate:
     case MopType::kChannelIterate: {
       const auto& m = static_cast<const IterateMop&>(mop);
@@ -82,6 +62,16 @@ std::unique_ptr<Mop> CloneWithOutputMode(const Mop& mop, OutputMode mode) {
       return std::make_unique<IterateMop>(std::move(members), m.sharing(),
                                           mode);
     }
+    case MopType::kSelection:
+    case MopType::kProjection:
+    case MopType::kAggregate:
+    case MopType::kJoin:
+    case MopType::kSequence:
+    case MopType::kIterate:
+    case MopType::kZip:
+      // Unmerged m-ops have one output port, and a channel-rule producer
+      // has two or more: fall through to the unsupported check.
+      break;
   }
   RUMOR_CHECK(false) << "unsupported mop type for clone";
   return nullptr;

@@ -34,14 +34,16 @@ std::string OptimizeStats::ToString() const {
   return os.str();
 }
 
-std::vector<int> RuleEngine::Run(Plan* plan, const SharableAnalysis& sharable,
-                                 int max_rounds) {
-  std::vector<int> merges(rules_.size(), 0);
-  for (int round = 0; round < max_rounds; ++round) {
+int RuleEngine::Run(Plan* plan, const SharableAnalysis& sharable,
+                    std::vector<int>* merges) {
+  merges->resize(rules_.size(), 0);
+  int rounds = 0;
+  while (rounds < kMaxRuleRounds) {
+    ++rounds;
     int round_merges = 0;
     for (size_t i = 0; i < rules_.size(); ++i) {
       int n = rules_[i]->ApplyAll(plan, &sharable);
-      merges[i] += n;
+      (*merges)[i] += n;
       round_merges += n;
 #ifndef NDEBUG
       // Every rule application must leave the plan consistent (fully bound
@@ -51,7 +53,7 @@ std::vector<int> RuleEngine::Run(Plan* plan, const SharableAnalysis& sharable,
     }
     if (round_merges == 0) break;
   }
-  return merges;
+  return rounds;
 }
 
 OptimizeStats Optimize(Plan* plan, const OptimizerOptions& options,
@@ -88,7 +90,8 @@ OptimizeStats Optimize(Plan* plan, const OptimizerOptions& options,
   }
   if (!options.channel_rules_first) add_channels();
 
-  std::vector<int> merges = engine.Run(plan, sharable, options.max_rounds);
+  std::vector<int> merges;
+  stats.rounds = engine.Run(plan, sharable, &merges);
 
   for (size_t i = 0; i < merges.size(); ++i) {
     switch (which[i]) {
@@ -99,7 +102,6 @@ OptimizeStats Optimize(Plan* plan, const OptimizerOptions& options,
       case 4: stats.channel_merges += merges[i]; break;
     }
   }
-  stats.rounds = options.max_rounds;
   FillSharingQuality(*plan, &stats);
   plan->Validate();
   if (index != nullptr) index->Sync();

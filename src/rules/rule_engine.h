@@ -30,8 +30,11 @@ struct OptimizerOptions {
   // yield different plans. This flag flips the channel rules ahead of the
   // same-stream rules; plans may differ, query outputs must not (tested).
   bool channel_rules_first = false;
-  int max_rounds = 8;
 };
+
+// Rounds of rule application before Optimize (and the live merge) stop
+// even if merges keep cascading.
+inline constexpr int kMaxRuleRounds = 8;
 
 struct OptimizeStats {
   int cse_merges = 0;
@@ -39,7 +42,8 @@ struct OptimizeStats {
   int shared_aggregate_merges = 0;
   int shared_join_merges = 0;  // s⋈, s; and sµ groups merged
   int channel_merges = 0;
-  int rounds = 0;
+  int rounds = 0;  // rule rounds run, the last one merging nothing unless
+                   // the kMaxRuleRounds cap stopped them
 
   // --- online query churn (after Start) --------------------------------------
   // Queries added to / removed from the running engine.
@@ -90,16 +94,17 @@ struct OptimizeStats {
 };
 
 // Extensible engine: rules run in registration order each round, until a
-// round performs no merge (or max_rounds).
+// round performs no merge (or kMaxRuleRounds).
 class RuleEngine {
  public:
   void AddRule(std::unique_ptr<MRule> rule) {
     rules_.push_back(std::move(rule));
   }
   int num_rules() const { return static_cast<int>(rules_.size()); }
-  // Returns per-rule merge counts, in registration order.
-  std::vector<int> Run(Plan* plan, const SharableAnalysis& sharable,
-                       int max_rounds);
+  // Returns the number of rounds run; adds per-rule merge counts, in
+  // registration order, to `merges` (sized to the rules).
+  int Run(Plan* plan, const SharableAnalysis& sharable,
+          std::vector<int>* merges);
 
  private:
   std::vector<std::unique_ptr<MRule>> rules_;

@@ -17,12 +17,10 @@ int PredicateIndexRule::ApplyAll(Plan* plan, const SharableAnalysis*) {
   std::unordered_map<ChannelId, std::vector<MopId>> by_input;
   for (MopId id : plan->LiveMops()) {
     const Mop& m = plan->mop(id);
-    if (m.type() != MopType::kSelection || m.num_members() != 1 ||
-        m.num_outputs() != 1) {
+    if (m.type() != MopType::kSelection) continue;
+    if (static_cast<const SelectionMop&>(m).member().input_slot != 0) {
       continue;
     }
-    const auto& sel = static_cast<const SelectionMop&>(m);
-    if (sel.member(0).input_slot != 0) continue;
     by_input[plan->input_channel(id, 0)].push_back(id);
   }
   int merges = 0;
@@ -33,7 +31,7 @@ int PredicateIndexRule::ApplyAll(Plan* plan, const SharableAnalysis*) {
     defs.reserve(ids.size());
     for (MopId id : ids) {
       const auto& sel = static_cast<const SelectionMop&>(plan->mop(id));
-      defs.push_back(sel.member(0).def);
+      defs.push_back(sel.member().def);
       outputs.push_back(plan->output_channel(id, 0));
     }
     MopId target = plan->AddMop(std::make_unique<PredicateIndexMop>(

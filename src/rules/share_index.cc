@@ -95,8 +95,7 @@ bool MemberCseMatches(const Mop& target, int i, const Mop& fresh) {
   }
   switch (target.type()) {
     case MopType::kPredicateIndex:
-      return static_cast<const SelectionMop&>(fresh).member(0).input_slot ==
-             0;
+      return static_cast<const SelectionMop&>(fresh).member().input_slot == 0;
     case MopType::kSharedAggregate:
       return static_cast<const AggregateMop&>(target).member(i).input_slot ==
              static_cast<const AggregateMop&>(fresh).member(0).input_slot;
@@ -326,22 +325,16 @@ void ShareIndex::IndexMop(MopId id) {
            id, -1, &posts);
     }
   }
-  if (m.type() == MopType::kSelection && m.num_members() == 1 &&
-      m.num_outputs() == 1) {
-    const auto& sel = static_cast<const SelectionMop&>(m);
-    if (sel.member(0).input_slot == 0) {
-      ChannelId in = plan_->input_channel(id, 0);
-      Post(sel_singles_, Posting::kSelSingle, static_cast<uint64_t>(in), id,
-           -1, &posts);
-    }
+  if (m.type() == MopType::kSelection &&
+      static_cast<const SelectionMop&>(m).member().input_slot == 0) {
+    ChannelId in = plan_->input_channel(id, 0);
+    Post(sel_singles_, Posting::kSelSingle, static_cast<uint64_t>(in), id, -1,
+         &posts);
   }
   if (m.type() == MopType::kAggregate ||
       m.type() == MopType::kSharedAggregate) {
     const auto& agg = static_cast<const AggregateMop&>(m);
-    bool qualifies = agg.output_mode() == OutputMode::kPerMemberPorts &&
-                     !(agg.sharing() == AggregateMop::Sharing::kIsolated &&
-                       agg.num_members() != 1);
-    if (qualifies) {
+    if (agg.output_mode() == OutputMode::kPerMemberPorts) {
       Post(agg_targets_, Posting::kAggTarget, AggKey(*plan_, id, agg), id, -1,
            &posts);
     }
@@ -433,7 +426,7 @@ ShareIndex::Candidate ShareIndex::Probe(MopId fresh,
   // 3. sσ: attach to the oldest per-member-port predicate index on the
   // input channel, or — with no index but ≥2 single selections — form one.
   if (m.type() == MopType::kSelection &&
-      static_cast<const SelectionMop&>(m).member(0).input_slot == 0) {
+      static_cast<const SelectionMop&>(m).member().input_slot == 0) {
     ChannelId in = ins[0];
     auto targets = index_targets_.find(in);
     if ((kind_mask & MaskOf(Candidate::kAttachSelection)) &&

@@ -17,7 +17,7 @@
 //   σ-single  input channel -> single-member slot-0 selections (sσ formation
 //             candidates: two or more singles on one channel form an index).
 //   α-target  (input channel, fn, attr, input slot) -> shared-aggregation
-//             attach targets (warm sα engines and lone isolated aggregates).
+//             attach targets (warm sα engines and isolated aggregates).
 //
 // Consistency contract: call Sync() after the plan may have mutated and
 // before probing. Sync consumes the plan's event log from the index's

@@ -60,16 +60,19 @@ TEST(AggregateMopTest, AvgSlidesOut) {
 }
 
 TEST(AggregateMopTest, MinMaxWithExpiry) {
-  AggregateMop mop(
-      {M(AggFn::kMin, 0, {}, 5), M(AggFn::kMax, 0, {}, 5)},
-      Sharing::kIsolated, OutputMode::kPerMemberPorts);
-  CollectingEmitter out(2);
-  mop.Process(0, Plain(Tuple::MakeInts({3}, 1)), out);
-  mop.Process(0, Plain(Tuple::MakeInts({9}, 2)), out);
-  mop.Process(0, Plain(Tuple::MakeInts({5}, 7)), out);  // {9 (ts2)? no: 2<=7-5 expired} -> {5}
-  ASSERT_EQ(out.port(0).size(), 3u);
-  EXPECT_EQ(out.port(0)[2].tuple.at(0).AsInt(), 5);
-  EXPECT_EQ(out.port(1)[1].tuple.at(0).AsInt(), 9);
+  AggregateMop min({M(AggFn::kMin, 0, {}, 5)}, Sharing::kIsolated,
+                   OutputMode::kPerMemberPorts);
+  AggregateMop max({M(AggFn::kMax, 0, {}, 5)}, Sharing::kIsolated,
+                   OutputMode::kPerMemberPorts);
+  CollectingEmitter min_out(1), max_out(1);
+  for (const Tuple& t : {Tuple::MakeInts({3}, 1), Tuple::MakeInts({9}, 2),
+                         Tuple::MakeInts({5}, 7)}) {  // ts 7 expires ts <= 2
+    min.Process(0, Plain(t), min_out);
+    max.Process(0, Plain(t), max_out);
+  }
+  ASSERT_EQ(min_out.port(0).size(), 3u);
+  EXPECT_EQ(min_out.port(0)[2].tuple.at(0).AsInt(), 5);
+  EXPECT_EQ(max_out.port(0)[1].tuple.at(0).AsInt(), 9);
 }
 
 // Property: every aggregate function matches the brute-force oracle.
@@ -110,8 +113,9 @@ INSTANTIATE_TEST_SUITE_P(
                                          AggFn::kAvg, AggFn::kMin,
                                          AggFn::kMax)));
 
-// Property: shared aggregation (sα) ≡ isolated members, with different
-// group-bys and windows.
+// Property: shared aggregation (sα) ≡ one isolated α per member, with
+// different group-bys and windows; each isolated α also matches the naive
+// oracle, so a fault common to both engines' member windows shows too.
 class SharedAggPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SharedAggPropertyTest, SharedMatchesIsolated) {
@@ -128,32 +132,36 @@ TEST_P(SharedAggPropertyTest, SharedMatchesIsolated) {
     members.push_back(M(fn, attr, groups, 1 + rng.UniformInt(1, 30)));
   }
   AggregateMop shared(members, Sharing::kShared, OutputMode::kPerMemberPorts);
-  AggregateMop isolated(members, Sharing::kIsolated,
-                        OutputMode::kPerMemberPorts);
-  CollectingEmitter s_out(num_members), i_out(num_members);
+  IsolatedMembers isolated = IsolatedOf<AggregateMop>(members);
+  std::vector<Oracle> oracles;
+  for (const AggregateMop::Member& m : members) {
+    oracles.emplace_back(m.spec.fn, m.spec.attr, m.spec.group_by,
+                         m.spec.window);
+  }
+  std::vector<std::vector<Tuple>> expected(num_members);
+  CollectingEmitter s_out(num_members);
   Timestamp ts = 0;
   for (int i = 0; i < 300; ++i) {
     ts += rng.UniformInt(0, 2);
     Tuple t = RandomTuple(rng, 4, 3, ts);
     shared.Process(0, Plain(t), s_out);
-    isolated.Process(0, Plain(t), i_out);
-  }
-  for (int m = 0; m < num_members; ++m) {
-    // Order is deterministic for aggregates: compare sequences exactly.
-    ASSERT_EQ(s_out.port(m).size(), i_out.port(m).size()) << "member " << m;
-    for (size_t k = 0; k < s_out.port(m).size(); ++k) {
-      EXPECT_TRUE(
-          s_out.port(m)[k].tuple.ContentEquals(i_out.port(m)[k].tuple))
-          << "member " << m << " k=" << k;
+    isolated.Process(0, Plain(t));
+    for (int m = 0; m < num_members; ++m) {
+      expected[m].push_back(oracles[m].Push(t));
     }
+  }
+  ExpectMatchesIsolated(s_out, isolated, /*ordered=*/true);
+  for (int m = 0; m < num_members; ++m) {
+    ExpectSameSequence(isolated.Outputs(m), expected[m],
+                       "oracle, member " + std::to_string(m));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SharedAggPropertyTest,
                          ::testing::Range<uint64_t>(0, 12));
 
-// Property: fragment aggregation (cα) over a channel ≡ isolated members
-// reading their slots.
+// Property: fragment aggregation (cα) over a channel ≡ one isolated α per
+// member, each reading its slot.
 class FragmentAggPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(FragmentAggPropertyTest, FragmentMatchesIsolated) {
@@ -167,25 +175,17 @@ TEST_P(FragmentAggPropertyTest, FragmentMatchesIsolated) {
   for (int i = 0; i < capacity; ++i) members.push_back({i, spec});
   AggregateMop fragment(members, Sharing::kFragment,
                         OutputMode::kPerMemberPorts);
-  AggregateMop isolated(members, Sharing::kIsolated,
-                        OutputMode::kPerMemberPorts);
-  CollectingEmitter f_out(capacity), i_out(capacity);
+  IsolatedMembers isolated = IsolatedOf<AggregateMop>(members);
+  CollectingEmitter f_out(capacity);
   Timestamp ts = 0;
   for (int i = 0; i < 300; ++i) {
     ts += rng.UniformInt(0, 2);
     ChannelTuple ct{RandomTuple(rng, 3, 3, ts),
                     RandomMembership(rng, capacity)};
     fragment.Process(0, ct, f_out);
-    isolated.Process(0, ct, i_out);
+    isolated.Process(0, ct);
   }
-  for (int m = 0; m < capacity; ++m) {
-    ASSERT_EQ(f_out.port(m).size(), i_out.port(m).size()) << "member " << m;
-    for (size_t k = 0; k < f_out.port(m).size(); ++k) {
-      EXPECT_TRUE(
-          f_out.port(m)[k].tuple.ContentEquals(i_out.port(m)[k].tuple))
-          << "member " << m << " k=" << k;
-    }
-  }
+  ExpectMatchesIsolated(f_out, isolated, /*ordered=*/true);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FragmentAggPropertyTest,

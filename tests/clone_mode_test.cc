@@ -1,13 +1,13 @@
-// CloneWithOutputMode round-trips: for every m-op type the channel rule can
-// rebuild, the clone in channel-output mode must produce per-slot streams
-// identical to the original's per-member ports.
+// CloneWithOutputMode round-trips: for every m-op type that can be a
+// channel-rule producer (a merged m-op, with two or more output ports), the
+// clone in channel-output mode must produce per-slot streams identical to
+// the original's per-member ports.
 #include <gtest/gtest.h>
 
 #include "mop/aggregate_mop.h"
 #include "mop/iterate_mop.h"
 #include "mop/join_mop.h"
 #include "mop/predicate_index_mop.h"
-#include "mop/projection_mop.h"
 #include "mop/selection_mop.h"
 #include "mop/sequence_mop.h"
 #include "mop_test_util.h"
@@ -59,14 +59,6 @@ TEST(CloneModeTest, PredicateIndex) {
   ExpectCloneEquivalent(original, *clone, 3, 1, 11);
 }
 
-TEST(CloneModeTest, Selection) {
-  std::vector<SelectionMop::Member> members = {{0, {EqConst(0, 1)}},
-                                               {0, {EqConst(1, 2)}}};
-  SelectionMop original(members, OutputMode::kPerMemberPorts);
-  auto clone = CloneWithOutputMode(original, OutputMode::kChannel);
-  ExpectCloneEquivalent(original, *clone, 2, 1, 12);
-}
-
 TEST(CloneModeTest, ChannelSelect) {
   ChannelSelectMop original({EqConst(0, 1)}, 1, OutputMode::kPerMemberPorts);
   auto clone = CloneWithOutputMode(original, OutputMode::kChannel);
@@ -104,20 +96,13 @@ TEST(CloneModeTest, SharedJoin) {
   ExpectCloneEquivalent(original, *clone, 2, 2, 16);
 }
 
-TEST(CloneModeTest, Projection) {
-  SchemaMap map = SchemaMap::Project(Schema::MakeInts(4), {1, 0});
-  std::vector<ProjectionMop::Member> members = {{0, {map}}, {0, {map}}};
-  ProjectionMop original(members, OutputMode::kPerMemberPorts);
-  auto clone = CloneWithOutputMode(original, OutputMode::kChannel);
-  ExpectCloneEquivalent(original, *clone, 2, 1, 17);
-}
-
-TEST(CloneModeTest, AggregateIsolated) {
-  AggMemberSpec spec{AggFn::kSum, 1, {0}, 10};
-  std::vector<AggregateMop::Member> members = {{0, spec}, {0, spec}};
-  AggregateMop original(members, AggregateMop::Sharing::kIsolated,
+TEST(CloneModeTest, SharedAggregate) {
+  std::vector<AggregateMop::Member> members = {
+      {0, {AggFn::kSum, 1, {0}, 10}}, {0, {AggFn::kSum, 1, {}, 4}}};
+  AggregateMop original(members, AggregateMop::Sharing::kShared,
                         OutputMode::kPerMemberPorts);
   auto clone = CloneWithOutputMode(original, OutputMode::kChannel);
+  ASSERT_EQ(clone->type(), MopType::kSharedAggregate);
   ExpectCloneEquivalent(original, *clone, 2, 1, 18);
 }
 

@@ -27,8 +27,7 @@ struct DeepChain {
     ChannelId prev = plan.SourceChannelOf(source);
     for (int i = 0; i < depth; ++i) {
       MopId m = plan.AddMop(std::make_unique<SelectionMop>(
-          std::vector<SelectionMop::Member>{{0, SelectionDef{nullptr}}},
-          OutputMode::kPerMemberPorts));
+          SelectionMop::Member{0, {nullptr}}));
       ChannelId out = plan.AddDerivedChannel("d" + std::to_string(i), schema);
       plan.BindInput(m, 0, prev);
       plan.BindOutput(m, 0, out);

@@ -207,7 +207,7 @@ TEST(SchemaMapTest, IdentityRoundTrip) {
   SchemaMap map = SchemaMap::Identity(s);
   Tuple t = LeftTuple();
   ExprContext ctx{&t, nullptr};
-  Tuple out = map.Apply(ctx, t.ts());
+  Tuple out = *map.Apply(ctx, t.ts());
   EXPECT_TRUE(out.ContentEquals(t));
   EXPECT_EQ(map.OutputSchema(s), s);
 }
@@ -217,7 +217,7 @@ TEST(SchemaMapTest, Project) {
   SchemaMap map = SchemaMap::Project(s, {2, 0});
   Tuple t = LeftTuple();
   ExprContext ctx{&t, nullptr};
-  Tuple out = map.Apply(ctx, 1);
+  Tuple out = *map.Apply(ctx, 1);
   ASSERT_EQ(out.size(), 2);
   EXPECT_EQ(out.at(0).AsInt(), 30);
   EXPECT_EQ(out.at(1).AsInt(), 10);
@@ -229,7 +229,7 @@ TEST(SchemaMapTest, ConcatSides) {
   SchemaMap map = SchemaMap::ConcatSides(l, r);
   Tuple lt = Tuple::MakeInts({4, 5}, 1), rt = Tuple::MakeInts({6}, 2);
   ExprContext ctx{&lt, &rt};
-  Tuple out = map.Apply(ctx, 2);
+  Tuple out = *map.Apply(ctx, 2);
   ASSERT_EQ(out.size(), 3);
   EXPECT_EQ(out.at(2).AsInt(), 6);
   EXPECT_EQ(map.OutputSchema(l, &r).attribute(2).name, "r.b0");
@@ -242,7 +242,7 @@ TEST(SchemaMapTest, ComputedAttribute) {
                              Expr::Attr(Side::kLeft, 1)));
   Tuple t = Tuple::MakeInts({3, 4}, 0);
   ExprContext ctx{&t, nullptr};
-  EXPECT_EQ(map.Apply(ctx, 0).at(0).AsInt(), 7);
+  EXPECT_EQ(map.Apply(ctx, 0)->at(0).AsInt(), 7);
   EXPECT_EQ(map.OutputSchema(s).attribute(0).type, ValueType::kInt);
 }
 

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -21,6 +22,27 @@ class FailpointTest : public ::testing::Test {
  protected:
   void TearDown() override { failpoint::ClearAll(); }
 };
+
+// RUMOR_FAILPOINTS arms sites with no Set call: the death test's child
+// re-executes this binary, so its first hit is the first read of the
+// environment, which must happen before any disarmed site is skipped.
+TEST(FailpointEnvTest, EnvironmentArmsSitesBeforeTheFirstHit) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  ASSERT_EQ(setenv("RUMOR_FAILPOINTS",
+                   "test/env-always=always;test/env-after=after(1)", 1),
+            0);
+  EXPECT_EXIT(
+      {
+        const bool ok = RUMOR_FAILPOINT("test/env-always") &&
+                        !RUMOR_FAILPOINT("test/env-after") &&
+                        RUMOR_FAILPOINT("test/env-after") &&
+                        !RUMOR_FAILPOINT("test/env-unarmed") &&
+                        failpoint::HitCount("test/env-always") == 1;
+        std::exit(ok ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  unsetenv("RUMOR_FAILPOINTS");
+}
 
 TEST_F(FailpointTest, DisarmedSiteNeverFires) {
   for (int i = 0; i < 100; ++i) {

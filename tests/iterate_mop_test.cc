@@ -164,7 +164,7 @@ TEST_P(IterateOracleTest, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, IterateOracleTest,
                          ::testing::Range<uint64_t>(0, 15));
 
-// Property: shared (sµ) and channel (cµ) modes ≡ isolated members.
+// Property: shared (sµ) and channel (cµ) modes ≡ one isolated µ per member.
 class SharedIteratePropertyTest
     : public ::testing::TestWithParam<uint64_t> {};
 
@@ -173,21 +173,17 @@ TEST_P(SharedIteratePropertyTest, SharedMatchesIsolated) {
   const int n = 1 + static_cast<int>(rng.UniformInt(1, 5));
   std::vector<IterateMop::Member> members(n, M(1 + rng.UniformInt(1, 20)));
   IterateMop shared(members, Sharing::kShared, OutputMode::kPerMemberPorts);
-  IterateMop isolated(members, Sharing::kIsolated,
-                      OutputMode::kPerMemberPorts);
-  CollectingEmitter s_out(n), i_out(n);
+  IsolatedMembers isolated = IsolatedOf<IterateMop>(members);
+  CollectingEmitter s_out(n);
   Timestamp ts = 0;
   for (int i = 0; i < 300; ++i) {
     ts += 1;
     Tuple t = RandomTuple(rng, kArity, 4, ts);
     int port = rng.Bernoulli(0.3) ? 0 : 1;
     shared.Process(port, Plain(t), s_out);
-    isolated.Process(port, Plain(t), i_out);
+    isolated.Process(port, Plain(t));
   }
-  for (int m = 0; m < n; ++m) {
-    ExpectSameTuples(s_out.PortTuples(m), i_out.PortTuples(m),
-                     "member " + std::to_string(m));
-  }
+  ExpectMatchesIsolated(s_out, isolated, /*ordered=*/false);
 }
 
 TEST_P(SharedIteratePropertyTest, ChannelMatchesIsolated) {
@@ -198,9 +194,8 @@ TEST_P(SharedIteratePropertyTest, ChannelMatchesIsolated) {
   for (int i = 0; i < n; ++i) members.push_back(M(window, i, 0));
   IterateMop channel(members, Sharing::kChannel,
                      OutputMode::kPerMemberPorts);
-  IterateMop isolated(members, Sharing::kIsolated,
-                      OutputMode::kPerMemberPorts);
-  CollectingEmitter c_out(n), i_out(n);
+  IsolatedMembers isolated = IsolatedOf<IterateMop>(members);
+  CollectingEmitter c_out(n);
   Timestamp ts = 0;
   for (int i = 0; i < 300; ++i) {
     ts += 1;
@@ -208,16 +203,13 @@ TEST_P(SharedIteratePropertyTest, ChannelMatchesIsolated) {
     if (rng.Bernoulli(0.3)) {
       ChannelTuple ct{t, RandomMembership(rng, n)};
       channel.Process(0, ct, c_out);
-      isolated.Process(0, ct, i_out);
+      isolated.Process(0, ct);
     } else {
       channel.Process(1, Plain(t), c_out);
-      isolated.Process(1, Plain(t), i_out);
+      isolated.Process(1, Plain(t));
     }
   }
-  for (int m = 0; m < n; ++m) {
-    ExpectSameTuples(c_out.PortTuples(m), i_out.PortTuples(m),
-                     "member " + std::to_string(m));
-  }
+  ExpectMatchesIsolated(c_out, isolated, /*ordered=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SharedIteratePropertyTest,

@@ -131,7 +131,8 @@ TEST_P(JoinOracleTest, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, JoinOracleTest,
                          ::testing::Range<uint64_t>(0, 12));
 
-// Property: shared join (s⋈, different windows) ≡ isolated members.
+// Property: shared join (s⋈, different windows) ≡ one isolated ⋈ per
+// member.
 class SharedJoinPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(SharedJoinPropertyTest, SharedMatchesIsolated) {
@@ -147,27 +148,24 @@ TEST_P(SharedJoinPropertyTest, SharedMatchesIsolated) {
         M(pred, 1 + rng.UniformInt(1, 30), 1 + rng.UniformInt(1, 30)));
   }
   JoinMop shared(members, Sharing::kShared, OutputMode::kPerMemberPorts);
-  JoinMop isolated(members, Sharing::kIsolated, OutputMode::kPerMemberPorts);
-  CollectingEmitter s_out(num_members), i_out(num_members);
+  IsolatedMembers isolated = IsolatedOf<JoinMop>(members);
+  CollectingEmitter s_out(num_members);
   Timestamp ts = 0;
   for (int i = 0; i < 400; ++i) {
     ts += rng.UniformInt(0, 2);
     Tuple t = RandomTuple(rng, 3, 4, ts);
     int port = rng.Bernoulli(0.5) ? 0 : 1;
     shared.Process(port, Plain(t), s_out);
-    isolated.Process(port, Plain(t), i_out);
+    isolated.Process(port, Plain(t));
   }
-  for (int m = 0; m < num_members; ++m) {
-    ExpectSameTuples(s_out.PortTuples(m), i_out.PortTuples(m),
-                     "member " + std::to_string(m));
-  }
+  ExpectMatchesIsolated(s_out, isolated, /*ordered=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SharedJoinPropertyTest,
                          ::testing::Range<uint64_t>(0, 12));
 
-// Property: precision join (c⋈) over channels ≡ isolated members reading
-// their slots.
+// Property: precision join (c⋈) over channels ≡ one isolated ⋈ per member,
+// each reading its slots.
 class PrecisionJoinPropertyTest : public ::testing::TestWithParam<uint64_t> {
 };
 
@@ -181,8 +179,8 @@ TEST_P(PrecisionJoinPropertyTest, PrecisionMatchesIsolated) {
 
   JoinMop precision(members, Sharing::kPrecision,
                     OutputMode::kPerMemberPorts);
-  JoinMop isolated(members, Sharing::kIsolated, OutputMode::kPerMemberPorts);
-  CollectingEmitter p_out(capacity), i_out(capacity);
+  IsolatedMembers isolated = IsolatedOf<JoinMop>(members);
+  CollectingEmitter p_out(capacity);
   Timestamp ts = 0;
   for (int i = 0; i < 400; ++i) {
     ts += rng.UniformInt(0, 2);
@@ -190,12 +188,9 @@ TEST_P(PrecisionJoinPropertyTest, PrecisionMatchesIsolated) {
                     RandomMembership(rng, capacity)};
     int port = rng.Bernoulli(0.5) ? 0 : 1;
     precision.Process(port, ct, p_out);
-    isolated.Process(port, ct, i_out);
+    isolated.Process(port, ct);
   }
-  for (int m = 0; m < capacity; ++m) {
-    ExpectSameTuples(p_out.PortTuples(m), i_out.PortTuples(m),
-                     "member " + std::to_string(m));
-  }
+  ExpectMatchesIsolated(p_out, isolated, /*ordered=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PrecisionJoinPropertyTest,

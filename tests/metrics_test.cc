@@ -202,9 +202,9 @@ TEST(MetricsTest, FastPathCountersTrackTheDataPlane) {
   EXPECT_GT(em.flat_probes, 0);
   EXPECT_GE(em.flat_probe_share(), 0.0);
   // The arena served allocations for the derived tuples.
-  EXPECT_GT(em.arena_requests, requests_before);
-  EXPECT_GE(em.arena_recycle_hit_rate(), 0.0);
-  EXPECT_LE(em.arena_recycle_hit_rate(), 1.0);
+  EXPECT_GT(em.data_plane.arena_requests, requests_before);
+  EXPECT_GE(em.data_plane.arena_recycle_hit_rate(), 0.0);
+  EXPECT_LE(em.data_plane.arena_recycle_hit_rate(), 1.0);
 }
 
 // The fig9 acceptance shape: 100 equality selections merge into one sσ whose

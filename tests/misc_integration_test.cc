@@ -134,8 +134,7 @@ TEST(PlanValidationTest, CycleIsRejected) {
   Plan plan;
   ChannelId loop = plan.AddDerivedChannel("loop", Schema::MakeInts(1));
   MopId m = plan.AddMop(std::make_unique<SelectionMop>(
-      std::vector<SelectionMop::Member>{{0, {nullptr}}},
-      OutputMode::kPerMemberPorts));
+      SelectionMop::Member{0, {nullptr}}));
   plan.BindInput(m, 0, loop);
   plan.BindOutput(m, 0, loop);
   EXPECT_DEATH(plan.Validate(), "cycle");
@@ -148,8 +147,7 @@ TEST(PlanValidationTest, TwoProducersRejected) {
   ChannelId s_ch = plan.SourceChannelOf(src);
   for (int i = 0; i < 2; ++i) {
     MopId m = plan.AddMop(std::make_unique<SelectionMop>(
-        std::vector<SelectionMop::Member>{{0, {nullptr}}},
-        OutputMode::kPerMemberPorts));
+        SelectionMop::Member{0, {nullptr}}));
     plan.BindInput(m, 0, s_ch);
     plan.BindOutput(m, 0, shared);
   }

@@ -1,13 +1,15 @@
 // Shared helpers for m-op unit/property tests: a collecting Emitter,
-// multiset output comparison, and a naive windowed-aggregate oracle. M-ops
-// are driven directly through Process(); plan/executor integration is
-// covered separately.
+// multiset output comparison, the one-isolated-m-op-per-member reference of
+// a merged m-op, and a naive windowed-aggregate oracle. M-ops are driven
+// directly through Process(); plan/executor integration is covered
+// separately.
 #ifndef RUMOR_TESTS_MOP_TEST_UTIL_H_
 #define RUMOR_TESTS_MOP_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -68,6 +70,18 @@ inline void ExpectSameTuples(const std::vector<Tuple>& actual,
   EXPECT_EQ(Canonical(actual), Canonical(expected)) << label;
 }
 
+// As ExpectSameTuples, in order (aggregates emit in a fixed order).
+inline void ExpectSameSequence(const std::vector<Tuple>& actual,
+                               const std::vector<Tuple>& expected,
+                               const std::string& label) {
+  ASSERT_EQ(actual.size(), expected.size()) << label;
+  for (size_t k = 0; k < actual.size(); ++k) {
+    EXPECT_TRUE(actual[k].ContentEquals(expected[k]))
+        << label << " k=" << k << " got " << actual[k].ToString() << " want "
+        << expected[k].ToString();
+  }
+}
+
 // Pushes a capacity-1 tuple (membership {0}).
 inline ChannelTuple Plain(const Tuple& t) {
   return ChannelTuple{t, BitVector::Singleton(0, 1)};
@@ -91,6 +105,83 @@ inline BitVector RandomMembership(Rng& rng, int capacity) {
   return bv;
 }
 
+// The reference a merged m-op is tested against: its members' one-by-one
+// execution (paper §2.2), as one isolated m-op per member, each run alone
+// on the tuples of the input slots that member reads. Member i's m-op reads
+// capacity-1 inputs, so a tuple reaches it as Plain(tuple).
+class IsolatedMembers {
+ public:
+  // `slots[p]` is the slot the member reads on input port p.
+  void Add(std::unique_ptr<Mop> mop, std::vector<int> slots) {
+    members_.push_back(Member{std::move(mop), std::move(slots)});
+  }
+
+  // Offers `ct` on input `port` to every member whose slot it holds, and
+  // returns the set of members that emitted.
+  BitVector Process(int port, const ChannelTuple& ct) {
+    BitVector emitted(size());
+    for (int i = 0; i < size(); ++i) {
+      Member& m = members_[i];
+      if (!ct.membership.Test(m.slots[port])) continue;
+      const size_t before = m.out.port(0).size();
+      m.mop->Process(port, Plain(ct.tuple), m.out);
+      if (m.out.port(0).size() > before) emitted.Set(i);
+    }
+    return emitted;
+  }
+
+  int size() const { return static_cast<int>(members_.size()); }
+  // Member i's results, in emission order.
+  std::vector<Tuple> Outputs(int i) const {
+    return members_[i].out.PortTuples(0);
+  }
+
+ private:
+  struct Member {
+    std::unique_ptr<Mop> mop;
+    std::vector<int> slots;
+    CollectingEmitter out{1};
+  };
+  std::vector<Member> members_;
+};
+
+// One isolated MopT per member of a merged MopT (α, ⋈, ; or µ), each
+// rewired to slot 0 of capacity-1 inputs and reading the member's slots.
+template <typename MopT>
+IsolatedMembers IsolatedOf(const std::vector<typename MopT::Member>& members) {
+  IsolatedMembers ref;
+  for (typename MopT::Member m : members) {
+    std::vector<int> slots;
+    if constexpr (requires { m.input_slot; }) {
+      slots = {m.input_slot};
+      m.input_slot = 0;
+    } else {
+      slots = {m.left_slot, m.right_slot};
+      m.left_slot = m.right_slot = 0;
+    }
+    ref.Add(std::make_unique<MopT>(std::vector<typename MopT::Member>{m},
+                                   MopT::Sharing::kIsolated,
+                                   OutputMode::kPerMemberPorts),
+            std::move(slots));
+  }
+  return ref;
+}
+
+// Compares each port of a merged m-op's per-member-ports output with the
+// matching member of `ref`: as sequences when `ordered` (aggregates emit
+// in a fixed order), else as multisets.
+inline void ExpectMatchesIsolated(const CollectingEmitter& merged,
+                                  const IsolatedMembers& ref, bool ordered) {
+  ASSERT_EQ(merged.num_ports(), ref.size());
+  for (int m = 0; m < ref.size(); ++m) {
+    const std::string label = "member " + std::to_string(m);
+    if (ordered) {
+      ExpectSameSequence(merged.PortTuples(m), ref.Outputs(m), label);
+    } else {
+      ExpectSameTuples(merged.PortTuples(m), ref.Outputs(m), label);
+    }
+  }
+}
 
 // Naive reference for one windowed aggregate member: it keeps every tuple
 // the member has taken and rescans them for the window and the group (an

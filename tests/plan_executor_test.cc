@@ -174,8 +174,7 @@ TEST(PlanTest, ValidateDetectsUnboundPort) {
   StreamId s = plan.streams().AddSource("S", TenInts());
   plan.SourceChannelOf(s);
   plan.AddMop(std::make_unique<SelectionMop>(
-      std::vector<SelectionMop::Member>{{0, {nullptr}}},
-      OutputMode::kPerMemberPorts));
+      SelectionMop::Member{0, {nullptr}}));
   EXPECT_DEATH(plan.Validate(), "unbound");
 }
 
@@ -185,8 +184,7 @@ TEST(PlanTest, MoveConsumersRewires) {
   ChannelId src = plan.SourceChannelOf(s);
   ChannelId alt = plan.AddDerivedChannel("alt", TenInts());
   MopId m = plan.AddMop(std::make_unique<SelectionMop>(
-      std::vector<SelectionMop::Member>{{0, {nullptr}}},
-      OutputMode::kPerMemberPorts));
+      SelectionMop::Member{0, {nullptr}}));
   plan.BindInput(m, 0, src);
   ChannelId out = plan.AddDerivedChannel("out", TenInts());
   plan.BindOutput(m, 0, out);
@@ -204,8 +202,7 @@ TEST(PlanTest, RemovedMopReleasesItsPorts) {
   StreamId s = plan.streams().AddSource("S", TenInts());
   ChannelId src = plan.SourceChannelOf(s);
   MopId m = plan.AddMop(std::make_unique<SelectionMop>(
-      std::vector<SelectionMop::Member>{{0, {nullptr}}},
-      OutputMode::kPerMemberPorts));
+      SelectionMop::Member{0, {nullptr}}));
   plan.BindInput(m, 0, src);
   plan.BindOutput(m, 0, plan.AddDerivedChannel("out", TenInts()));
   plan.RemoveMop(m);

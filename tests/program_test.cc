@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <limits>
+#include <string>
+
 #include "common/rng.h"
 
 namespace rumor {
@@ -24,7 +28,7 @@ TEST(ProgramTest, SimplePredicate) {
 }
 
 TEST(ProgramTest, ShortCircuitAnd) {
-  // Right side would CHECK-fail on div-by-zero if evaluated.
+  // The right side divides by zero: null, so false, were it evaluated.
   auto div = Expr::Cmp(
       CmpOp::kGt,
       Expr::Arith(ArithOp::kDiv, Expr::ConstInt(1), Expr::ConstInt(0)),
@@ -57,6 +61,78 @@ TEST(ProgramTest, ArithmeticChain) {
   Tuple l = Tuple::MakeInts({4}, 0), r = Tuple::MakeInts({0, 5}, 0);
   ExprContext ctx{&l, &r};
   EXPECT_EQ(p.Eval(ctx).AsInt(), ((4 + 3) * 5) % 7);
+}
+
+// A value's type and exact bits, so equal renderings of different values
+// cannot hide a mismatch.
+std::string Bits(const Value& v) {
+  std::string out = std::to_string(static_cast<int>(v.type())) + ":";
+  if (v.type() == ValueType::kDouble) {
+    return out + std::to_string(std::bit_cast<uint64_t>(v.AsDouble()));
+  }
+  return out + v.ToString();
+}
+
+// The arithmetic semantics, each case through the tree, the generic
+// program and (as `case <op> expected`, which the typed path runs when the
+// operands are ints) the typed one: int64 + - * wrap, INT64_MIN / -1 wraps,
+// INT64_MIN % -1 is 0, / and % by zero and % of a non-int are null, null
+// propagates, and a comparison with null is false.
+TEST(ProgramTest, ArithmeticEdgeCases) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  struct Case {
+    Value a;
+    ArithOp op;
+    Value b;
+    Value want;  // null: the result is null
+  };
+  const std::vector<Case> cases = {
+      {Value(kMax), ArithOp::kAdd, Value(int64_t{1}), Value(kMin)},
+      {Value(kMin), ArithOp::kSub, Value(int64_t{1}), Value(kMax)},
+      {Value(kMin), ArithOp::kMul, Value(int64_t{-1}), Value(kMin)},
+      {Value(kMax), ArithOp::kMul, Value(int64_t{2}), Value(int64_t{-2})},
+      {Value(kMin), ArithOp::kDiv, Value(int64_t{-1}), Value(kMin)},
+      {Value(kMin), ArithOp::kMod, Value(int64_t{-1}), Value(int64_t{0})},
+      {Value(int64_t{-7}), ArithOp::kDiv, Value(int64_t{2}),
+       Value(int64_t{-3})},
+      {Value(int64_t{-7}), ArithOp::kMod, Value(int64_t{2}),
+       Value(int64_t{-1})},
+      {Value(int64_t{7}), ArithOp::kDiv, Value(int64_t{0}), Value()},
+      {Value(int64_t{7}), ArithOp::kMod, Value(int64_t{0}), Value()},
+      {Value(7.5), ArithOp::kDiv, Value(int64_t{0}), Value()},
+      {Value(7.5), ArithOp::kDiv, Value(0.0), Value()},
+      {Value(7.5), ArithOp::kMod, Value(int64_t{2}), Value()},
+      {Value(int64_t{7}), ArithOp::kMod, Value(2.0), Value()},
+      {Value(7.5), ArithOp::kDiv, Value(int64_t{2}), Value(3.75)},
+  };
+  for (const Case& c : cases) {
+    // Attributes, so no constant folding or fused form hides a path.
+    const Tuple t = Tuple::Make({c.a, c.b}, 0);
+    const ExprContext ctx{&t, nullptr};
+    const ExprPtr e = Expr::Arith(c.op, Expr::Attr(Side::kLeft, 0),
+                                  Expr::Attr(Side::kLeft, 1));
+    const std::string label = e->ToString() + " over " + t.ToString();
+    EXPECT_EQ(Bits(e->Eval(ctx)), Bits(c.want)) << label;
+    EXPECT_EQ(Bits(Program::Compile(e).Eval(ctx)), Bits(c.want)) << label;
+    // Null propagates through further arithmetic, and no comparison with
+    // null holds.
+    const ExprPtr plus = Expr::Arith(ArithOp::kAdd, e, Expr::ConstInt(1));
+    EXPECT_EQ(plus->Eval(ctx).is_null(), c.want.is_null()) << label;
+    for (int op = 0; op <= static_cast<int>(CmpOp::kGe); ++op) {
+      const ExprPtr cmp = Expr::Cmp(static_cast<CmpOp>(op), e,
+                                    Expr::Const(c.want.is_null()
+                                                    ? Value(int64_t{0})
+                                                    : c.want));
+      const bool want =
+          !c.want.is_null() && (op == static_cast<int>(CmpOp::kEq) ||
+                                op == static_cast<int>(CmpOp::kLe) ||
+                                op == static_cast<int>(CmpOp::kGe));
+      EXPECT_EQ(cmp->EvalBool(ctx), want) << cmp->ToString();
+      EXPECT_EQ(Program::Compile(cmp).EvalBool(ctx), want)
+          << cmp->ToString();
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -97,11 +173,12 @@ class RandomExprGen {
       case 2:
         return Expr::Ts(rng_.Bernoulli(0.5) ? Side::kLeft : Side::kRight);
       case 3: {
-        // Division/modulo only by non-zero constants to keep both
-        // evaluators total.
+        // Division and modulo, by zero and -1 too.
         ArithOp op = static_cast<ArithOp>(rng_.UniformInt(3, 4));
-        int64_t d = rng_.UniformInt(1, 9);
-        return Expr::Arith(op, Num(depth - 1), Expr::ConstInt(d));
+        return Expr::Arith(op, Num(depth - 1),
+                           rng_.Bernoulli(0.5)
+                               ? Expr::ConstInt(rng_.UniformInt(-1, 3))
+                               : Num(depth - 1));
       }
       default: {
         ArithOp op = static_cast<ArithOp>(rng_.UniformInt(0, 2));
@@ -110,9 +187,11 @@ class RandomExprGen {
     }
   }
 
+  // Ints in [-10, 10], with INT64_MIN and INT64_MAX mixed in, so + - *
+  // wrap and INT64_MIN / -1 comes up.
   Tuple RandomTuple() {
     std::vector<int64_t> vals;
-    for (int i = 0; i < 4; ++i) vals.push_back(rng_.UniformInt(-10, 10));
+    for (int i = 0; i < 4; ++i) vals.push_back(Int());
     return Tuple::MakeInts(vals, rng_.UniformInt(0, 1000));
   }
 
@@ -144,8 +223,8 @@ class RandomExprGen {
     }
   }
 
-  // No modulo: it CHECKs on a double operand, and attributes may hold
-  // doubles. Division is by non-zero constants only.
+  // Division and modulo by anything, zero included; modulo meets doubles
+  // (attributes may hold them) and yields null there.
   ExprPtr LeftNum(int depth) {
     int pick = static_cast<int>(rng_.UniformInt(0, depth <= 0 ? 2 : 4));
     switch (pick) {
@@ -156,8 +235,11 @@ class RandomExprGen {
       case 2:
         return Expr::Ts(Side::kLeft);
       case 3:
-        return Expr::Arith(ArithOp::kDiv, LeftNum(depth - 1),
-                           Expr::ConstInt(rng_.UniformInt(1, 4)));
+        return Expr::Arith(static_cast<ArithOp>(rng_.UniformInt(3, 4)),
+                           LeftNum(depth - 1),
+                           rng_.Bernoulli(0.5)
+                               ? Expr::ConstInt(rng_.UniformInt(-1, 4))
+                               : LeftNum(depth - 1));
       default: {
         ArithOp op = static_cast<ArithOp>(rng_.UniformInt(0, 2));
         return Expr::Arith(op, LeftNum(depth - 1), LeftNum(depth - 1));
@@ -165,12 +247,13 @@ class RandomExprGen {
     }
   }
 
-  // Four int attributes, each holding an int, an integral double (3.0) or
-  // a non-integral one (2.5) in about a third of the tuples each.
+  // Four int attributes, each holding an int (INT64_MIN and INT64_MAX
+  // among them), an integral double (3.0) or a non-integral one (2.5) in
+  // about a third of the tuples each.
   ChannelTuple MixedTuple(int membership_size) {
     std::vector<Value> vals;
     for (int i = 0; i < 4; ++i) {
-      const int64_t v = rng_.UniformInt(-5, 5);
+      const int64_t v = Int();
       switch (rng_.UniformInt(0, 2)) {
         case 0: vals.push_back(Value(v)); break;
         case 1: vals.push_back(Value(static_cast<double>(v))); break;
@@ -190,6 +273,14 @@ class RandomExprGen {
   }
 
  private:
+  int64_t Int() {
+    switch (rng_.UniformInt(0, 19)) {
+      case 0: return std::numeric_limits<int64_t>::min();
+      case 1: return std::numeric_limits<int64_t>::max();
+      default: return rng_.UniformInt(-5, 5);
+    }
+  }
+
   ExprPtr LeftAttr() {
     return Expr::Attr(Side::kLeft, static_cast<int>(rng_.UniformInt(0, 3)));
   }
@@ -204,11 +295,16 @@ TEST_P(ProgramEquivalenceTest, TreeAndProgramAgree) {
   for (int trial = 0; trial < 50; ++trial) {
     ExprPtr e = gen.Bool(4);
     Program p = Program::Compile(e);
+    ExprPtr num = gen.Num(4);
+    Program pn = Program::Compile(num);
     for (int i = 0; i < 20; ++i) {
       Tuple l = gen.RandomTuple(), r = gen.RandomTuple();
       ExprContext ctx{&l, &r};
       EXPECT_EQ(e->EvalBool(ctx), p.EvalBool(ctx))
           << "expr: " << e->ToString();
+      // Arithmetic values, null included, agree bit for bit.
+      EXPECT_EQ(Bits(num->Eval(ctx)), Bits(pn.Eval(ctx)))
+          << "expr: " << num->ToString();
     }
   }
   // Left-side predicates over batches with doubles in int attributes: the

@@ -1,8 +1,8 @@
 // Durability: snapshot round-trips, crash-recovery equivalence (the restored
 // engine's suffix outputs are byte-identical to an uninterrupted run's),
 // re-partitioned sharded restore, checkpoint/churn interleaving, shared
-// ⋈/;/µ state across windows (Fig. 10 mixes), and corrupted-snapshot
-// rejection.
+// ⋈/;/µ state across windows (Fig. 10 mixes), the per-source last timestamp
+// (and version-1 snapshots without it), and corrupted-snapshot rejection.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -521,6 +521,114 @@ TEST(RecoveryTest, RestoredCountersAndCountsCarryOver) {
   EXPECT_GE(restored.OutputCount("HOT"), hot_at_checkpoint);
 }
 
+// Frames `sections` as a snapshot of format `version`, the way
+// SnapshotBuilder frames the current version.
+std::string FrameSnapshot(uint32_t version,
+                          const std::vector<std::pair<SnapshotSection,
+                                                      std::string>>& sections) {
+  std::string out(kSnapshotMagic, sizeof(kSnapshotMagic));
+  SnapshotWriter w;
+  w.U32(version);
+  for (const auto& [id, payload] : sections) {
+    w.U32(static_cast<uint32_t>(id));
+    w.U64(payload.size());
+    w.U32(Crc32(payload));
+    out += w.Take();
+    out += payload;
+  }
+  return out;
+}
+
+// A checkpoint carries each source's last timestamp, so the restored engine
+// rejects a push below it and accepts one at it, as the original would.
+TEST(RecoveryTest, RestoredEngineKeepsEachSourcesLastTimestamp) {
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << shards << " shard(s)");
+    std::string snapshot;
+    {
+      StreamEngine engine;
+      ASSERT_TRUE(engine.SetShardCount(shards).ok());
+      AddWorkload(engine);
+      ASSERT_TRUE(engine.Start().ok());
+      PushRange(engine, 0, 50);  // CPU's last ts is 48, NET's 49
+      ASSERT_TRUE(engine.Checkpoint(&snapshot).ok());
+    }
+    StreamEngine restored;
+    ASSERT_TRUE(restored.SetShardCount(shards).ok());
+    ASSERT_TRUE(restored.Restore(snapshot).ok());
+    EXPECT_EQ(restored.Push("CPU", Tuple::MakeInts({1, 1}, 47)).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_EQ(restored.Push("NET", Tuple::MakeInts({1, 1}, 48)).code(),
+              StatusCode::kInvalidArgument);
+    EXPECT_TRUE(restored.Push("CPU", Tuple::MakeInts({1, 1}, 48)).ok());
+    EXPECT_TRUE(restored.Push("NET", Tuple::MakeInts({1, 1}, 49)).ok());
+  }
+}
+
+// A version-1 snapshot, whose sources carry no last timestamp, restores and
+// runs on.
+TEST(RecoveryTest, VersionOneSnapshotRestores) {
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << shards << " shard(s)");
+    std::string snapshot;
+    int64_t hot = 0;
+    {
+      StreamEngine engine;
+      ASSERT_TRUE(engine.SetShardCount(shards).ok());
+      AddWorkload(engine);
+      ASSERT_TRUE(engine.Start().ok());
+      PushRange(engine, 0, 50);
+      ASSERT_TRUE(engine.Checkpoint(&snapshot).ok());  // flushes first
+      hot = engine.OutputCount("HOT");
+    }
+    std::vector<SnapshotSectionView> views;
+    uint32_t version = 0;
+    ASSERT_TRUE(ParseSnapshot(snapshot, &views, &version).ok());
+    ASSERT_EQ(version, kSnapshotVersion);
+    std::vector<std::pair<SnapshotSection, std::string>> sections;
+    for (const SnapshotSectionView& v : views) {
+      std::string payload(v.payload);
+      if (v.id == SnapshotSection::kSources) {
+        // Re-encode every source without its trailing last timestamp.
+        SnapshotReader r(v.payload);
+        SnapshotWriter w;
+        uint32_t n = 0, attrs = 0;
+        std::string name;
+        int64_t i64 = 0;
+        uint8_t type = 0;
+        ASSERT_TRUE(r.U32(&n).ok());
+        w.U32(n);
+        for (uint32_t s = 0; s < n; ++s) {
+          ASSERT_TRUE(r.Str(&name).ok());
+          w.Str(name);
+          ASSERT_TRUE(r.I64(&i64).ok());
+          w.I64(i64);
+          ASSERT_TRUE(r.U32(&attrs).ok());
+          w.U32(attrs);
+          for (uint32_t a = 0; a < attrs; ++a) {
+            ASSERT_TRUE(r.Str(&name).ok());
+            w.Str(name);
+            ASSERT_TRUE(r.U8(&type).ok());
+            w.U8(type);
+          }
+          ASSERT_TRUE(r.I64(&i64).ok());  // the last timestamp
+        }
+        ASSERT_TRUE(r.AtEnd());
+        payload = w.Take();
+      }
+      sections.push_back({v.id, std::move(payload)});
+    }
+    StreamEngine restored;
+    ASSERT_TRUE(restored.SetShardCount(shards).ok());
+    Status st = restored.Restore(FrameSnapshot(1, sections));
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(restored.OutputCount("HOT"), hot);
+    EXPECT_TRUE(restored.Push("CPU", Tuple::MakeInts({1, 99}, 50)).ok());
+    restored.Flush();
+    EXPECT_EQ(restored.OutputCount("HOT"), hot + 1);
+  }
+}
+
 TEST(RecoveryTest, CheckpointRequiresStartedEngine) {
   StreamEngine engine;
   std::string snapshot;
@@ -575,6 +683,46 @@ TEST(RecoveryTest, CorruptedSnapshotTable) {
     std::string s = snapshot;
     s[offset] ^= 0x10;  // payload bit flips -> CRC mismatch
     cases.push_back({"bit-flip", std::move(s)});
+  }
+  {
+    // A well-framed aggregate record holding two engines: an aggregate
+    // m-op keeps one, so no restored m-op can take it.
+    StreamEngine engine;
+    ASSERT_TRUE(engine.RegisterSource("CPU", CpuSchema()).ok());
+    ASSERT_TRUE(engine
+                    .AddQueryText("SELECT pid, AVG(load) FROM CPU [RANGE 20] "
+                                  "GROUP BY pid",
+                                  "A")
+                    .ok());
+    ASSERT_TRUE(engine.Start().ok());
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(engine.Push("CPU", Tuple::MakeInts({i % 5, i}, i)).ok());
+    }
+    std::string one;
+    ASSERT_TRUE(engine.Checkpoint(&one).ok());
+    std::vector<SnapshotSectionView> views;
+    ASSERT_TRUE(ParseSnapshot(one, &views).ok());
+    std::vector<std::pair<SnapshotSection, std::string>> sections;
+    for (const SnapshotSectionView& v : views) {
+      std::string payload(v.payload);
+      if (v.id == SnapshotSection::kState) {
+        // One record: count u32, kind u8, 1 member (u32 count, u64
+        // fingerprint, u8 active), shared and filtered u8s, then the engine
+        // count at offset 20, the engine, and three empty buffer lists.
+        const size_t kEngines = 20, kTail = 12;
+        ASSERT_GT(payload.size(), kEngines + 4 + kTail);
+        ASSERT_EQ(payload[kEngines], 1);
+        const std::string engine_bytes =
+            payload.substr(kEngines + 4, payload.size() - kEngines - 4 - kTail);
+        SnapshotWriter w;
+        w.U32(2);
+        payload = payload.substr(0, kEngines) + w.Take() + engine_bytes +
+                  engine_bytes + payload.substr(payload.size() - kTail);
+      }
+      sections.push_back({v.id, std::move(payload)});
+    }
+    cases.push_back(
+        {"two-engine-aggregate", FrameSnapshot(kSnapshotVersion, sections)});
   }
 
   for (const Case& c : cases) {

@@ -110,18 +110,6 @@ TEST_P(RuleOrderTest, EverySingleRuleAloneIsSound) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RuleOrderTest,
                          ::testing::Range<uint64_t>(0, 8));
 
-TEST(RuleOrderTest, MaxRoundsZeroLeavesPlanUntouched) {
-  std::vector<Query> queries = OverlapWorkload(1);
-  Plan plan;
-  ASSERT_TRUE(CompileQueries(queries, &plan).ok());
-  size_t before = plan.LiveMops().size();
-  OptimizerOptions opts;
-  opts.max_rounds = 0;
-  OptimizeStats stats = Optimize(&plan, opts);
-  EXPECT_EQ(stats.total(), 0);
-  EXPECT_EQ(plan.LiveMops().size(), before);
-}
-
 TEST(RuleOrderTest, CustomRuleRegistration) {
   // The engine API is open: a user-defined rule runs alongside built-ins.
   class CountingRule : public MRule {
@@ -143,9 +131,25 @@ TEST(RuleOrderTest, CustomRuleRegistration) {
   RuleEngine engine;
   int calls = 0;
   engine.AddRule(std::make_unique<CountingRule>(&calls));
-  std::vector<int> merges = engine.Run(&plan, sharable, 8);
+  std::vector<int> merges;
+  EXPECT_EQ(engine.Run(&plan, sharable, &merges), 1);
   EXPECT_EQ(calls, 1);
   EXPECT_EQ(merges[0], 0);
+}
+
+// OptimizeStats::rounds counts the rounds that ran, not the cap: one round
+// when nothing merges, and one more than the rounds that merged otherwise.
+TEST(RuleOrderTest, OptimizeReportsRoundsRun) {
+  auto s = QueryBuilder::FromSource("S", TenInts());
+  Plan alone;
+  ASSERT_TRUE(CompileQuery(s.Select("a0 = 1").Build("Q1"), &alone).ok());
+  EXPECT_EQ(Optimize(&alone).rounds, 1);
+  Plan twins;
+  ASSERT_TRUE(CompileQuery(s.Select("a0 = 1").Build("Q1"), &twins).ok());
+  ASSERT_TRUE(CompileQuery(s.Select("a0 = 1").Build("Q2"), &twins).ok());
+  const OptimizeStats stats = Optimize(&twins);
+  EXPECT_EQ(stats.cse_merges, 1);
+  EXPECT_EQ(stats.rounds, 2);
 }
 
 }  // namespace

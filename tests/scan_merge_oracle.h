@@ -102,17 +102,14 @@ inline int AttachSelections(Plan* plan) {
   int attached = 0;
   for (MopId id : plan->LiveMops()) {
     const Mop& m = plan->mop(id);
-    if (m.type() != MopType::kSelection || m.num_members() != 1 ||
-        m.num_outputs() != 1) {
-      continue;
-    }
+    if (m.type() != MopType::kSelection) continue;
     const auto& sel = static_cast<const SelectionMop&>(m);
-    if (sel.member(0).input_slot != 0) continue;
+    if (sel.member().input_slot != 0) continue;
     auto it = index_by_input.find(plan->input_channel(id, 0));
     if (it == index_by_input.end() || it->second == id) continue;
     ChannelId out = plan->output_channel(id, 0);
     auto& index = static_cast<PredicateIndexMop&>(plan->mop(it->second));
-    index.AddMember(sel.member(0).def);
+    index.AddMember(sel.member().def);
     plan->AddMopOutputPort(it->second, out);
     plan->RemoveMop(id);
     ++attached;
@@ -143,10 +140,6 @@ inline int AttachAggregates(Plan* plan) {
     }
     const auto& agg = static_cast<const AggregateMop&>(m);
     if (agg.output_mode() != OutputMode::kPerMemberPorts) continue;
-    if (agg.sharing() == AggregateMop::Sharing::kIsolated &&
-        agg.num_members() != 1) {
-      continue;
-    }
     target_by_key.emplace(key_of(id, agg), id);
   }
   int attached = 0;
@@ -197,7 +190,7 @@ inline IncrementalMergeStats MergeNewQuery(Plan* plan,
   // Fixpoint: merging an upstream m-op rewires its consumers onto warm
   // channels, which can expose downstream merges (e.g. a σ snapping onto an
   // index member lets the α above it join the shared engine next round).
-  for (int round = 0; round < options.max_rounds; ++round) {
+  for (int round = 0; round < kMaxRuleRounds; ++round) {
     int round_merges = 0;
     if (options.enable_cse) {
       int n = CseRule().ApplyAll(plan, sharable) +

@@ -19,7 +19,7 @@ ExprPtr GtConst(int attr, int64_t c) {
 }
 
 TEST(SelectionMopTest, SingleMemberFilters) {
-  SelectionMop mop({{0, {EqConst(0, 5)}}}, OutputMode::kPerMemberPorts);
+  SelectionMop mop({0, {EqConst(0, 5)}});
   CollectingEmitter out(1);
   mop.Process(0, Plain(Tuple::MakeInts({5, 1}, 0)), out);
   mop.Process(0, Plain(Tuple::MakeInts({6, 1}, 1)), out);
@@ -30,42 +30,24 @@ TEST(SelectionMopTest, SingleMemberFilters) {
 }
 
 TEST(SelectionMopTest, NullPredicatePassesAll) {
-  SelectionMop mop({{0, {nullptr}}}, OutputMode::kPerMemberPorts);
+  SelectionMop mop({0, {nullptr}});
   CollectingEmitter out(1);
   mop.Process(0, Plain(Tuple::MakeInts({1}, 0)), out);
   EXPECT_EQ(out.port(0).size(), 1u);
-}
-
-TEST(SelectionMopTest, MultiMemberIndependentOutputs) {
-  SelectionMop mop({{0, {EqConst(0, 1)}}, {0, {EqConst(0, 2)}}},
-                   OutputMode::kPerMemberPorts);
-  CollectingEmitter out(2);
-  mop.Process(0, Plain(Tuple::MakeInts({1}, 0)), out);
-  mop.Process(0, Plain(Tuple::MakeInts({2}, 1)), out);
-  mop.Process(0, Plain(Tuple::MakeInts({3}, 2)), out);
-  EXPECT_EQ(out.port(0).size(), 1u);
-  EXPECT_EQ(out.port(1).size(), 1u);
-}
-
-TEST(SelectionMopTest, ChannelOutputSharesTuple) {
-  // Both members match -> one channel tuple with membership {0,1}.
-  SelectionMop mop({{0, {GtConst(0, 0)}}, {0, {GtConst(0, -1)}}},
-                   OutputMode::kChannel);
-  CollectingEmitter out(1);
-  mop.Process(0, Plain(Tuple::MakeInts({7}, 0)), out);
-  ASSERT_EQ(out.port(0).size(), 1u);
-  EXPECT_EQ(out.port(0)[0].membership.Count(), 2);
 }
 
 TEST(SelectionMopTest, InputSlotRespected) {
-  // Member 0 reads slot 0, member 1 reads slot 1 of a capacity-2 channel.
-  SelectionMop mop({{0, {nullptr}}, {1, {nullptr}}},
-                   OutputMode::kPerMemberPorts);
-  CollectingEmitter out(2);
-  ChannelTuple ct{Tuple::MakeInts({1}, 0), BitVector::Singleton(1, 2)};
-  mop.Process(0, ct, out);
+  // The selection reads slot 1 of a capacity-2 channel.
+  SelectionMop mop({1, {nullptr}});
+  CollectingEmitter out(1);
+  mop.Process(0, ChannelTuple{Tuple::MakeInts({1}, 0),
+                              BitVector::Singleton(0, 2)},
+              out);
   EXPECT_EQ(out.port(0).size(), 0u);
-  EXPECT_EQ(out.port(1).size(), 1u);
+  mop.Process(0, ChannelTuple{Tuple::MakeInts({1}, 1),
+                              BitVector::Singleton(1, 2)},
+              out);
+  EXPECT_EQ(out.port(0).size(), 1u);
 }
 
 TEST(PredicateIndexMopTest, IndexesEqualityMembers) {
@@ -170,9 +152,10 @@ Tuple RandomMixedTuple(Rng& rng, Timestamp ts) {
   return Tuple::Make(values, ts);
 }
 
-// Property: PredicateIndexMop ≡ one-by-one SelectionMop on random workloads,
-// on the whole emission sequence, through Process and ProcessBatch, in both
-// output modes, with members added after tuples have flowed.
+// Property: PredicateIndexMop ≡ one isolated SelectionMop per member on
+// random workloads, on the whole emission sequence, through Process and
+// ProcessBatch, in both output modes, with members added after tuples have
+// flowed.
 class PredicateIndexPropertyTest : public ::testing::TestWithParam<uint64_t> {
 };
 
@@ -202,19 +185,28 @@ TEST_P(PredicateIndexPropertyTest, MatchesReference) {
   }
   const size_t add_at = feed.size() / 2;
 
+  // The reference: one isolated σ per member, run alone on every tuple. A
+  // tuple's expected emission goes to the members present whose σ passed
+  // it (in channel mode, one tuple with that membership).
+  IsolatedMembers isolated;
+  for (const ExprPtr& p : preds) {
+    isolated.Add(std::make_unique<SelectionMop>(SelectionMop::Member{0, {p}}),
+                 {0});
+  }
+  std::vector<BitVector> passed;
+  for (size_t i = 0; i < feed.size(); ++i) {
+    const int present = i < add_at ? num_initial : num_members;
+    BitVector members(present);
+    isolated.Process(0, Plain(feed[i])).ForEach([&](int m) {
+      if (m < present) members.Set(m);
+    });
+    passed.push_back(std::move(members));
+  }
+
   for (OutputMode mode : {OutputMode::kPerMemberPorts, OutputMode::kChannel}) {
-    // The reference: one SelectionMop per phase over the members present.
     SequenceEmitter ref_out;
-    for (int phase = 0; phase < 2; ++phase) {
-      std::vector<SelectionMop::Member> members;
-      for (int m = 0; m < (phase == 0 ? num_initial : num_members); ++m) {
-        members.push_back({0, {preds[m]}});
-      }
-      SelectionMop reference(members, mode);
-      for (size_t i = phase == 0 ? 0 : add_at;
-           i < (phase == 0 ? add_at : feed.size()); ++i) {
-        reference.Process(0, Plain(feed[i]), ref_out);
-      }
+    for (size_t i = 0; i < feed.size(); ++i) {
+      EmitForMembers(mode, passed[i], feed[i], ref_out);
     }
     ASSERT_FALSE(ref_out.log.empty());
 
@@ -279,7 +271,8 @@ TEST(PredicateIndexMopTest, StateBytesCountsEntriesAndProgramCode) {
   EXPECT_GE(mop.StateBytes(), entry_bytes + program_bytes);
 }
 
-// Property: ChannelSelectMop ≡ one-by-one members over channel slots.
+// Property: ChannelSelectMop ≡ one isolated σ per member, each reading its
+// channel slot.
 class ChannelSelectPropertyTest : public ::testing::TestWithParam<uint64_t> {
 };
 
@@ -289,20 +282,22 @@ TEST_P(ChannelSelectPropertyTest, MatchesReference) {
   ExprPtr pred = GtConst(0, rng.UniformInt(0, 5));
 
   ChannelSelectMop optimized({pred}, capacity, OutputMode::kChannel);
-  std::vector<SelectionMop::Member> ref_members;
-  for (int i = 0; i < capacity; ++i) ref_members.push_back({i, {pred}});
-  SelectionMop reference(ref_members, OutputMode::kPerMemberPorts);
+  IsolatedMembers reference;
+  for (int i = 0; i < capacity; ++i) {
+    reference.Add(
+        std::make_unique<SelectionMop>(SelectionMop::Member{0, {pred}}), {i});
+  }
 
-  CollectingEmitter opt_out(1), ref_out(capacity);
+  CollectingEmitter opt_out(1);
   for (int i = 0; i < 200; ++i) {
     ChannelTuple ct{RandomTuple(rng, 3, 10, i),
                     RandomMembership(rng, capacity)};
     optimized.Process(0, ct, opt_out);
-    reference.Process(0, ct, ref_out);
+    reference.Process(0, ct);
   }
   auto decoded = opt_out.DecodePort0(capacity);
   for (int m = 0; m < capacity; ++m) {
-    ExpectSameTuples(decoded[m], ref_out.PortTuples(m),
+    ExpectSameTuples(decoded[m], reference.Outputs(m),
                      "slot " + std::to_string(m));
   }
 }

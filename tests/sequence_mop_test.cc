@@ -180,7 +180,7 @@ TEST_P(SequenceOracleTest, MatchesBruteForce) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SequenceOracleTest,
                          ::testing::Range<uint64_t>(0, 15));
 
-// Property: shared (s;) and channel (c;) modes ≡ isolated members.
+// Property: shared (s;) and channel (c;) modes ≡ one isolated ; per member.
 class SharedSequencePropertyTest
     : public ::testing::TestWithParam<uint64_t> {};
 
@@ -190,21 +190,17 @@ TEST_P(SharedSequencePropertyTest, SharedMatchesIsolated) {
   SequenceDef def{EquiPred(0, 0), 1 + rng.UniformInt(1, 20)};
   std::vector<SequenceMop::Member> members(n, {0, 0, def});
   SequenceMop shared(members, Sharing::kShared, OutputMode::kPerMemberPorts);
-  SequenceMop isolated(members, Sharing::kIsolated,
-                       OutputMode::kPerMemberPorts);
-  CollectingEmitter s_out(n), i_out(n);
+  IsolatedMembers isolated = IsolatedOf<SequenceMop>(members);
+  CollectingEmitter s_out(n);
   Timestamp ts = 0;
   for (int i = 0; i < 300; ++i) {
     ts += rng.UniformInt(0, 2);
     Tuple t = RandomTuple(rng, 2, 4, ts);
     int port = rng.Bernoulli(0.5) ? 0 : 1;
     shared.Process(port, Plain(t), s_out);
-    isolated.Process(port, Plain(t), i_out);
+    isolated.Process(port, Plain(t));
   }
-  for (int m = 0; m < n; ++m) {
-    ExpectSameTuples(s_out.PortTuples(m), i_out.PortTuples(m),
-                     "member " + std::to_string(m));
-  }
+  ExpectMatchesIsolated(s_out, isolated, /*ordered=*/false);
 }
 
 TEST_P(SharedSequencePropertyTest, ChannelMatchesIsolated) {
@@ -215,9 +211,8 @@ TEST_P(SharedSequencePropertyTest, ChannelMatchesIsolated) {
   for (int i = 0; i < n; ++i) members.push_back({i, 0, def});
   SequenceMop channel(members, Sharing::kChannel,
                       OutputMode::kPerMemberPorts);
-  SequenceMop isolated(members, Sharing::kIsolated,
-                       OutputMode::kPerMemberPorts);
-  CollectingEmitter c_out(n), i_out(n);
+  IsolatedMembers isolated = IsolatedOf<SequenceMop>(members);
+  CollectingEmitter c_out(n);
   Timestamp ts = 0;
   for (int i = 0; i < 300; ++i) {
     ts += rng.UniformInt(0, 2);
@@ -225,16 +220,13 @@ TEST_P(SharedSequencePropertyTest, ChannelMatchesIsolated) {
     if (rng.Bernoulli(0.5)) {
       ChannelTuple ct{t, RandomMembership(rng, n)};
       channel.Process(0, ct, c_out);
-      isolated.Process(0, ct, i_out);
+      isolated.Process(0, ct);
     } else {
       channel.Process(1, Plain(t), c_out);
-      isolated.Process(1, Plain(t), i_out);
+      isolated.Process(1, Plain(t));
     }
   }
-  for (int m = 0; m < n; ++m) {
-    ExpectSameTuples(c_out.PortTuples(m), i_out.PortTuples(m),
-                     "member " + std::to_string(m));
-  }
+  ExpectMatchesIsolated(c_out, isolated, /*ordered=*/false);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SharedSequencePropertyTest,

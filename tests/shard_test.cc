@@ -13,6 +13,7 @@
 
 #include "api/stream_engine.h"
 #include "common/rng.h"
+#include "labelled_sources.h"
 #include "plan/compile.h"
 #include "plan/shard.h"
 #include "plan/sharded_executor.h"
@@ -94,6 +95,17 @@ StreamId SourceId(const Plan& plan, const std::string& name) {
   auto id = plan.streams().FindSource(name);
   RUMOR_CHECK(id.has_value());
   return *id;
+}
+
+// The sharded engine routes labelled sources as the single engine does: the
+// group channel's cα is keyed on its group-by across both sources, and the
+// per-query outputs equal the channels-off engine's.
+TEST(ShardedEngineTest, LabelledSourcesMatchChannelsOff) {
+  std::string plan, unused;
+  const auto got = RunLabelledSources(/*channels=*/true, 2, &plan);
+  EXPECT_NE(plan.find("cα"), std::string::npos) << plan;
+  EXPECT_EQ(got, RunLabelledSources(/*channels=*/false, 1, &unused));
+  EXPECT_EQ(got.size(), 5u);
 }
 
 TEST(AnalyzeShardingTest, StatelessQueriesRouteAnywhere) {

@@ -40,7 +40,7 @@ MopId FormIndexFrom(Plan* plan, const std::vector<MopId>& singles) {
   std::vector<ChannelId> outs;
   for (MopId id : singles) {
     const auto& sel = static_cast<const SelectionMop&>(plan->mop(id));
-    defs.push_back(sel.member(0).def);
+    defs.push_back(sel.member().def);
     outs.push_back(plan->output_channel(id, 0));
   }
   ChannelId input = plan->input_channel(singles[0], 0);

@@ -2,10 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "labelled_sources.h"
 #include "query/builder.h"
 
 namespace rumor {
@@ -13,6 +15,20 @@ namespace {
 
 Schema CpuSchema() {
   return Schema({{"pid", ValueType::kInt}, {"load", ValueType::kInt}});
+}
+
+TEST(StreamEngineTest, LabelledSourcesDeliverThroughTheirGroupChannel) {
+  std::string plan, unused;
+  const auto got = RunLabelledSources(/*channels=*/true, 1, &plan);
+  EXPECT_NE(plan.find("cσ"), std::string::npos) << plan;
+  EXPECT_NE(plan.find("cα"), std::string::npos) << plan;
+  EXPECT_EQ(got, RunLabelledSources(/*channels=*/false, 1, &unused));
+  // 34 of the 40 events per source pass a0 > 5; L1 sees 20..39, a1 = 1.
+  ASSERT_EQ(got.count("Q1"), 1u);
+  EXPECT_EQ(got.at("Q1").size(), 34u);
+  EXPECT_EQ(got.at("Q2").size(), 34u);
+  EXPECT_EQ(got.at("A1").size(), 40u);
+  EXPECT_EQ(got.at("L1").size(), 6u);
 }
 
 TEST(StreamEngineTest, EndToEndWithRqlScript) {
@@ -79,6 +95,74 @@ TEST(StreamEngineTest, OptimizerStatsExposed) {
   ASSERT_TRUE(engine.Start().ok());
   EXPECT_EQ(engine.optimize_stats().predicate_index_merges, 1);
   EXPECT_NE(engine.Explain().find("σ-index"), std::string::npos);
+}
+
+// RQL that parses but cannot run is refused when added, with a Status:
+// out-of-range literals, non-boolean predicates or AND/OR/NOT operands,
+// and string operands of arithmetic.
+TEST(StreamEngineTest, RejectsQueriesThatCannotRun) {
+  StreamEngine engine;
+  ASSERT_TRUE(engine.RegisterSource("S", Schema::MakeInts(2)).ok());
+  ASSERT_TRUE(engine.RegisterSource("T", Schema::MakeInts(2)).ok());
+  ASSERT_TRUE(
+      engine.RegisterSource("N", Schema({{"name", ValueType::kString}})).ok());
+  const std::string tiny = "0." + std::string(400, '0') + "1";
+  for (const std::string& rql : {
+           std::string("SELECT * FROM S WHERE a0 > 99999999999999999999"),
+           "SELECT * FROM S WHERE a0 > 1" + std::string(400, '0') + ".5",
+           "SELECT * FROM S WHERE a0 > " + tiny,
+           std::string("SELECT * FROM S WHERE a0 AND a1 > 2"),
+           std::string("SELECT * FROM S WHERE NOT a0"),
+           std::string("SELECT * FROM S WHERE a0 - 3"),
+           std::string("SELECT * FROM S [RANGE 5] JOIN T [RANGE 5] "
+                       "ON S.a0 * T.a0"),
+           std::string("SELECT * FROM S WHERE a0 + 'x' > 1"),
+           std::string("SELECT SUM(name) FROM N [RANGE 5]"),
+       }) {
+    const Status st = engine.AddQueryText(rql, "Q");
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
+        << rql << ": " << st.ToString();
+  }
+  EXPECT_EQ(engine.num_queries(), 0);
+}
+
+// Arithmetic that has no value — division or modulo by zero, modulo of a
+// double — is null at run time: comparisons with it are false, and a
+// projection that yields it drops the tuple. Nothing aborts.
+TEST(StreamEngineTest, ArithmeticWithoutAValueIsNull) {
+  StreamEngine engine;
+  ASSERT_TRUE(engine.RegisterSource("S", Schema::MakeInts(2)).ok());
+  ASSERT_TRUE(engine
+                  .AddScript("D: SELECT * FROM S WHERE a1 / a0 > 1;"
+                             "M: SELECT * FROM S WHERE a1 % 2 = 1;"
+                             "W: SELECT * FROM S WHERE a0 + a1 < 0;")
+                  .ok());
+  SchemaMap quotient;  // RQL has no computed columns; the builder does
+  quotient.Add("q", Expr::Arith(ArithOp::kDiv, Expr::Attr(Side::kLeft, 1),
+                                Expr::Attr(Side::kLeft, 0)));
+  ASSERT_TRUE(engine
+                  .AddQuery(QueryBuilder::FromSource("S", Schema::MakeInts(2))
+                                .Project(quotient)
+                                .Build("P"))
+                  .ok());
+  std::map<std::string, std::vector<std::string>> out;
+  engine.SetOutputHandler([&](const std::string& q, const Tuple& t) {
+    out[q].push_back(t.ToString());
+  });
+  ASSERT_TRUE(engine.Start().ok());
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  ASSERT_TRUE(engine.Push("S", Tuple::MakeInts({0, 5}, 0)).ok());
+  ASSERT_TRUE(engine.Push("S", Tuple::MakeInts({2, 5}, 1)).ok());
+  ASSERT_TRUE(
+      engine.Push("S", Tuple::Make({Value(int64_t{2}), Value(5.0)}, 2)).ok());
+  ASSERT_TRUE(engine.Push("S", Tuple::MakeInts({kMax, 1}, 3)).ok());
+  // a1 / a0: null, 2, 2.5, 0.
+  EXPECT_EQ(out["D"].size(), 2u);
+  // a1 % 2: 1, 1, null (a double), 1.
+  EXPECT_EQ(out["M"].size(), 3u);
+  EXPECT_EQ(out["P"].size(), 3u);
+  // INT64_MAX + 1 wraps to INT64_MIN.
+  EXPECT_EQ(out["W"].size(), 1u);
 }
 
 TEST(StreamEngineTest, ErrorsAreSurfaced) {
