@@ -160,16 +160,18 @@ struct BufferSource {
   bool operator==(const BufferSource&) const = default;
 };
 
+// Every record holds one buffer of each kind (an unmerged m-op has one
+// member); a member-filtered record's slots belong to the members in their
+// stored membership.
 inline BufferSource BufferSourceOf(const MopState& src, int saved_slot) {
   if (saved_slot < 0) return {};
-  return {src.shared_state ? 0 : saved_slot,
-          src.shared_state && src.member_filtered ? saved_slot : -1};
+  return {0, src.member_filtered ? saved_slot : -1};
 }
 
 // The one source of a restored s⋈/s;/sµ buffer, which all of the m-op's
-// members read. Fails when their saved state lives in several buffers:
-// per-member buffers cannot merge into one, because each has its own
-// consumption history.
+// members read. Fails when their saved state is filtered by different
+// members of a member-filtered record: one buffer cannot hold several
+// members' slot sets.
 inline Status SharedBufferSource(const MopState& src,
                                  const MopStateBinding& binding,
                                  BufferSource* out) {

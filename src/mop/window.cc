@@ -125,10 +125,12 @@ void SharedAggEngine::Apply(MemberState& st, int64_t abs, int sign) {
   const Value& v = entry(abs).value;
   acc.count += sign;
   if (members_[0].fn != AggFn::kCount) {
+    // A string reaches neither sum: CheckQueryTypes refuses SUM and AVG of
+    // strings, and MIN and MAX read the extrema queues.
     if (v.type() == ValueType::kInt) {
       acc.isum = sign > 0 ? WrappingAdd(acc.isum, v.AsInt())
                           : WrappingSub(acc.isum, v.AsInt());
-    } else {
+    } else if (v.IsNumeric()) {
       acc.dsum += sign * v.ToNumeric();
       acc.double_count += sign;
       // Drop the accumulated floating-point residue once no double entry is

@@ -147,12 +147,6 @@ void Executor::ApplyPlanDelta(const std::vector<PlanEvent>& events) {
       case PlanEvent::kChannelKilled:
         routes_[e.a] = Route{};  // tombstone: routes stay empty
         delivery_[e.a] = 0;
-        if (!plan_->ProducerOf(e.a).has_value()) {
-          // A dead root: its sources enter the plan elsewhere now.
-          for (StreamId s : plan_->channel(e.a).streams()) {
-            if (plan_->streams().Get(s).is_source) RouteSource(s);
-          }
-        }
         break;
       case PlanEvent::kSourceBound:
         RouteSource(e.a);
@@ -184,6 +178,7 @@ void Executor::ApplyPlanDelta(const std::vector<PlanEvent>& events) {
   }
   for (StreamId s : dirty_streams) {
     for (ChannelId c : plan_->ChannelsOfStream(s)) {
+      if (IsSourceGroup(c)) continue;
       const ChannelDef& def = plan_->channel(c);
       auto& slots = routes_[c].output_slots;
       slots.clear();
@@ -229,7 +224,8 @@ void Executor::BuildRouting() {
     is_output[out.stream] = 1;
   }
   for (ChannelId c = 0; c < plan_->num_channels(); ++c) {
-    if (plan_->channel_dead(c)) continue;  // tombstone: routes stay empty
+    // Tombstones keep empty routes; group channels deliver no outputs.
+    if (plan_->channel_dead(c) || IsSourceGroup(c)) continue;
     const ChannelDef& def = plan_->channel(c);
     for (int slot = 0; slot < def.capacity(); ++slot) {
       if (is_output[def.stream_at(slot)]) {
@@ -252,6 +248,10 @@ void Executor::BuildRouting() {
     channel_buffers_.resize(plan_->num_channels());
   }
   plan_cursor_ = plan_->mutation_seq();
+}
+
+bool Executor::IsSourceGroup(ChannelId c) const {
+  return plan_->channel(c).capacity() > 1 && !plan_->ProducerOf(c).has_value();
 }
 
 void Executor::RouteSource(StreamId s) {

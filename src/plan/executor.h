@@ -129,11 +129,13 @@ class Executor {
   bool busy() const { return draining_ || in_run_batch_; }
 
   // Pushes one tuple of a *source stream*; timestamps must be
-  // non-decreasing per call sequence.
+  // non-decreasing per call sequence. The tuple enters the source's own
+  // channel and every source-group channel carrying the stream.
   void PushSource(StreamId stream, const Tuple& tuple);
 
   // Pushes a channel tuple into a producer-less channel (source-group
-  // channels; paper §5.2 Workload 3 feeds channel C directly).
+  // channels; paper §5.2 Workload 3 feeds channel C directly). A group
+  // channel delivers no query outputs (see IsSourceGroup).
   void PushChannel(ChannelId channel, const ChannelTuple& tuple);
 
   // Pushes a run of consecutive tuples of one source stream. Semantically
@@ -211,6 +213,11 @@ class Executor {
   void BuildRouting();
   // Re-derives source stream `s`'s roots from the plan.
   void RouteSource(StreamId s);
+  // A producer-less channel of capacity > 1 (a source-group channel). It
+  // carries no output slots: every source stream on it also has its own
+  // channel, which a pushed tuple enters as well and which delivers the
+  // stream's outputs, so delivering them here too would deliver them twice.
+  bool IsSourceGroup(ChannelId c) const;
   // Patches the routing tables from a batch of plan mutation events
   // (Refresh fast path). The caller has checked the batch contains no kBulk.
   void ApplyPlanDelta(const std::vector<PlanEvent>& events);

@@ -40,8 +40,8 @@ ChannelId Plan::AddChannel(std::vector<StreamId> streams, Schema schema) {
         << "channel streams must be union-compatible";
   }
   ChannelId id = static_cast<ChannelId>(channels_.size());
-  // Source-group channels (capacity > 1, all-source) are fed directly via
-  // Executor::PushChannel and must never be collected.
+  // Source-group channels (capacity > 1, all-source) are fed by pushes
+  // from outside the plan and must never be collected.
   bool pinned = streams.size() > 1;
   for (StreamId s : streams) pinned &= streams_.Get(s).is_source;
   for (StreamId s : streams) {

@@ -166,7 +166,8 @@ class Plan {
   // O(#marks on `from`).
   void RemapOutput(StreamId from, StreamId to);
   // Producer-less channels of capacity > 1 encoding only source streams
-  // (created by the channel rule over sharable sources; fed directly via
+  // (created by the channel rule over sharable sources; fed by
+  // Executor::PushSource beside each source's own channel, or directly via
   // Executor::PushChannel).
   std::vector<ChannelId> SourceGroupChannels() const;
 

@@ -16,8 +16,10 @@ namespace rumor {
 // rule moves their consumers onto one producer-less group channel per
 // label, which every pushed tuple must enter too. After 20 events per
 // source a σ is added live on S1; it reads S1's own channel, so a tuple of
-// S1 then enters both of S1's roots. Returns the per-query outputs and,
-// through `explain`, the plan after Start.
+// S1 then enters both of S1's roots. Bare `SELECT *` queries, one before
+// Start and two live, output a source stream itself, which must reach them
+// once however many roots the tuple enters. Returns the per-query outputs
+// and, through `explain`, the plan after Start.
 inline std::map<std::string, std::vector<std::string>> RunLabelledSources(
     bool channels, int shards, std::string* explain) {
   OptimizerOptions options;
@@ -37,6 +39,7 @@ inline std::map<std::string, std::vector<std::string>> RunLabelledSources(
   EXPECT_TRUE(engine
                   .AddScript("Q1: SELECT * FROM S1 WHERE a0 > 5;"
                              "Q2: SELECT * FROM S2 WHERE a0 > 5;"
+                             "P1: SELECT * FROM S1;"
                              "A1: SELECT a1, SUM(a0) FROM T1 [RANGE 10] "
                              "GROUP BY a1;"
                              "A2: SELECT a1, SUM(a0) FROM T2 [RANGE 10] "
@@ -53,6 +56,8 @@ inline std::map<std::string, std::vector<std::string>> RunLabelledSources(
   };
   push(0, 20);
   EXPECT_TRUE(engine.AddQueryText("SELECT * FROM S1 WHERE a1 = 1", "L1").ok());
+  EXPECT_TRUE(engine.AddQueryText("SELECT * FROM S2", "P2").ok());
+  EXPECT_TRUE(engine.AddQueryText("SELECT * FROM S1", "P3").ok());
   push(20, 40);
   engine.Flush();
   return out;

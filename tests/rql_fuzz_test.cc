@@ -25,6 +25,7 @@ const std::vector<std::string>& Templates() {
       "$ : SELECT a0 , SUM ( a1 ) FROM S [ RANGE 10 ] GROUP BY a0",
       "$ : SELECT AVG ( a1 ) FROM S [ RANGE 5 ]",
       "$ : SELECT MIN ( a1 ) , MAX ( a1 ) FROM S [ RANGE 7 ]",
+      "$ : SELECT a0 , MAX ( s ) FROM S [ RANGE 6 ] GROUP BY a0",
       "$ : SELECT COUNT ( * ) FROM T [ RANGE 3 ] GROUP BY a1",
       "$ : SELECT * FROM S [ RANGE 10 ] JOIN T [ RANGE 10 ] ON S.a0 = T.a0",
       "$ : SELECT * FROM S SEQ T ON S.a0 = T.a0 WITHIN 12",

@@ -105,7 +105,7 @@ TEST(ShardedEngineTest, LabelledSourcesMatchChannelsOff) {
   const auto got = RunLabelledSources(/*channels=*/true, 2, &plan);
   EXPECT_NE(plan.find("cα"), std::string::npos) << plan;
   EXPECT_EQ(got, RunLabelledSources(/*channels=*/false, 1, &unused));
-  EXPECT_EQ(got.size(), 5u);
+  EXPECT_EQ(got.size(), 8u);
 }
 
 TEST(AnalyzeShardingTest, StatelessQueriesRouteAnywhere) {

@@ -23,12 +23,17 @@ TEST(StreamEngineTest, LabelledSourcesDeliverThroughTheirGroupChannel) {
   EXPECT_NE(plan.find("cσ"), std::string::npos) << plan;
   EXPECT_NE(plan.find("cα"), std::string::npos) << plan;
   EXPECT_EQ(got, RunLabelledSources(/*channels=*/false, 1, &unused));
-  // 34 of the 40 events per source pass a0 > 5; L1 sees 20..39, a1 = 1.
+  // 34 of the 40 events per source pass a0 > 5; L1 sees 20..39, a1 = 1;
+  // P1 sees every event of S1 once, P2 and P3 the 20 after their live add.
   ASSERT_EQ(got.count("Q1"), 1u);
   EXPECT_EQ(got.at("Q1").size(), 34u);
   EXPECT_EQ(got.at("Q2").size(), 34u);
   EXPECT_EQ(got.at("A1").size(), 40u);
   EXPECT_EQ(got.at("L1").size(), 6u);
+  ASSERT_EQ(got.count("P1"), 1u);
+  EXPECT_EQ(got.at("P1").size(), 40u);
+  EXPECT_EQ(got.at("P2").size(), 20u);
+  EXPECT_EQ(got.at("P3").size(), 20u);
 }
 
 TEST(StreamEngineTest, EndToEndWithRqlScript) {
@@ -124,6 +129,37 @@ TEST(StreamEngineTest, RejectsQueriesThatCannotRun) {
         << rql << ": " << st.ToString();
   }
   EXPECT_EQ(engine.num_queries(), 0);
+}
+
+// MIN and MAX order strings; only SUM and AVG need numbers.
+TEST(StreamEngineTest, MinAndMaxOfStrings) {
+  StreamEngine engine;
+  ASSERT_TRUE(engine
+                  .RegisterSource("N", Schema({{"k", ValueType::kInt},
+                                               {"name", ValueType::kString}}))
+                  .ok());
+  ASSERT_TRUE(engine
+                  .AddScript("LO: SELECT MIN(name) FROM N [RANGE 2];"
+                             "HI: SELECT k, MAX(name) FROM N [RANGE 5] "
+                             "GROUP BY k;")
+                  .ok());
+  std::map<std::string, std::vector<std::string>> out;
+  engine.SetOutputHandler([&](const std::string& q, const Tuple& t) {
+    out[q].push_back(t.at(t.size() - 1).AsString());
+  });
+  ASSERT_TRUE(engine.Start().ok());
+  const char* names[] = {"pear", "fig", "kiwi", "apple", "plum"};
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(
+        engine.Push("N", Tuple::Make({Value(int64_t{i % 2}), Value(names[i])},
+                                     i))
+            .ok());
+  }
+  // RANGE 2 holds the two newest names; k alternates 0, 1, 0, 1, 0.
+  EXPECT_EQ(out["LO"], (std::vector<std::string>{"pear", "fig", "fig", "apple",
+                                                  "apple"}));
+  EXPECT_EQ(out["HI"], (std::vector<std::string>{"pear", "fig", "pear", "fig",
+                                                  "plum"}));
 }
 
 // Arithmetic that has no value — division or modulo by zero, modulo of a
