@@ -255,7 +255,7 @@ Status StreamEngine::AddQueryLive(Query query, std::string text) {
   // it onto warm shared operators with O(1) probes of the replica's share
   // index.
   std::vector<IncrementalMergeStats> merged(num_replicas());
-  RUMOR_RETURN_IF_ERROR(ForEachReplica(
+  const Status added = ForEachReplica(
       [&](int replica, Plan& plan, Executor& exec) -> Status {
         Plan::Marker marker = plan.Mark();
         auto compiled = CompileQuery(query, &plan);
@@ -267,7 +267,15 @@ Status StreamEngine::AddQueryLive(Query query, std::string text) {
             &plan, share_indexes_[replica].get(), marker.num_mops, options_);
         exec.Refresh();
         return Status::OK();
-      }));
+      });
+  if (!added.ok()) {
+    // A query that reached the replicas but was refused after (a sharded
+    // engine would have to route a source's state elsewhere) goes back out.
+    if (ActivePlan().OutputStreamOf(query.name).has_value()) {
+      RUMOR_CHECK(UnshareQuery(query.name, nullptr).ok());
+    }
+    return added;
+  }
   stats_.dynamic_adds += 1;
   stats_.incremental_cse_merges += merged[0].cse_merges;
   stats_.incremental_attach_merges += merged[0].attach_merges;
@@ -283,6 +291,20 @@ Status StreamEngine::AddQueryLive(Query query, std::string text) {
   return Status::OK();
 }
 
+Status StreamEngine::UnshareQuery(const std::string& name, PruneStats* stats) {
+  // Reference-counted unsharing: tear down exactly what no surviving query
+  // reaches, and keep the share index current (O(delta)) so a long removal
+  // run cannot outgrow the plan's event log between adds.
+  return ForEachReplica([&](int replica, Plan& plan, Executor& exec) {
+    RUMOR_CHECK(plan.UnmarkOutput(name));
+    const PruneStats pruned = PruneUnreachable(&plan);
+    if (replica == 0 && stats != nullptr) *stats = pruned;
+    share_indexes_[replica]->Sync();
+    exec.Refresh();
+    return Status::OK();
+  });
+}
+
 Status StreamEngine::RemoveQuery(const std::string& name) {
   int index = FindQuery(name);
   if (index < 0) {
@@ -295,23 +317,13 @@ Status StreamEngine::RemoveQuery(const std::string& name) {
     if (busy()) {
       return Status::Internal("cannot remove queries from inside a push");
     }
-    // Reference-counted unsharing: tear down exactly what no surviving
-    // query reaches, and keep the share index current (O(delta)) so a long
-    // removal run cannot outgrow the plan's event log between adds.
-    std::vector<PruneStats> pruned(num_replicas());
-    RUMOR_RETURN_IF_ERROR(ForEachReplica(
-        [&](int replica, Plan& plan, Executor& exec) -> Status {
-          RUMOR_CHECK(plan.UnmarkOutput(canonical));
-          pruned[replica] = PruneUnreachable(&plan);
-          share_indexes_[replica]->Sync();
-          exec.Refresh();
-          return Status::OK();
-        }));
+    PruneStats pruned;
+    RUMOR_RETURN_IF_ERROR(UnshareQuery(canonical, &pruned));
     sink_->Unbind(canonical);
     stats_.dynamic_removes += 1;
-    stats_.pruned_mops += pruned[0].removed_mops;
+    stats_.pruned_mops += pruned.removed_mops;
     stats_.pruned_members +=
-        pruned[0].pruned_index_members + pruned[0].deactivated_members;
+        pruned.pruned_index_members + pruned.deactivated_members;
   }
   query_slots_[index] = QuerySlot{};  // tombstone
   --num_live_queries_;

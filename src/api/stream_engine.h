@@ -49,6 +49,8 @@
 
 namespace rumor {
 
+struct PruneStats;
+
 class StreamEngine {
  public:
   explicit StreamEngine(OptimizerOptions options = OptimizerOptions());
@@ -82,7 +84,12 @@ class StreamEngine {
   // Adds a logical query (from QueryBuilder / the translator / ...). Query
   // names must be unique among live queries. After Start() the query is
   // merged into the running plan (see file comment); it is illegal to call
-  // this from inside an output handler.
+  // this from inside an output handler. A sharded engine refuses, with
+  // Unimplemented, a live add that needs another shard routing for a source
+  // that already feeds state (a source keyed on another attribute, pinned
+  // with other sources, or pinned where it was keyed): that state sits on
+  // the shards the running routes chose. A source whose stateful queries
+  // were all removed feeds no state, and a later add routes it afresh.
   Status AddQuery(Query query);
   // Parses and adds one RQL query; `name` overrides the statement name.
   Status AddQueryText(const std::string& rql, const std::string& name = "");
@@ -151,14 +158,14 @@ class StreamEngine {
   // starts the engine (so the batch Optimize builds the restored plan, which
   // may be shaped differently from the saved one where queries were added
   // live), and loads the saved operator state into the matching members
-  // (matched by structural fingerprint, plan/fingerprint.h). A restored
-  // shared m-op whose members' state lives in several saved m-ops
-  // (live-added ;/µ/⋈ queries that differ only in window, which the batch
-  // Optimize now merges) fails with Unimplemented before any state is
-  // loaded. The snapshot is fully validated before any engine state is
-  // touched, and a restore that fails later puts the engine back the way it
-  // found it: fresh, with its settings (options, shard count, handler,
-  // metrics) kept. The restored engine may run any shard count (call
+  // (matched by structural fingerprint, plan/fingerprint.h), channel
+  // members (cα, c⋈, c;, cµ) included. A restored m-op whose members' state
+  // lives in several saved m-ops (queries added live, which stay unshared,
+  // that the batch Optimize merges) fails with Unimplemented before any
+  // state is loaded. The snapshot is fully validated before any engine
+  // state is touched, and a restore that fails later puts the engine back
+  // the way it found it: fresh, with its settings (options, shard count,
+  // handler, metrics) kept. The restored engine may run any shard count (call
   // SetShardCount first): a sharded checkpoint is merged into one logical
   // image and re-partitioned onto the new layout.
   Status Restore(std::string_view snapshot);
@@ -255,6 +262,9 @@ class StreamEngine {
   Status AddQueryWithText(Query query, std::string text);
   // Compiles + incrementally merges a query into the running plan.
   Status AddQueryLive(Query query, std::string text);
+  // Unmarks the output `name` in every replica and prunes what no other
+  // query reaches; `stats` (may be null) receives replica 0's pruning.
+  Status UnshareQuery(const std::string& name, PruneStats* stats);
   // Re-derives the source name -> stream id table from the plan.
   void RefreshSourceIds();
   // Drops the sources, queries and plan(s): the engine is fresh again

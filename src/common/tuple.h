@@ -19,6 +19,7 @@
 #define RUMOR_COMMON_TUPLE_H_
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -30,6 +31,17 @@
 namespace rumor {
 
 using Timestamp = int64_t;
+
+// The oldest timestamp inside a window of `span` (>= 0) that ends at `now`:
+// now - span, or INT64_MIN where that would fall below the timestamp range,
+// so such a window expires nothing. The m-ops take every window bound from
+// it, so no window arithmetic overflows.
+inline Timestamp WindowStart(Timestamp now, int64_t span) {
+  Timestamp start;
+  return __builtin_sub_overflow(now, span, &start)
+             ? std::numeric_limits<Timestamp>::min()
+             : start;
+}
 
 class TupleArena;
 

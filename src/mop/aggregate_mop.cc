@@ -133,10 +133,6 @@ Status AggregateMop::LoadState(const MopState& src,
   if (binding.saved_slot.size() != static_cast<size_t>(num_members())) {
     return Status::Internal("aggregate state binding size mismatch");
   }
-  if (sharing_ == Sharing::kFragment) {
-    return Status::Unimplemented(
-        "restored plans build isolated or sα aggregates only");
-  }
   if (src.engines.size() > 1) {
     return Status::InvalidArgument(
         StrCat("aggregate state holds ", src.engines.size(),

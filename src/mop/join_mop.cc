@@ -84,42 +84,37 @@ Status JoinMop::LoadState(const MopState& src, const MopStateBinding& binding) {
   if (src.kind != MopState::Kind::kJoin) {
     return Status::Internal("join m-op handed non-join state");
   }
-  if (sharing_ == Sharing::kPrecision) {
-    return Status::Unimplemented(
-        "restored plans build no c⋈ (it is a batch rule over channels)");
-  }
   if (binding.saved_slot.size() != static_cast<size_t>(num_members()) ||
       binding.input_capacities.size() < 2) {
     return Status::Internal("join state binding size mismatch");
   }
-  // The isolated member's buffers, or the s⋈ m-op's shared ones. The
-  // stored membership is the one the live path would store: the tuple's
-  // slot on the restored input channel (inert unless a later batch
-  // re-optimize ever precision-merges this m-op). A source buffer can hold
-  // tuples outside the restored windows (another saved member's window was
-  // wider); that superset is harmless, as ExpireBefore runs ahead of every
-  // probe.
-  BufferSource source;
+  // The isolated member's buffers, the s⋈ m-op's shared ones, or every slot
+  // of the c⋈ m-op's. A source buffer can hold tuples outside the restored
+  // windows (another saved member's window was wider); that superset is
+  // harmless, as ExpireBefore runs ahead of every probe.
+  BufferSource source{0, -1};
   if (sharing_ == Sharing::kShared) {
     RUMOR_RETURN_IF_ERROR(SharedBufferSource(src, binding, &source));
-  } else {
+  } else if (sharing_ == Sharing::kIsolated) {
     source = BufferSourceOf(src, binding.saved_slot[0]);
   }
-  const Member& m = members_[0];
-  const BitVector left_membership =
-      BitVector::Singleton(m.left_slot, binding.input_capacities[0]);
-  const BitVector right_membership =
-      BitVector::Singleton(m.right_slot, binding.input_capacities[1]);
-  RUMOR_RETURN_IF_ERROR(
-      LoadSlots(src.left, source, &left_, [&](const BufferSlotState& slot) {
-        return StoredTuple{Tuple::Make(slot.tuple.values, slot.tuple.ts),
-                           left_membership};
-      }));
-  return LoadSlots(
-      src.right, source, &right_, [&](const BufferSlotState& slot) {
-        return StoredTuple{Tuple::Make(slot.tuple.values, slot.tuple.ts),
-                           right_membership};
-      });
+  // The stored membership is the one the live path would store: c⋈ keeps
+  // the members that held the slot, the others the tuple's slot on the
+  // restored input channel.
+  const auto load = [&](const std::vector<BufferState>& saved, int port,
+                        KeyedBuffer<StoredTuple>* into) {
+    const int capacity = binding.input_capacities[port];
+    const BitVector slot_bit = BitVector::Singleton(
+        port == 0 ? members_[0].left_slot : members_[0].right_slot, capacity);
+    return LoadSlots(saved, source, into, [&](const BufferSlotState& slot) {
+      return StoredTuple{Tuple::Make(slot.tuple.values, slot.tuple.ts),
+                         sharing_ == Sharing::kPrecision
+                             ? RestoredMembership(binding, slot, capacity)
+                             : slot_bit};
+    });
+  };
+  RUMOR_RETURN_IF_ERROR(load(src.left, 0, &left_));
+  return load(src.right, 1, &right_);
 }
 
 void JoinMop::EmitMatch(const BitVector& members, const Tuple& left,
@@ -148,8 +143,8 @@ void JoinMop::ProcessIsolated(int port, const ChannelTuple& ct,
   KeyedBuffer<StoredTuple>& probe = from_left ? right_ : left_;
   // Partner tuples older than the window cannot match this or any later
   // arrival (timestamps are non-decreasing).
-  probe.ExpireBefore(t.ts() -
-                     (from_left ? m.def.right_window : m.def.left_window));
+  probe.ExpireBefore(WindowStart(
+      t.ts(), from_left ? m.def.right_window : m.def.left_window));
 
   Value key;
   const Value* key_ptr = nullptr;
@@ -194,9 +189,9 @@ void JoinMop::ProcessSharedOrPrecision(int port, const ChannelTuple& ct,
     if (sharing_ == Sharing::kShared) {
       // The stored tuple must lie inside the member's window for the side
       // it was stored on.
-      const int64_t age = t.ts() - stored.tuple.ts();
-      EmitMatch((from_left ? right_routing_ : left_routing_).Covering(age), l,
-                r, out);
+      EmitMatch((from_left ? right_routing_ : left_routing_)
+                    .Covering(t.ts(), stored.tuple.ts()),
+                l, r, out);
     } else {  // kPrecision: AND of the two membership components
       EmitMatch(stored.membership & ct.membership, l, r, out);
     }

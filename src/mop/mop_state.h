@@ -91,9 +91,10 @@ struct MopState {
     kIterate = 4,
   };
   Kind kind = Kind::kAggregate;
-  // Structural fingerprint of each member slot (0 for inactive slots) and
-  // whether the slot is active (Mop::member_active); filled by the snapshot
-  // layer from the saved plan, not by SaveState.
+  // Structural fingerprint of each member slot (0 for a slot no query
+  // output reaches, or an inactive one) and whether the slot is active
+  // (Mop::member_active); filled by the snapshot layer from the saved plan,
+  // not by SaveState.
   std::vector<uint64_t> member_fps;
   std::vector<char> member_active;
   // True when the saved m-op ran its members against shared state (shared
@@ -187,6 +188,24 @@ inline Status SharedBufferSource(const MopState& src,
     *out = b;
   }
   return Status::OK();
+}
+
+// The stored membership of a saved slot in a restored c⋈, c; or cµ, whose
+// member r reads slot r of a `capacity`-slot input channel: bit r is set
+// when the slot held saved member binding.saved_slot[r], which every slot
+// of a record that is not member-filtered does.
+inline BitVector RestoredMembership(const MopStateBinding& binding,
+                                    const BufferSlotState& slot,
+                                    int capacity) {
+  BitVector out(capacity);
+  for (size_t r = 0; r < binding.saved_slot.size(); ++r) {
+    const int s = binding.saved_slot[r];
+    if (s >= 0 && (!binding.src->member_filtered ||
+                   StateSlotHasMember(slot, s))) {
+      out.Set(static_cast<int>(r));
+    }
+  }
+  return out;
 }
 
 // Adds the slots of `source` among `saved` to `into` in timestamp order;

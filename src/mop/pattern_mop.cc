@@ -42,7 +42,8 @@ PatternMop::PatternMop(MopType type, MopState::Kind kind, Sharing sharing,
 Timestamp PatternMop::OldestKept(Timestamp now) const {
   if (sharing_ == Sharing::kShared) return routing_.OldestKept(now);
   const int64_t window = wiring_[0].window;
-  return window > 0 ? now - window : std::numeric_limits<Timestamp>::min();
+  return window > 0 ? WindowStart(now, window)
+                    : std::numeric_limits<Timestamp>::min();
 }
 
 bool PatternMop::DeactivateMember(int i) {
@@ -72,22 +73,23 @@ Status PatternMop::LoadState(const MopState& src,
     return Status::Internal(
         StrCat("m-op ", name(), " handed another kind's state"));
   }
-  if (sharing_ == Sharing::kChannel) {
-    return Status::Unimplemented(StrCat(
-        "restored plans build no ", name(),
-        " (channel rules are batch rules over channels)"));
-  }
-  if (binding.saved_slot.size() != static_cast<size_t>(num_members())) {
+  if (binding.saved_slot.size() != static_cast<size_t>(num_members()) ||
+      binding.input_capacities.empty()) {
     return Status::Internal(StrCat(name(), " state binding size mismatch"));
   }
-  const auto make = [](const BufferSlotState& slot) {
+  // c;/cµ instances carry the members that held them (member i reads slot
+  // i of the left channel); the others' carry none.
+  const int capacity = binding.input_capacities[0];
+  const auto make = [&](const BufferSlotState& slot) {
     return Instance{Tuple::Make(slot.tuple.values, slot.tuple.ts),
-                    BitVector()};
+                    sharing_ == Sharing::kChannel
+                        ? RestoredMembership(binding, slot, capacity)
+                        : BitVector()};
   };
-  BufferSource source;
+  BufferSource source{0, -1};
   if (sharing_ == Sharing::kShared) {
     RUMOR_RETURN_IF_ERROR(SharedBufferSource(src, binding, &source));
-  } else {
+  } else if (sharing_ == Sharing::kIsolated) {
     source = BufferSourceOf(src, binding.saved_slot[0]);
   }
   return LoadSlots(src.stores, source, &store_, make);

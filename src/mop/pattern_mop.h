@@ -139,7 +139,7 @@ class PatternMop : public Mop {
   template <typename Slot>
   const BitVector& Recipients(const Slot& slot, Timestamp now) const {
     switch (sharing_) {
-      case Sharing::kShared: return routing_.Covering(now - slot.ts);
+      case Sharing::kShared: return routing_.Covering(now, slot.ts);
       case Sharing::kChannel: return slot.item.membership;
       case Sharing::kIsolated: break;
     }

@@ -151,9 +151,10 @@ bool SharedAggEngine::Step(int m, Timestamp now, const BitVector* membership,
     st.cursor = newest + 1;
     return false;
   }
-  // Expire entries that left this member's window: ts <= now - window.
-  const Timestamp horizon = now - members_[m].window;
-  while (st.cursor < newest && entry(st.cursor).tuple.ts() <= horizon) {
+  // Expire entries that left this member's window: ts <= now - window,
+  // that is ts < now - (window - 1), as the window is positive.
+  const Timestamp kept = WindowStart(now, members_[m].window - 1);
+  while (st.cursor < newest && entry(st.cursor).tuple.ts() < kept) {
     if (Has(m, st.cursor)) Apply(st, st.cursor, -1);
     ++st.cursor;
   }
@@ -258,7 +259,8 @@ int SharedAggEngine::Backfill(int m) {
   // logged timestamp) are applied in log order, as live processing would.
   int backfilled = 0;
   for (int64_t abs = base_; abs < end(); ++abs) {
-    if (entry(abs).tuple.ts() <= log_.back().tuple.ts() - members_[m].window) {
+    if (entry(abs).tuple.ts() <
+        WindowStart(log_.back().tuple.ts(), members_[m].window - 1)) {
       continue;
     }
     if (backfilled++ == 0) st.cursor = abs;

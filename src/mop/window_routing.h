@@ -22,7 +22,8 @@ namespace rumor {
 
 class WindowRouting {
  public:
-  // The window of a ;/µ member without a WITHIN bound.
+  // The window of a ;/µ member without a WITHIN bound. A finite window of
+  // INT64_MAX routes the same, as ages saturate there (Covering).
   static constexpr int64_t kUnbounded = std::numeric_limits<int64_t>::max();
 
   WindowRouting() = default;
@@ -40,8 +41,15 @@ class WindowRouting {
     Rebuild();
   }
 
-  // Active members whose window is >= age.
-  const BitVector& Covering(int64_t age) const {
+  // Active members whose window covers a match at `now` with a stored
+  // partner or instance from `then`: whose window is >= the age now - then,
+  // saturated at INT64_MAX. A partner from after `now` (sources interleave
+  // out of timestamp order) is of age 0.
+  const BitVector& Covering(Timestamp now, Timestamp then) const {
+    int64_t age = 0;
+    if (then < now && __builtin_sub_overflow(now, then, &age)) {
+      age = std::numeric_limits<int64_t>::max();
+    }
     const size_t rank =
         std::lower_bound(sorted_.begin(), sorted_.end(), age) -
         sorted_.begin();
@@ -49,12 +57,14 @@ class WindowRouting {
   }
 
   // The oldest timestamp a state entry may carry and still match an input
-  // at `now`; with no active member, nothing is kept.
+  // at `now`; with no active member, nothing before `now` + 1 is kept.
   Timestamp OldestKept(Timestamp now) const {
-    if (sorted_.empty()) return now + 1;
+    if (sorted_.empty()) {
+      return now < std::numeric_limits<Timestamp>::max() ? now + 1 : now;
+    }
     const int64_t widest = sorted_.back();
     return widest == kUnbounded ? std::numeric_limits<Timestamp>::min()
-                                : now - widest;
+                                : WindowStart(now, widest);
   }
 
  private:

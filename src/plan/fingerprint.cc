@@ -113,20 +113,19 @@ class FingerprintBuilder {
  public:
   explicit FingerprintBuilder(const Plan& plan) : plan_(plan) {}
 
+  // Fingerprints the members the query outputs reach, upstream from each
+  // output stream. The others keep 0: a deactivated member, and a channel
+  // member whose query was removed (its m-op serves the other members).
   Result<PlanFingerprints> Build() {
-    PlanFingerprints out;
-    out.members.resize(plan_.num_mops());
+    out_.members.resize(plan_.num_mops());
     for (MopId id : plan_.LiveMops()) {
-      const Mop& m = plan_.mop(id);
-      out.members[id].resize(m.num_members(), 0);
-      for (int i = 0; i < m.num_members(); ++i) {
-        if (!m.member_active(i)) continue;
-        uint64_t fp = 0;
-        RUMOR_RETURN_IF_ERROR(MemberFp(id, i, &fp));
-        out.members[id][i] = fp;
-      }
+      out_.members[id].resize(plan_.mop(id).num_members(), 0);
     }
-    return out;
+    for (const Plan::OutputDef& def : plan_.outputs()) {
+      uint64_t fp = 0;
+      RUMOR_RETURN_IF_ERROR(StreamFp(def.stream, &fp));
+    }
+    return std::move(out_);
   }
 
  private:
@@ -194,6 +193,9 @@ class FingerprintBuilder {
           StrCat("derived stream '", def.name, "' has no producer"));
     }
     RUMOR_RETURN_IF_ERROR(MemberFp(producer, member, &fp));
+    if (plan_.mop(producer).member_active(member)) {
+      out_.members[producer][member] = fp;
+    }
     stream_fp_[stream] = fp;
     *out = fp;
     return Status::OK();
@@ -202,6 +204,7 @@ class FingerprintBuilder {
   static constexpr uint64_t kInProgress = ~0ull;
 
   const Plan& plan_;
+  PlanFingerprints out_;
   std::unordered_map<StreamId, uint64_t> stream_fp_;
 };
 

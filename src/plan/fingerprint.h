@@ -27,14 +27,14 @@
 namespace rumor {
 
 struct PlanFingerprints {
-  // Indexed by MopId; inner vector by member index. 0 marks an inactive
-  // member slot (deactivated aggregate member). Dead m-op ids hold empty
+  // Indexed by MopId; inner vector by member index. 0 marks a member no
+  // query output reaches, or a deactivated one. Dead m-op ids hold empty
   // vectors.
   std::vector<std::vector<uint64_t>> members;
 };
 
-// Computes the fingerprint of every member of every live m-op. Fails only
-// on a malformed plan (a derived stream with no producer).
+// Computes the fingerprint of every member a query output reaches. Fails
+// only on a malformed plan (a derived stream with no producer).
 Result<PlanFingerprints> ComputeMemberFingerprints(const Plan& plan);
 
 }  // namespace rumor

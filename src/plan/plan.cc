@@ -452,31 +452,39 @@ Plan::OutputReach Plan::ComputeOutputReach() const {
   std::vector<MopId> order;
   order.reserve(mops_.size());
   std::vector<char> color(num_mops(), 0);  // 0 white, 1 on stack, 2 done
+  // A frame resumes at its output channel `out` and that channel's
+  // consumer `next`, so every consumer of every output is visited first.
+  struct Frame {
+    MopId node;
+    size_t out = 0;
+    size_t next = 0;
+  };
   for (int root = 0; root < num_mops(); ++root) {
     if (mops_[root] == nullptr || color[root] != 0) continue;
-    std::vector<std::pair<MopId, size_t>> stack = {{root, 0}};
+    std::vector<Frame> stack = {{root}};
     color[root] = 1;
     while (!stack.empty()) {
-      auto& [node, idx] = stack.back();
-      bool descended = false;
-      while (idx < mop_outputs_[node].size()) {
-        ChannelId c = mop_outputs_[node][idx++];
-        if (c == kInvalidChannel) continue;
-        for (const ChannelEnd& end : channel_consumers_[c]) {
-          if (color[end.mop] == 0) {
-            color[end.mop] = 1;
-            stack.push_back({end.mop, 0});
-            descended = true;
-            break;
-          }
+      Frame& f = stack.back();
+      const std::vector<ChannelId>& outs = mop_outputs_[f.node];
+      MopId child = kInvalidMop;
+      while (child == kInvalidMop && f.out < outs.size()) {
+        const ChannelId c = outs[f.out];
+        if (c == kInvalidChannel || f.next >= channel_consumers_[c].size()) {
+          ++f.out;
+          f.next = 0;
+          continue;
         }
-        if (descended) break;
+        const MopId consumer = channel_consumers_[c][f.next++].mop;
+        if (color[consumer] == 0) child = consumer;
       }
-      if (!descended && idx >= mop_outputs_[node].size()) {
-        color[node] = 2;
-        order.push_back(node);
-        stack.pop_back();
+      if (child != kInvalidMop) {
+        color[child] = 1;
+        stack.push_back({child});  // invalidates f
+        continue;
       }
+      color[f.node] = 2;
+      order.push_back(f.node);
+      stack.pop_back();
     }
   }
   for (MopId m : order) {

@@ -4,6 +4,7 @@
 #include <optional>
 #include <sstream>
 
+#include "common/str_util.h"
 #include "expr/shape.h"
 #include "mop/aggregate_mop.h"
 #include "mop/join_mop.h"
@@ -167,7 +168,8 @@ struct UnionFind {
 
 }  // namespace
 
-ShardPlan AnalyzeSharding(const Plan& plan, int num_shards) {
+Result<ShardPlan> AnalyzeSharding(const Plan& plan, int num_shards,
+                                  const ShardPlan* previous) {
   RUMOR_CHECK(num_shards >= 1);
   ShardPlan sp;
   sp.num_shards = num_shards;
@@ -251,17 +253,20 @@ ShardPlan AnalyzeSharding(const Plan& plan, int num_shards) {
     }
   }
 
-  // Pass 2: co-location components.
+  // Pass 2: co-location components, and the sources that feed state.
   UnionFind uf(plan.streams().size());
+  std::vector<char> feeds_state(plan.streams().size(), 0);
   for (const Constraint& c : constraints) {
     StreamId first = kInvalidStream;
     for (const KeyReq& k : c.keys) {
       if (first == kInvalidStream) first = k.source;
       uf.Union(first, k.source);
+      feeds_state[k.source] = 1;
     }
     for (StreamId s : c.pinned) {
       if (first == kInvalidStream) first = s;
       uf.Union(first, s);
+      feeds_state[s] = 1;
     }
   }
 
@@ -280,17 +285,53 @@ ShardPlan AnalyzeSharding(const Plan& plan, int num_shards) {
     }
   }
 
-  // Pass 4: routes. Pinned components are spread round-robin over shards in
-  // component order (deterministic: components are ordered by their
-  // smallest source id).
+  // Pass 4: a source that still feeds state keeps its `previous` route, and
+  // the route holds its component: pinned to the kept shard, or keyed on
+  // the kept attributes. Other sources' routes are derived afresh.
   std::vector<int> component_shard(plan.streams().size(), -1);
+  std::vector<char> component_keyed(plan.streams().size(), 0);
+  for (StreamId s : plan.streams().Sources()) {
+    if (previous == nullptr || !feeds_state[s] ||
+        static_cast<size_t>(s) >= previous->routes.size() ||
+        previous->routes[s].mode == RouteMode::kAny) {
+      continue;
+    }
+    const StreamRoute& kept = previous->routes[s];
+    const int root = uf.Find(s);
+    const bool fits =
+        kept.mode == RouteMode::kPinned
+            ? !component_keyed[root] && (component_shard[root] == -1 ||
+                                         component_shard[root] ==
+                                             kept.pinned_shard)
+            : !component_pinned[root] && key_attr[s] == kept.key_attr;
+    if (!fits) {
+      return Status::Unimplemented(
+          StrCat("source '", plan.streams().Get(s).name,
+                 "' feeds state partitioned by its running route, which the "
+                 "plan would change"));
+    }
+    if (kept.mode == RouteMode::kPinned) {
+      component_pinned[root] = 1;
+      component_shard[root] = kept.pinned_shard;
+    } else {
+      component_keyed[root] = 1;
+    }
+  }
+
+  // Pass 5: routes. The other pinned components are spread round-robin over
+  // shards in component order (deterministic: components are ordered by
+  // their smallest source id).
+  std::vector<char> counted(plan.streams().size(), 0);
   int next_pin = 0;
   for (StreamId s : plan.streams().Sources()) {
     const int root = uf.Find(s);
     if (component_pinned[root]) {
-      if (component_shard[root] == -1) {
-        component_shard[root] = next_pin++ % num_shards;
+      if (!counted[root]) {
+        counted[root] = 1;
         ++sp.pinned_components;
+        if (component_shard[root] == -1) {
+          component_shard[root] = next_pin++ % num_shards;
+        }
       }
       sp.routes[s] = StreamRoute{RouteMode::kPinned, -1,
                                  component_shard[root]};

@@ -37,6 +37,7 @@
 #include <string>
 #include <vector>
 
+#include "common/status.h"
 #include "common/value.h"
 #include "plan/plan.h"
 
@@ -64,9 +65,19 @@ struct ShardPlan {
 };
 
 // Derives the routing table from the plan's stateful m-ops (see file
-// comment). Deterministic: the same plan and shard count always produce the
-// same table. `num_shards` must be >= 1.
-ShardPlan AnalyzeSharding(const Plan& plan, int num_shards);
+// comment). Deterministic: the same plan, shard count and `previous` always
+// produce the same table. `num_shards` must be >= 1.
+//
+// `previous` is the table a running engine routes by. A source it keys or
+// pins that still feeds a stateful m-op of `plan` has state on the shards
+// that route chose, so the source keeps its route, and its component keeps
+// it with it: pinned to that shard, or keyed on the same attributes. Where
+// the plan now needs another route for such a source (a live add co-locates
+// it differently), the analysis fails with Unimplemented instead of
+// stranding the state. A source that feeds no state any more (its stateful
+// queries were removed) is routed afresh.
+Result<ShardPlan> AnalyzeSharding(const Plan& plan, int num_shards,
+                                  const ShardPlan* previous = nullptr);
 
 // Picks the shard of one tuple. `rr` is the caller-owned round-robin cursor
 // of this stream (advanced for kAny routes). Value::Hash is consistent with

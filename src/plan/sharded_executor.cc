@@ -205,12 +205,9 @@ Status ShardedExecutor::Prepare() {
     }
     if (result.ok() && !shp->ready_status.ok()) result = shp->ready_status;
   }
-  if (!result.ok()) {
-    Stop();
-    return result;
-  }
-  RefreshSharding();
-  return Status::OK();
+  if (result.ok()) result = RefreshSharding();
+  if (!result.ok()) Stop();
+  return result;
 }
 
 void ShardedExecutor::WorkerMain(int s) {
@@ -501,8 +498,8 @@ Status ShardedExecutor::MutateShards(const ShardCommand& fn) {
     if (result.ok() && !sh.mutate_status.ok()) result = sh.mutate_status;
   }
   // The mutation may have added/removed streams and stateful operators.
-  RefreshSharding();
-  return result;
+  const Status routed = RefreshSharding();
+  return result.ok() ? routed : result;
 }
 
 void ShardedExecutor::Stop() {
@@ -515,9 +512,13 @@ void ShardedExecutor::Stop() {
   }
 }
 
-void ShardedExecutor::RefreshSharding() {
-  sharding_ = AnalyzeSharding(*shards_[0]->plan, options_.num_shards);
+Status ShardedExecutor::RefreshSharding() {
+  Result<ShardPlan> routes =
+      AnalyzeSharding(*shards_[0]->plan, options_.num_shards, &sharding_);
+  if (!routes.ok()) return routes.status();
+  sharding_ = std::move(routes).value();
   rr_.assign(sharding_.routes.size(), 0);
+  return Status::OK();
 }
 
 const Plan& ShardedExecutor::plan(int shard) const {

@@ -196,7 +196,10 @@ class ShardedExecutor {
   // shard's worker thread (concurrently across shards; fn must be safe to
   // run N times against distinct replicas and must not emit outputs).
   // Returns the first non-OK status. Re-derives the routing table from the
-  // mutated plan before resuming.
+  // mutated plan before resuming; a source that feeds state keeps its route,
+  // and where the mutated plan needs another one (AnalyzeSharding's
+  // `previous`), the old table stays and the call returns Unimplemented, for
+  // the caller to undo the mutation.
   Status MutateShards(const ShardCommand& fn);
 
   // Flushes, closes the rings and joins the workers (idempotent; the dtor
@@ -238,7 +241,10 @@ class ShardedExecutor {
   // blocking; delivers and recycles ready blocks.
   void DrainDeliveries();
   void DeliverBlock(const OutBlock& block);
-  void RefreshSharding();
+  // Re-derives the routes after a mutation; a source that feeds state keeps
+  // its route. Fails, keeping the old routes, where the plan needs another
+  // route for such a source.
+  Status RefreshSharding();
 
   Options options_;
   PlanFactory factory_;

@@ -1,5 +1,6 @@
 #include "query/query.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/hash.h"
@@ -305,6 +306,11 @@ Status CheckQueryTypes(const QueryNode& node) {
       }
       return Status::OK();
     case QueryOp::kAggregate: {
+      if (node.window() <= 0) {
+        return Status::InvalidArgument(
+            StrCat("an aggregate window must be positive, not ",
+                   node.window()));
+      }
       const Schema& in = node.child(0)->output_schema();
       const bool sum_or_avg =
           node.agg_fn() == AggFn::kSum || node.agg_fn() == AggFn::kAvg;
@@ -317,6 +323,12 @@ Status CheckQueryTypes(const QueryNode& node) {
       return Status::OK();
     }
     case QueryOp::kJoin:
+      if (node.window() < 0 || node.right_window() < 0) {
+        return Status::InvalidArgument(
+            StrCat("a join window must not be negative, not ",
+                   std::min(node.window(), node.right_window())));
+      }
+      [[fallthrough]];
     case QueryOp::kSequence:
       return check(node.predicate(), node.child(0)->output_schema(),
                    &node.child(1)->output_schema(), true);

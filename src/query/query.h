@@ -152,8 +152,9 @@ void SplitIteratePredicate(const ExprPtr& predicate, int start_size,
 
 // Checks, before a query runs, that every expression in its tree can run
 // over its input schemas (Expr::CheckTypes: predicates are boolean, AND,
-// OR and NOT take booleans, arithmetic takes no strings) and that SUM and
-// AVG read a numeric attribute. StreamEngine adds only queries that pass.
+// OR and NOT take booleans, arithmetic takes no strings), that SUM and AVG
+// read a numeric attribute, that an aggregate window is positive and that a
+// join window is not negative. StreamEngine adds only queries that pass.
 Status CheckQueryTypes(const QueryNode& node);
 
 }  // namespace rumor

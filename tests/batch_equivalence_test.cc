@@ -1,15 +1,15 @@
-// Batched execution must be observably identical to event-at-a-time
-// execution: for every workload, pushing the feed through PushSourceBatch
-// (grouped into maximal same-stream runs) must produce byte-identical
-// per-query sink output and the same number of m-op deliveries as pushing
-// tuple by tuple. Also checks shared MIN/MAX aggregation against the naive
-// per-query oracle under both dispatch modes.
+// Batched dispatch cases the MQO oracle (mqo_oracle_test) does not reach:
+// shared MIN/MAX aggregation against the naive per-query oracle under both
+// dispatch modes, a sink handler that pushes back into the executor from
+// inside a batch, and PushChannelBatch into a source-group channel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "api/stream_engine.h"
 #include "mop_test_util.h"
 #include "plan/compile.h"
 #include "plan/executor.h"
@@ -21,143 +21,6 @@
 namespace rumor {
 namespace {
 
-struct RunResult {
-  // query name -> rendered output tuples, in delivery order.
-  std::map<std::string, std::vector<std::string>> outputs;
-  int64_t deliveries = 0;
-};
-
-// Runs `queries` over `events`; batch_size 0 = event-at-a-time reference.
-RunResult RunWorkload(const std::vector<Query>& queries,
-              const std::vector<Event>& events,
-              const std::vector<std::string>& stream_names,
-              int64_t batch_size) {
-  Plan plan;
-  auto compiled = CompileQueries(queries, &plan);
-  RUMOR_CHECK(compiled.ok()) << compiled.status().ToString();
-  Optimize(&plan);
-  CollectingSink sink;
-  Executor exec(&plan, &sink);
-  exec.Prepare();
-  std::vector<StreamId> streams;
-  for (const std::string& name : stream_names) {
-    streams.push_back(*plan.streams().FindSource(name));
-  }
-
-  if (batch_size == 0) {
-    for (const Event& e : events) {
-      exec.PushSource(streams[e.stream], e.tuple);
-    }
-  } else {
-    std::vector<Tuple> batch;
-    size_t i = 0;
-    while (i < events.size()) {
-      const int stream = events[i].stream;
-      batch.clear();
-      while (i < events.size() && events[i].stream == stream &&
-             static_cast<int64_t>(batch.size()) < batch_size) {
-        batch.push_back(events[i].tuple);
-        ++i;
-      }
-      exec.PushSourceBatch(streams[stream], batch);
-    }
-  }
-
-  RunResult result;
-  result.deliveries = exec.deliveries();
-  for (const Query& q : queries) {
-    auto stream = plan.OutputStreamOf(q.name);
-    RUMOR_CHECK(stream.has_value());
-    std::vector<std::string>& rendered = result.outputs[q.name];
-    for (const Tuple& t : sink.ForStream(*stream)) {
-      rendered.push_back(t.ToString());
-    }
-  }
-  return result;
-}
-
-void ExpectBatchEquivalence(const std::vector<Query>& queries,
-                            const std::vector<Event>& events,
-                            const std::vector<std::string>& stream_names) {
-  RunResult reference = RunWorkload(queries, events, stream_names, 0);
-  int64_t total = 0;
-  for (const auto& [name, tuples] : reference.outputs) {
-    total += tuples.size();
-  }
-  EXPECT_GT(total, 0) << "workload produced no output; vacuous comparison";
-  for (int64_t batch_size : {1, 7, 64, 100000}) {
-    RunResult batched = RunWorkload(queries, events, stream_names, batch_size);
-    EXPECT_EQ(batched.outputs, reference.outputs)
-        << "batch_size=" << batch_size;
-    EXPECT_EQ(batched.deliveries, reference.deliveries)
-        << "batch_size=" << batch_size;
-  }
-}
-
-// Interleaved S/T feed with same-stream bursts so batches exercise runs of
-// length > 1 (the strictly alternating generator feed would degenerate to
-// single-tuple batches).
-std::vector<Event> BurstyFeed(const SyntheticParams& params, int64_t count,
-                              int64_t burst, Rng& rng) {
-  std::vector<Event> events =
-      GenerateInterleaved(params, count, 0, rng);
-  for (int64_t i = 0; i < count; ++i) {
-    events[i].stream = static_cast<int>((i / burst) % 2);
-  }
-  return events;
-}
-
-TEST(BatchEquivalenceTest, W1SelectionSequence) {
-  SyntheticParams params;
-  params.num_queries = 8;
-  params.constant_domain = 4;
-  Rng rng(3);
-  auto specs = DrawW1Specs(params, rng);
-  Schema schema = params.MakeSchema();
-  std::vector<Query> queries;
-  for (size_t i = 0; i < specs.size(); ++i) {
-    specs[i].c1 %= 4;
-    specs[i].c3 %= 4;
-    queries.push_back(MakeW1Query("Q" + std::to_string(i), specs[i], schema));
-  }
-  Rng feed(99);
-  ExpectBatchEquivalence(queries, BurstyFeed(params, 600, 5, feed),
-                         {"S", "T"});
-}
-
-TEST(BatchEquivalenceTest, W2SequenceAndIterate) {
-  SyntheticParams params;
-  params.num_queries = 5;
-  params.constant_domain = 4;
-  for (bool iterate : {false, true}) {
-    Rng rng(4);
-    auto specs = DrawW2Specs(params, iterate, rng);
-    Schema schema = params.MakeSchema();
-    std::vector<Query> queries;
-    for (size_t i = 0; i < specs.size(); ++i) {
-      queries.push_back(
-          MakeW2Query("Q" + std::to_string(i), specs[i], schema));
-    }
-    Rng feed(98);
-    ExpectBatchEquivalence(queries, BurstyFeed(params, 400, 3, feed),
-                           {"S", "T"});
-  }
-}
-
-TEST(BatchEquivalenceTest, HybridPerfmonQueries) {
-  PerfmonParams params;
-  params.num_processes = 8;
-  params.duration_seconds = 120;
-  auto trace = GeneratePerfmonTrace(params);
-  std::vector<Event> events;
-  for (const Tuple& t : trace) events.push_back(Event{0, t});
-  std::vector<Query> queries;
-  for (int i = 0; i < 4; ++i) {
-    queries.push_back(MakeHybridQuery(i, /*sel=*/0.8, /*smooth_window=*/10));
-  }
-  ExpectBatchEquivalence(queries, events, {"CPU"});
-}
-
 TEST(BatchEquivalenceTest, SharedMinMaxAggregationMatchesOracle) {
   // N MIN + N MAX queries with distinct windows over one source; rule sα
   // merges each function group into one shared engine. Every dispatch mode
@@ -165,9 +28,7 @@ TEST(BatchEquivalenceTest, SharedMinMaxAggregationMatchesOracle) {
   PerfmonParams params;
   params.num_processes = 6;
   params.duration_seconds = 200;
-  auto trace = GeneratePerfmonTrace(params);
-  std::vector<Event> events;
-  for (const Tuple& t : trace) events.push_back(Event{0, t});
+  const std::vector<Tuple> trace = GeneratePerfmonTrace(params);
 
   std::vector<Query> queries;
   std::map<std::string, std::vector<std::string>> expected;
@@ -183,16 +44,26 @@ TEST(BatchEquivalenceTest, SharedMinMaxAggregationMatchesOracle) {
                             .Aggregate(fn, "load", {"pid"}, window)
                             .Build(name));
       Oracle oracle(fn, load, {pid}, window);
-      for (const Event& e : events) {
-        expected[name].push_back(oracle.Push(e.tuple).ToString());
+      for (const Tuple& t : trace) {
+        expected[name].push_back(oracle.Push(t).ToString());
       }
     }
   }
 
-  ExpectBatchEquivalence(queries, events, {"CPU"});
-  for (int64_t batch : {0, 64}) {
-    EXPECT_EQ(RunWorkload(queries, events, {"CPU"}, batch).outputs, expected)
-        << "batch " << batch;
+  for (size_t batch : {1, 7, 64}) {
+    StreamEngine engine;
+    ASSERT_TRUE(engine.RegisterSource("CPU", schema).ok());
+    for (const Query& q : queries) ASSERT_TRUE(engine.AddQuery(q).ok());
+    std::map<std::string, std::vector<std::string>> outputs;
+    engine.SetOutputHandler([&](const std::string& q, const Tuple& t) {
+      outputs[q].push_back(t.ToString());
+    });
+    ASSERT_TRUE(engine.Start().ok());
+    for (size_t i = 0; i < trace.size(); i += batch) {
+      const size_t n = std::min(batch, trace.size() - i);
+      ASSERT_TRUE(engine.PushBatch("CPU", {trace.data() + i, n}).ok());
+    }
+    EXPECT_EQ(outputs, expected) << "batch " << batch;
   }
 }
 

@@ -1,11 +1,13 @@
-// Durability: snapshot round-trips, crash-recovery equivalence (the restored
-// engine's suffix outputs are byte-identical to an uninterrupted run's),
-// re-partitioned sharded restore, checkpoint/churn interleaving, shared
-// ⋈/;/µ state across windows (Fig. 10 mixes), the per-source last timestamp
-// (and version-1 snapshots without it), and corrupted-snapshot rejection.
+// Durability: snapshot round-trips, shared ⋈/;/µ state across windows
+// (Fig. 10 mixes), the per-source last timestamp (and version-1 snapshots
+// without it), and corrupted-snapshot rejection. That a restored engine's
+// suffix outputs match an uninterrupted run's, at any cut, shard counts and
+// churn around the cut, is the MQO oracle's checkpoint axis
+// (mqo_oracle_test).
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <functional>
 #include <map>
 #include <string>
 #include <thread>
@@ -156,100 +158,35 @@ void PushRange(StreamEngine& engine, int begin, int end) {
   }
 }
 
-// Suffix of `all` past the first `prefix[q]` outputs, per query.
-Outputs SuffixOf(const Outputs& all, const std::map<std::string, size_t>& prefix) {
+// Attaches `out`, builds and starts an engine, and pushes up to some tuple.
+using PrefixFn = std::function<void(StreamEngine&, Outputs*)>;
+
+// The outputs of tuples [split, total) on an engine that ran `prefix`.
+Outputs ReferenceSuffix(const PrefixFn& prefix, int split, int total) {
   Outputs out;
-  for (const auto& [q, lines] : all) {
-    auto it = prefix.find(q);
-    const size_t skip = it == prefix.end() ? 0 : it->second;
-    if (skip < lines.size()) {  // drop empty suffixes: a query that stayed
-      out[q].assign(lines.begin() + static_cast<long>(skip), lines.end());
-    }  // silent has no key on the recovered side either
-  }
+  StreamEngine engine;
+  prefix(engine, &out);
+  engine.Flush();
+  out.clear();
+  PushRange(engine, split, total);
+  engine.Flush();
   return out;
 }
 
-std::map<std::string, size_t> CountsOf(const Outputs& o) {
-  std::map<std::string, size_t> c;
-  for (const auto& [q, lines] : o) c[q] = lines.size();
-  return c;
-}
-
-using WorkloadFn = void (*)(StreamEngine&);
-
-// Runs the workload uninterrupted at `shards`, recording the outputs of
-// tuples [split, total) separately.
-Outputs ReferenceSuffix(int shards, int split, int total,
-                        WorkloadFn add = AddWorkload) {
-  StreamEngine engine;
-  EXPECT_TRUE(engine.SetShardCount(shards).ok());
-  Outputs all;
-  Attach(engine, &all);
-  add(engine);
-  EXPECT_TRUE(engine.Start().ok());
-  PushRange(engine, 0, split);
-  engine.Flush();
-  const auto prefix = CountsOf(all);
-  PushRange(engine, split, total);
-  engine.Flush();
-  return SuffixOf(all, prefix);
-}
-
-// Runs to `split` at `save_shards`, checkpoints, "crashes" (drops the
-// engine), restores into a fresh engine at `restore_shards`, and replays
-// the suffix there.
-Outputs RecoveredSuffix(int save_shards, int restore_shards, int split,
-                        int total, WorkloadFn add = AddWorkload) {
-  std::string snapshot;
-  {
-    StreamEngine engine;
-    EXPECT_TRUE(engine.SetShardCount(save_shards).ok());
-    Outputs ignored;
-    Attach(engine, &ignored);
-    add(engine);
-    EXPECT_TRUE(engine.Start().ok());
-    PushRange(engine, 0, split);
-    EXPECT_TRUE(engine.Checkpoint(&snapshot).ok());
-    // Hard drop: the engine is destroyed with state only in the snapshot.
-  }
-  StreamEngine restored;
-  EXPECT_TRUE(restored.SetShardCount(restore_shards).ok());
-  Outputs suffix;
-  Attach(restored, &suffix);
-  Status st = restored.Restore(snapshot);
-  EXPECT_TRUE(st.ok()) << st.ToString();
-  PushRange(restored, split, total);
-  restored.Flush();
-  return suffix;
-}
-
-using PrefixFn = void (*)(StreamEngine&, Outputs*);
-
-// Runs `prefix` (which attaches `out`, builds the engine and pushes up to
-// tuple `split`) and then tuples [split, total) on one engine; runs it
-// again up to a checkpoint, restores that at `restore_shards` and replays
-// the suffix there. The two suffixes must be byte-identical and non-empty.
-void ExpectRestoreReplaysSuffix(PrefixFn prefix, int split, int total,
+// Runs `prefix` (up to tuple `split`), checkpoints, "crashes" (drops the
+// engine), restores into a fresh engine at `restore_shards` and replays
+// tuples [split, total) there. That suffix must be byte-identical to an
+// uninterrupted run's, and non-empty.
+void ExpectRestoreReplaysSuffix(const PrefixFn& prefix, int split, int total,
                                 int restore_shards) {
   SCOPED_TRACE(testing::Message() << "restored at " << restore_shards
                                   << " shards");
-  Outputs ref;
-  std::map<std::string, size_t> ref_prefix;
-  {
-    StreamEngine engine;
-    prefix(engine, &ref);
-    engine.Flush();
-    ref_prefix = CountsOf(ref);
-    PushRange(engine, split, total);
-    engine.Flush();
-  }
-  const Outputs expected = SuffixOf(ref, ref_prefix);
+  const Outputs expected = ReferenceSuffix(prefix, split, total);
   EXPECT_FALSE(expected.empty());
-
   std::string snapshot;
   {
-    StreamEngine engine;
     Outputs ignored;
+    StreamEngine engine;
     prefix(engine, &ignored);
     ASSERT_TRUE(engine.Checkpoint(&snapshot).ok());
   }
@@ -262,90 +199,6 @@ void ExpectRestoreReplaysSuffix(PrefixFn prefix, int split, int total,
   PushRange(restored, split, total);
   restored.Flush();
   EXPECT_EQ(actual, expected);
-}
-
-TEST(RecoveryTest, CrashRecoveryEquivalenceSingleThreaded) {
-  const Outputs expected = ReferenceSuffix(1, 120, 240);
-  const Outputs actual = RecoveredSuffix(1, 1, 120, 240);
-  EXPECT_EQ(actual, expected);
-  // The workload actually produced suffix outputs for every query.
-  for (const char* q : {"HOT", "AVGQ", "MAXQ", "JQ", "SQ"}) {
-    EXPECT_FALSE(expected.at(q).empty()) << q;
-  }
-}
-
-TEST(RecoveryTest, CrashRecoveryEquivalenceShardedOneToFour) {
-  const Outputs expected = ReferenceSuffix(1, 120, 240);
-  const Outputs actual = RecoveredSuffix(1, 4, 120, 240);
-  EXPECT_EQ(actual, expected);
-}
-
-TEST(RecoveryTest, CrashRecoveryEquivalenceShardedFourToTwo) {
-  const Outputs expected = ReferenceSuffix(4, 120, 240);
-  const Outputs actual = RecoveredSuffix(4, 2, 120, 240);
-  EXPECT_EQ(actual, expected);
-}
-
-TEST(RecoveryTest, CheckpointAtStartAndAtEndRoundTrips) {
-  // Degenerate split points: empty state and fully warm state.
-  for (int split : {0, 239}) {
-    const Outputs expected = ReferenceSuffix(1, split, 240);
-    const Outputs actual = RecoveredSuffix(1, 1, split, 240);
-    EXPECT_EQ(actual, expected) << "split=" << split;
-  }
-}
-
-// Checkpoint interleaved with query churn: queries added and removed live
-// before the checkpoint; the restored engine continues the same script.
-TEST(RecoveryTest, ChurnAroundCheckpointEquivalence) {
-  auto run_prefix = [](StreamEngine& engine, Outputs* out) {
-    Attach(engine, out);
-    AddWorkload(engine);
-    ASSERT_TRUE(engine.Start().ok());
-    PushRange(engine, 0, 40);
-    ASSERT_TRUE(
-        engine.AddQueryText("SELECT * FROM CPU WHERE load < 20", "COLD")
-            .ok());
-    PushRange(engine, 40, 80);
-    ASSERT_TRUE(engine.RemoveQuery("HOT").ok());
-    ASSERT_TRUE(engine.RemoveQuery("RAMPS").ok());
-    PushRange(engine, 80, 100);
-  };
-  auto run_suffix = [](StreamEngine& engine) {
-    ASSERT_TRUE(
-        engine.AddQueryText("SELECT * FROM CPU WHERE load > 70", "HOT2")
-            .ok());
-    PushRange(engine, 100, 160);
-    engine.Flush();
-  };
-
-  Outputs ref;
-  std::map<std::string, size_t> ref_prefix;
-  {
-    StreamEngine engine;
-    run_prefix(engine, &ref);
-    engine.Flush();
-    ref_prefix = CountsOf(ref);
-    run_suffix(engine);
-  }
-  const Outputs expected = SuffixOf(ref, ref_prefix);
-
-  std::string snapshot;
-  {
-    StreamEngine engine;
-    Outputs ignored;
-    run_prefix(engine, &ignored);
-    ASSERT_TRUE(engine.Checkpoint(&snapshot).ok());
-  }
-  StreamEngine restored;
-  Outputs actual;
-  Attach(restored, &actual);
-  Status st = restored.Restore(snapshot);
-  ASSERT_TRUE(st.ok()) << st.ToString();
-  run_suffix(restored);
-  EXPECT_EQ(actual, expected);
-  EXPECT_FALSE(expected.at("COLD").empty());
-  EXPECT_FALSE(expected.at("HOT2").empty());
 }
 
 // --- Fig. 10 mixes: ;, µ and ⋈ queries that differ only in window ---------
@@ -380,21 +233,25 @@ void AddFig10Mix(StreamEngine& engine) {
   ASSERT_TRUE(engine.AddScript(kFig10Mix).ok());
 }
 
-TEST(RecoveryTest, Fig10WindowMixRestoresAtOneAndFourShards) {
-  {
-    StreamEngine engine;
+// The Fig. 10 mix at `shards`, up to tuple 120.
+PrefixFn Fig10Prefix(int shards) {
+  return [shards](StreamEngine& engine, Outputs* out) {
+    Attach(engine, out);
+    ASSERT_TRUE(engine.SetShardCount(shards).ok());
     AddFig10Mix(engine);
     ASSERT_TRUE(engine.Start().ok());
     EXPECT_EQ(engine.optimize_stats().shared_join_merges, 3);
     EXPECT_EQ(engine.optimize_stats().live_mops, 3);
-  }
-  const Outputs expected = ReferenceSuffix(1, 120, 240, AddFig10Mix);
-  EXPECT_EQ(expected.size(), 12u);  // every query has suffix outputs
-  for (int shards : {1, 4}) {
-    EXPECT_EQ(RecoveredSuffix(1, shards, 120, 240, AddFig10Mix), expected)
-        << "restored at " << shards << " shards";
-  }
-  EXPECT_EQ(RecoveredSuffix(4, 1, 120, 240, AddFig10Mix), expected);
+    PushRange(engine, 0, 120);
+  };
+}
+
+TEST(RecoveryTest, Fig10WindowMixRestoresAtOneAndFourShards) {
+  // Every query has suffix outputs.
+  EXPECT_EQ(ReferenceSuffix(Fig10Prefix(1), 120, 240).size(), 12u);
+  ExpectRestoreReplaysSuffix(Fig10Prefix(1), 120, 240, 1);
+  ExpectRestoreReplaysSuffix(Fig10Prefix(1), 120, 240, 4);
+  ExpectRestoreReplaysSuffix(Fig10Prefix(4), 120, 240, 1);
 }
 
 // Removing the widest member of each shared m-op deactivates it: it stops
@@ -485,40 +342,15 @@ TEST(RecoveryTest, RestoreRejectsMergingLiveAddedPatternQueries) {
   EXPECT_EQ(restored.num_queries(), 0);
   std::string good;
   {
+    Outputs ignored;
     StreamEngine engine;
-    AddFig10Mix(engine);
-    ASSERT_TRUE(engine.Start().ok());
-    PushRange(engine, 0, 120);
+    Fig10Prefix(1)(engine, &ignored);
     ASSERT_TRUE(engine.Checkpoint(&good).ok());
   }
   const Status retry = restored.Restore(good);
   ASSERT_TRUE(retry.ok()) << retry.ToString();
   PushRange(restored, 120, 240);
-  EXPECT_EQ(actual, ReferenceSuffix(1, 120, 240, AddFig10Mix));
-}
-
-TEST(RecoveryTest, RestoredCountersAndCountsCarryOver) {
-  std::string snapshot;
-  int64_t hot_at_checkpoint = 0;
-  {
-    StreamEngine engine;
-    Outputs ignored;
-    Attach(engine, &ignored);
-    AddWorkload(engine);
-    ASSERT_TRUE(engine.Start().ok());
-    PushRange(engine, 0, 50);
-    hot_at_checkpoint = engine.OutputCount("HOT");
-    ASSERT_TRUE(engine.Checkpoint(&snapshot).ok());
-  }
-  ASSERT_GT(hot_at_checkpoint, 0);
-  StreamEngine restored;
-  Outputs ignored;
-  Attach(restored, &ignored);
-  ASSERT_TRUE(restored.Restore(snapshot).ok());
-  EXPECT_EQ(restored.OutputCount("HOT"), hot_at_checkpoint);
-  EXPECT_EQ(restored.num_queries(), 6);
-  PushRange(restored, 50, 60);
-  EXPECT_GE(restored.OutputCount("HOT"), hot_at_checkpoint);
+  EXPECT_EQ(actual, ReferenceSuffix(Fig10Prefix(1), 120, 240));
 }
 
 // Frames `sections` as a snapshot of format `version`, the way

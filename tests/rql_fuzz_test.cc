@@ -24,6 +24,7 @@ const std::vector<std::string>& Templates() {
       "$ : SELECT a0 , a1 FROM S WHERE a1 % 3 = 1 AND a1 / a0 > 0",
       "$ : SELECT a0 , SUM ( a1 ) FROM S [ RANGE 10 ] GROUP BY a0",
       "$ : SELECT AVG ( a1 ) FROM S [ RANGE 5 ]",
+      "$ : SELECT a0 , COUNT ( * ) FROM S [ RANGE 0 ] GROUP BY a0",
       "$ : SELECT MIN ( a1 ) , MAX ( a1 ) FROM S [ RANGE 7 ]",
       "$ : SELECT a0 , MAX ( s ) FROM S [ RANGE 6 ] GROUP BY a0",
       "$ : SELECT COUNT ( * ) FROM T [ RANGE 3 ] GROUP BY a1",

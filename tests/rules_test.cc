@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <map>
-
-#include "common/rng.h"
 #include "common/str_util.h"
 #include "plan/compile.h"
 #include "plan/executor.h"
@@ -280,143 +277,6 @@ TEST(ChannelRuleTest, DifferentDefinitionsBlockChannel) {
   EXPECT_EQ(stats.channel_merges, 0);
   EXPECT_EQ(CountMopsOfType(plan, MopType::kChannelSequence), 0);
 }
-
-// --- optimizer soundness (the core property) ---------------------------------
-
-// Runs a set of queries unoptimized and optimized over the same input and
-// compares per-query output multisets.
-class SoundnessHarness {
- public:
-  explicit SoundnessHarness(std::vector<Query> queries)
-      : queries_(std::move(queries)) {}
-
-  // Feeds `events` tuples, alternating S (even ts) and T (odd ts), with
-  // attribute values in [0, domain).
-  std::map<std::string, std::vector<std::string>> Run(bool optimize,
-                                                      uint64_t seed,
-                                                      int events,
-                                                      int64_t domain) {
-    Plan plan;
-    auto compiled = CompileQueries(queries_, &plan);
-    RUMOR_CHECK(compiled.ok()) << compiled.status().ToString();
-    if (optimize) Optimize(&plan);
-    // Some seeds generate query sets that never reference T; register it
-    // anyway so the feed below is uniform across seeds.
-    for (const char* name : {"S", "T"}) {
-      if (!plan.streams().FindSource(name)) {
-        plan.SourceChannelOf(
-            plan.streams().AddSource(name, Schema::MakeInts(10)));
-      }
-    }
-    CollectingSink sink;
-    Executor exec(&plan, &sink);
-    exec.Prepare();
-    Rng rng(seed);
-    StreamId s = *plan.streams().FindSource("S");
-    StreamId t = *plan.streams().FindSource("T");
-    for (int i = 0; i < events; ++i) {
-      std::vector<int64_t> vals;
-      for (int k = 0; k < 10; ++k) vals.push_back(rng.UniformInt(0, domain - 1));
-      exec.PushSource(i % 2 == 0 ? s : t, Tuple::MakeInts(vals, i));
-    }
-    std::map<std::string, std::vector<std::string>> out;
-    for (const auto& def : plan.outputs()) {
-      std::vector<std::string> rendered;
-      for (const Tuple& tup : sink.ForStream(def.stream)) {
-        rendered.push_back(tup.ToString());
-      }
-      std::sort(rendered.begin(), rendered.end());
-      // Merge in case two queries share one output stream name entry.
-      auto& bucket = out[def.query_name];
-      bucket.insert(bucket.end(), rendered.begin(), rendered.end());
-      std::sort(bucket.begin(), bucket.end());
-    }
-    return out;
-  }
-
-  void ExpectSound(uint64_t seed, int events = 400, int64_t domain = 5) {
-    auto plain = Run(false, seed, events, domain);
-    auto optimized = Run(true, seed, events, domain);
-    ASSERT_EQ(plain.size(), optimized.size());
-    for (const auto& [name, tuples] : plain) {
-      EXPECT_EQ(optimized[name], tuples) << "query " << name;
-    }
-  }
-
- private:
-  std::vector<Query> queries_;
-};
-
-class OptimizerSoundnessTest : public ::testing::TestWithParam<uint64_t> {};
-
-TEST_P(OptimizerSoundnessTest, Workload1Shape) {
-  // σθ1(S) ; σθ3(T) with Zipf-like duplication of constants and windows.
-  Rng rng(GetParam());
-  std::vector<Query> queries;
-  auto s = QueryBuilder::FromSource("S", TenInts());
-  auto t = QueryBuilder::FromSource("T", TenInts());
-  const int n = 2 + static_cast<int>(rng.UniformInt(0, 10));
-  for (int i = 0; i < n; ++i) {
-    int64_t c1 = rng.UniformInt(0, 3), c3 = rng.UniformInt(0, 3);
-    int64_t w = 10 * (1 + rng.UniformInt(0, 2));
-    queries.push_back(s.Select(StrCat("a0 = ", c1))
-                          .Sequence(t.Select(StrCat("a0 = ", c3)),
-                                    "l.a1 = r.a1", w)
-                          .Build(StrCat("Q", i)));
-  }
-  SoundnessHarness(queries).ExpectSound(GetParam());
-}
-
-TEST_P(OptimizerSoundnessTest, MixedRelationalWorkload) {
-  Rng rng(GetParam());
-  std::vector<Query> queries;
-  auto s = QueryBuilder::FromSource("S", TenInts());
-  auto t = QueryBuilder::FromSource("T", TenInts());
-  const int n = 2 + static_cast<int>(rng.UniformInt(0, 8));
-  for (int i = 0; i < n; ++i) {
-    switch (rng.UniformInt(0, 2)) {
-      case 0:
-        queries.push_back(
-            s.Select(StrCat("a0 = ", rng.UniformInt(0, 2))).Build(
-                StrCat("Q", i)));
-        break;
-      case 1:
-        queries.push_back(s.Aggregate(AggFn::kSum, "a1",
-                                      {rng.Bernoulli(0.5) ? "a0" : "a2"},
-                                      10 * (1 + rng.UniformInt(0, 2)))
-                              .Build(StrCat("Q", i)));
-        break;
-      default:
-        queries.push_back(s.Join(t, "S.a0 = T.a0",
-                                 10 * (1 + rng.UniformInt(0, 2)),
-                                 10 * (1 + rng.UniformInt(0, 2)))
-                              .Build(StrCat("Q", i)));
-        break;
-    }
-  }
-  SoundnessHarness(queries).ExpectSound(GetParam());
-}
-
-TEST_P(OptimizerSoundnessTest, HybridIterateWorkload) {
-  // The Query-2 template: shared smoothing + per-query starting condition +
-  // identical µ and stop conditions (exercises sσ, cµ, cσ).
-  Rng rng(GetParam());
-  std::vector<Query> queries;
-  auto s = QueryBuilder::FromSource("S", TenInts());
-  auto t = QueryBuilder::FromSource("T", TenInts());
-  const int n = 2 + static_cast<int>(rng.UniformInt(0, 6));
-  for (int i = 0; i < n; ++i) {
-    queries.push_back(
-        s.Select(StrCat("a0 = ", rng.UniformInt(0, 3)))
-            .Iterate(t, "l.a1 = r.a1 AND r.a2 > last.a2", 20)
-            .Select("last.a3 > 0")
-            .Build(StrCat("Q", i)));
-  }
-  SoundnessHarness(queries).ExpectSound(GetParam());
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, OptimizerSoundnessTest,
-                         ::testing::Range<uint64_t>(0, 10));
 
 }  // namespace
 }  // namespace rumor

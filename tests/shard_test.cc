@@ -88,7 +88,7 @@ ShardPlan AnalyzeQueries(const std::vector<Query>& queries, int num_shards,
   auto compiled = CompileQueries(queries, plan);
   RUMOR_CHECK(compiled.ok()) << compiled.status().ToString();
   Optimize(plan);
-  return AnalyzeSharding(*plan, num_shards);
+  return AnalyzeSharding(*plan, num_shards).value();
 }
 
 StreamId SourceId(const Plan& plan, const std::string& name) {
@@ -477,6 +477,43 @@ TEST(ShardedEngineTest, AddAndRemoveQueriesWhileRunning) {
   EXPECT_FALSE(engine.RemoveQuery("GHOST").ok());
   push_round(4);
   EXPECT_EQ(counts["Q2"], 21);
+}
+
+// A live add may not move the state of a source, but a source whose stateful
+// queries were all removed is routed afresh.
+TEST(ShardedEngineTest, RemovingStatefulQueriesFreesTheRoute) {
+  StreamEngine engine;
+  ASSERT_TRUE(engine.RegisterSource("CPU", IntSchema(2)).ok());
+  ASSERT_TRUE(engine.SetShardCount(2).ok());
+  ASSERT_TRUE(engine
+                  .AddScript("A: SELECT a0, SUM(a1) FROM CPU [RANGE 10] "
+                             "GROUP BY a0; B: SELECT * FROM CPU WHERE a0 = 1;")
+                  .ok());
+  std::map<std::string, std::vector<int64_t>> out;
+  engine.SetOutputHandler([&](const std::string& q, const Tuple& t) {
+    out[q].push_back(t.at(t.size() - 1).AsInt());
+  });
+  ASSERT_TRUE(engine.Start().ok());
+  auto push = [&](int64_t from) {
+    for (int64_t ts = from; ts < from + 20; ++ts) {
+      ASSERT_TRUE(engine.Push("CPU", Tuple::MakeInts({ts % 4, ts}, ts)).ok());
+    }
+    engine.Flush();
+  };
+  push(0);
+  // A keys CPU on a0, so its sums sit on both shards; C would pin CPU.
+  const std::string count = "SELECT COUNT(*) FROM CPU [RANGE 10]";
+  EXPECT_EQ(engine.AddQueryText(count, "C").code(), StatusCode::kUnimplemented);
+  EXPECT_EQ(engine.num_queries(), 2);
+  ASSERT_TRUE(engine.RemoveQuery("A").ok());
+  ASSERT_TRUE(engine.AddQueryText(count, "C").ok());
+  push(20);
+  EXPECT_EQ(out["A"].size(), 20u);
+  EXPECT_EQ(out["B"].size(), 10u);
+  // C counts every CPU tuple of its window on one shard: 1, 2, ..., 10, 10.
+  ASSERT_EQ(out["C"].size(), 20u);
+  EXPECT_EQ(out["C"][4], 5);
+  EXPECT_EQ(out["C"].back(), 10);
 }
 
 // --- metrics aggregation -----------------------------------------------------

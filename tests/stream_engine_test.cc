@@ -104,7 +104,8 @@ TEST(StreamEngineTest, OptimizerStatsExposed) {
 
 // RQL that parses but cannot run is refused when added, with a Status:
 // out-of-range literals, non-boolean predicates or AND/OR/NOT operands,
-// and string operands of arithmetic.
+// string operands of arithmetic, and aggregate windows that are not
+// positive.
 TEST(StreamEngineTest, RejectsQueriesThatCannotRun) {
   StreamEngine engine;
   ASSERT_TRUE(engine.RegisterSource("S", Schema::MakeInts(2)).ok());
@@ -123,11 +124,18 @@ TEST(StreamEngineTest, RejectsQueriesThatCannotRun) {
                        "ON S.a0 * T.a0"),
            std::string("SELECT * FROM S WHERE a0 + 'x' > 1"),
            std::string("SELECT SUM(name) FROM N [RANGE 5]"),
+           std::string("SELECT COUNT(*) FROM S [RANGE 0]"),
+           std::string("SELECT a0, SUM(a1) FROM S [RANGE 0] GROUP BY a0"),
        }) {
     const Status st = engine.AddQueryText(rql, "Q");
     EXPECT_EQ(st.code(), StatusCode::kInvalidArgument)
         << rql << ": " << st.ToString();
   }
+  // RQL windows are not negative; a builder join's must not be either.
+  const auto s = QueryBuilder::FromSource("S", Schema::MakeInts(2));
+  const auto t = QueryBuilder::FromSource("T", Schema::MakeInts(2));
+  EXPECT_EQ(engine.AddQuery(s.Join(t, "S.a0 = T.a0", -1, 4).Build("J")).code(),
+            StatusCode::kInvalidArgument);
   EXPECT_EQ(engine.num_queries(), 0);
 }
 
