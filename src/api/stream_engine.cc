@@ -207,6 +207,13 @@ Status StreamEngine::AddQueryWithText(Query query, std::string text) {
     return Status::AlreadyExists(
         StrCat("query '", query.name, "' already exists"));
   }
+  // A query under a source's name would hide the source from later
+  // queries, and removing it would drop the source's catalog entry.
+  bool is_query = false;
+  if (catalog_.Resolve(query.name, &is_query) != nullptr && !is_query) {
+    return Status::AlreadyExists(
+        StrCat("query name '", query.name, "' is a registered source"));
+  }
   if (started()) return AddQueryLive(std::move(query), std::move(text));
   CommitQuery(std::move(query), std::move(text));
   return Status::OK();
@@ -214,6 +221,7 @@ Status StreamEngine::AddQueryWithText(Query query, std::string text) {
 
 void StreamEngine::CommitQuery(Query query, std::string text) {
   catalog_.AddQuery(query);
+  for (const std::string& read : query.reads) ++readers_[ToLower(read)];
   query_index_[ToLower(query.name)] = static_cast<int>(query_slots_.size());
   query_slots_.push_back({std::move(query), std::move(text)});
   ++num_live_queries_;
@@ -313,6 +321,18 @@ Status StreamEngine::RemoveQuery(const std::string& name) {
   // The lookup is case-insensitive; the plan and sink know the query by its
   // registered spelling.
   const std::string canonical = query_slots_[index].query.name;
+  if (readers_.count(ToLower(canonical)) > 0) {
+    // A reader's text names this query, and a checkpoint re-parses it.
+    for (const QuerySlot& slot : query_slots_) {
+      for (const std::string& read : slot.query.reads) {
+        if (EqualsIgnoreCase(read, canonical)) {
+          return Status::FailedPrecondition(
+              StrCat("query '", canonical, "' is read by query '",
+                     slot.query.name, "'"));
+        }
+      }
+    }
+  }
   if (started()) {
     if (busy()) {
       return Status::Internal("cannot remove queries from inside a push");
@@ -324,6 +344,10 @@ Status StreamEngine::RemoveQuery(const std::string& name) {
     stats_.pruned_mops += pruned.removed_mops;
     stats_.pruned_members +=
         pruned.pruned_index_members + pruned.deactivated_members;
+  }
+  for (const std::string& read : query_slots_[index].query.reads) {
+    auto it = readers_.find(ToLower(read));
+    if (--it->second == 0) readers_.erase(it);
   }
   query_slots_[index] = QuerySlot{};  // tombstone
   --num_live_queries_;
@@ -368,9 +392,8 @@ Status StreamEngine::Start() {
     ShardedExecutor::Options sharded_options;
     sharded_options.num_shards = shard_count_;
     sharded_options.metrics = metrics_options_;
-    sharded_ = std::make_unique<ShardedExecutor>(
-        sharded_options, std::move(build),
-        static_cast<OutputSink*>(sink_.get()));
+    sharded_ = std::make_unique<ShardedExecutor>(sharded_options,
+                                                 std::move(build), sink_.get());
     if (Status st = sharded_->Prepare(); !st.ok()) {
       sharded_.reset();
       sink_.reset();
@@ -736,11 +759,11 @@ Status StreamEngine::Restore(std::string_view snapshot) {
   // Stage 2: rebuild the engine — sources and query texts, then Start(),
   // whose batch Optimize builds the plan(s) as for a fresh engine (shaped
   // differently from the saved plan where queries were added live).
-  // Stage 3: load the merged state image into the fresh plan(s). Every
-  // shard replica receives the full image ("lazy shedding"): partitioned
-  // routing only ever feeds a shard the keys it owns, so foreign-key state
-  // sits inert and ages out of the windows. A failure in either stage puts
-  // the engine back the way Restore found it.
+  // Stage 3: load the merged state image into the fresh plan(s). Each shard
+  // replica loads only the state its routes send it (a pinned component's
+  // on its shard, keyed state by the hash of its key), so a later
+  // checkpoint saves every entry once. A failure in either stage puts the
+  // engine back the way Restore found it.
   auto rebuild = [&]() -> Status {
     for (RegisteredSource& src : sources) {
       RUMOR_RETURN_IF_ERROR(
@@ -750,8 +773,10 @@ Status StreamEngine::Restore(std::string_view snapshot) {
       RUMOR_RETURN_IF_ERROR(AddQueryText(q.text, q.name));
     }
     RUMOR_RETURN_IF_ERROR(Start());
-    return ForEachReplica([&](int, Plan& plan, Executor&) {
-      return LoadPlanState(plan, merged);
+    const ShardPlan* sharding =
+        sharded_ != nullptr ? &sharded_->sharding() : nullptr;
+    return ForEachReplica([&](int replica, Plan& plan, Executor&) {
+      return LoadPlanState(plan, merged, sharding, replica);
     });
   };
   if (Status st = rebuild(); !st.ok()) {
@@ -788,6 +813,7 @@ void StreamEngine::ResetToFresh() {
   num_live_queries_ = 0;
   sources_.clear();
   query_index_.clear();
+  readers_.clear();
   source_ids_.clear();
 }
 

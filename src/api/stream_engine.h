@@ -82,7 +82,9 @@ class StreamEngine {
   Status RegisterSource(const std::string& name, Schema schema,
                         int sharable_label = -1);
   // Adds a logical query (from QueryBuilder / the translator / ...). Query
-  // names must be unique among live queries. After Start() the query is
+  // names must be unique among live queries, and a registered source's name
+  // is refused (AlreadyExists) for AddQuery, AddQueryText and AddScript
+  // alike: the query would hide the source. After Start() the query is
   // merged into the running plan (see file comment); it is illegal to call
   // this from inside an output handler. A sharded engine refuses, with
   // Unimplemented, a live add that needs another shard routing for a source
@@ -100,7 +102,10 @@ class StreamEngine {
   // Removes a query by name (either state). Running-plan removal unshares
   // reference-counted operators: m-ops still reached by surviving queries
   // stay warm and untouched, everything else is torn down and its channels
-  // garbage-collected. Illegal from inside an output handler.
+  // garbage-collected. Illegal from inside an output handler. A query that
+  // the RQL text of another live query reads by name is not removed: the
+  // call returns FailedPrecondition naming one such reader, since a
+  // checkpoint re-parses the reader's text, which needs the name.
   Status RemoveQuery(const std::string& name);
 
   // Called for every query result: (query name, output tuple).
@@ -167,7 +172,10 @@ class StreamEngine {
   // the way it found it: fresh, with its settings (options, shard count,
   // handler, metrics) kept. The restored engine may run any shard count (call
   // SetShardCount first): a sharded checkpoint is merged into one logical
-  // image and re-partitioned onto the new layout.
+  // image and re-partitioned onto the new layout, each shard loading only
+  // the state its routes send it (a pinned component's state on that
+  // shard, keyed state by the hash of its key), so the next checkpoint
+  // holds each entry once.
   Status Restore(std::string_view snapshot);
   Status RestoreFromFile(const std::string& path);
 
@@ -317,6 +325,9 @@ class StreamEngine {
   // linear rescan per Add/Remove was quadratic over large standing
   // populations.
   std::unordered_map<std::string, int> query_index_;
+  // Lowercase query name -> how many live queries' texts read it
+  // (Query::reads); only names with readers have an entry.
+  std::unordered_map<std::string, int> readers_;
   OutputHandler handler_;
 
   Plan plan_;

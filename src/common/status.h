@@ -17,6 +17,7 @@ enum class StatusCode {
   kInvalidArgument,
   kNotFound,
   kAlreadyExists,
+  kFailedPrecondition,
   kUnimplemented,
   kInternal,
 };
@@ -28,6 +29,7 @@ inline const char* StatusCodeName(StatusCode code) {
     case StatusCode::kInvalidArgument: return "InvalidArgument";
     case StatusCode::kNotFound: return "NotFound";
     case StatusCode::kAlreadyExists: return "AlreadyExists";
+    case StatusCode::kFailedPrecondition: return "FailedPrecondition";
     case StatusCode::kUnimplemented: return "Unimplemented";
     case StatusCode::kInternal: return "Internal";
   }
@@ -51,6 +53,9 @@ class Status {
   }
   static Status AlreadyExists(std::string msg) {
     return Status(StatusCode::kAlreadyExists, std::move(msg));
+  }
+  static Status FailedPrecondition(std::string msg) {
+    return Status(StatusCode::kFailedPrecondition, std::move(msg));
   }
   static Status Unimplemented(std::string msg) {
     return Status(StatusCode::kUnimplemented, std::move(msg));

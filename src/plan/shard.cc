@@ -28,6 +28,8 @@ struct KeyReq {
 struct Constraint {
   std::vector<KeyReq> keys;
   std::vector<StreamId> pinned;
+  MopId mop = kInvalidMop;  // the m-op whose member demands it
+  int key_column = -1;      // a keyed aggregate's leading GROUP BY column
 };
 
 // For per-member-port m-ops the producing member is the output port; in
@@ -179,6 +181,11 @@ Result<ShardPlan> AnalyzeSharding(const Plan& plan, int num_shards,
   std::vector<Constraint> constraints;
   for (MopId id : plan.LiveMops()) {
     const Mop& mop = plan.mop(id);
+    auto demand = [&](Constraint c, int key_column = -1) {
+      c.mop = id;
+      c.key_column = key_column;
+      constraints.push_back(std::move(c));
+    };
     switch (mop.type()) {
       case MopType::kSelection:
       case MopType::kChannelSelect:
@@ -194,10 +201,12 @@ Result<ShardPlan> AnalyzeSharding(const Plan& plan, int num_shards,
         for (int i = 0; i < agg.num_members(); ++i) {
           if (!agg.member_active(i)) continue;
           const AggMemberSpec& spec = agg.member(i).spec;
-          constraints.push_back(
-              spec.group_by.empty()
-                  ? PinAll(plan, id)
-                  : KeyOrPin(plan, id, {{in, spec.group_by[0]}}));
+          if (spec.group_by.empty()) {
+            demand(PinAll(plan, id));
+          } else {
+            demand(KeyOrPin(plan, id, {{in, spec.group_by[0]}}),
+                   spec.group_by[0]);
+          }
         }
         break;
       }
@@ -209,7 +218,7 @@ Result<ShardPlan> AnalyzeSharding(const Plan& plan, int num_shards,
         const ChannelId right = plan.input_channel(id, 1);
         for (int i = 0; i < join.num_members(); ++i) {
           const JoinShape shape = AnalyzeJoin(join.member(i).def.predicate);
-          constraints.push_back(
+          demand(
               shape.equi.empty()
                   ? PinAll(plan, id)
                   : KeyOrPin(plan, id,
@@ -229,7 +238,7 @@ Result<ShardPlan> AnalyzeSharding(const Plan& plan, int num_shards,
         const ChannelId right = plan.input_channel(id, 1);
         for (int i = 0; i < seq.num_members(); ++i) {
           const JoinShape shape = AnalyzeJoin(seq.member(i).def.predicate);
-          constraints.push_back(
+          demand(
               shape.equi.empty()
                   ? PinAll(plan, id)
                   : KeyOrPin(plan, id,
@@ -242,13 +251,13 @@ Result<ShardPlan> AnalyzeSharding(const Plan& plan, int num_shards,
       case MopType::kSharedIterate:
       case MopType::kChannelIterate:
         // µ rebind state accumulates across all instances; unkeyable.
-        constraints.push_back(PinAll(plan, id));
+        demand(PinAll(plan, id));
         break;
       case MopType::kZip:
         // Zip pairs by global arrival rank, which survives partitioning only
         // when both branches provably see position-identical subsequences —
         // pin instead of proving it.
-        constraints.push_back(PinAll(plan, id));
+        demand(PinAll(plan, id));
         break;
     }
   }
@@ -341,7 +350,75 @@ Result<ShardPlan> AnalyzeSharding(const Plan& plan, int num_shards,
       ++sp.keyed_sources;
     }  // else: default kAny
   }
+
+  // Pass 6: state placement. A member's sources form one component, routed
+  // one way, so any of them tells where the m-op's state lives; an m-op that
+  // no source feeds keeps its state on shard 0.
+  sp.state.assign(plan.num_mops(), StatePlacement{});
+  for (const Constraint& c : constraints) {
+    const StreamId s = !c.keys.empty()     ? c.keys[0].source
+                       : !c.pinned.empty() ? c.pinned[0]
+                                           : kInvalidStream;
+    if (s == kInvalidStream) continue;
+    const StreamRoute& r = sp.routes[s];
+    sp.state[c.mop] = r.mode == RouteMode::kKey
+                          ? StatePlacement{RouteMode::kKey, 0, c.key_column}
+                          : StatePlacement{RouteMode::kPinned, r.pinned_shard};
+  }
   return sp;
+}
+
+MopState StateOnShard(const MopState& state, const StatePlacement& placement,
+                      int shard, int num_shards) {
+  // Whether this shard owns an item with `key` (null: the item has none).
+  const auto owns = [&](const Value* key) {
+    if (placement.mode != RouteMode::kKey || key == nullptr) {
+      return placement.pinned_shard == shard;
+    }
+    return static_cast<int>(key->Hash() % static_cast<uint64_t>(
+                                              num_shards)) == shard;
+  };
+  MopState out;
+  out.kind = state.kind;
+  out.member_fps = state.member_fps;
+  out.member_active = state.member_active;
+  out.shared_state = state.shared_state;
+  out.member_filtered = state.member_filtered;
+  const int column = placement.key_column;
+  for (const AggEngineState& engine : state.engines) {
+    AggEngineState& mine = out.engines.emplace_back();
+    mine.slots = engine.slots;
+    for (const AggLogEntry& entry : engine.entries) {
+      const std::vector<Value>& values = entry.tuple.values;
+      const bool keyed =
+          column >= 0 && column < static_cast<int>(values.size());
+      if (owns(keyed ? &values[column] : nullptr)) {
+        mine.entries.push_back(entry);
+      }
+    }
+    // Cursors are re-derived from the memberships at load.
+    mine.members.resize(engine.members.size());
+    for (size_t m = 0; m < engine.members.size(); ++m) {
+      for (const AggGroupState& g : engine.members[m].groups) {
+        if (owns(g.key.empty() ? nullptr : &g.key[0])) {
+          mine.members[m].groups.push_back(g);
+        }
+      }
+    }
+  }
+  const auto place = [&](const std::vector<BufferState>& buffers) {
+    std::vector<BufferState> mine(buffers.size());
+    for (size_t b = 0; b < buffers.size(); ++b) {
+      for (const BufferSlotState& slot : buffers[b].slots) {
+        if (owns(&slot.key)) mine[b].slots.push_back(slot);
+      }
+    }
+    return mine;
+  };
+  out.left = place(state.left);
+  out.right = place(state.right);
+  out.stores = place(state.stores);
+  return out;
 }
 
 std::string ShardPlan::ToString(const Plan& plan) const {

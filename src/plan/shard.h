@@ -29,6 +29,11 @@
 // component-wide), and attribute provenance is traced backward through
 // stateless operators — including through keyed joins/aggregates, so an
 // aggregate over a join output keyed on the join key stays partitionable.
+//
+// The same analysis places each stateful m-op's *state*: a restored engine
+// loads into each replica only what that shard's routes would have built
+// there (StateOnShard), so no state sits on a shard that never sees its
+// tuples, and a later checkpoint saves each entry once.
 #ifndef RUMOR_PLAN_SHARD_H_
 #define RUMOR_PLAN_SHARD_H_
 
@@ -39,6 +44,7 @@
 
 #include "common/status.h"
 #include "common/value.h"
+#include "mop/mop_state.h"
 #include "plan/plan.h"
 
 namespace rumor {
@@ -51,12 +57,26 @@ struct StreamRoute {
   int pinned_shard = 0;  // kPinned: fixed shard of the component
 };
 
+// Where one stateful m-op's state lives: keyed state on the shard its key
+// hashes to, as ShardOfTuple routes the tuples that built it, and the state
+// of a pinned component on that component's shard.
+struct StatePlacement {
+  RouteMode mode = RouteMode::kPinned;  // kKey or kPinned
+  int pinned_shard = 0;  // kPinned; also where a keyed item without a key goes
+  // A keyed aggregate's leading GROUP BY column, which its log entries'
+  // tuples are hashed on (its groups hash their leading key value, and ⋈
+  // and ; slots their stored equi-key).
+  int key_column = -1;
+};
+
 // Per-source routing decisions for one (plan, num_shards) pair.
 struct ShardPlan {
   int num_shards = 1;
   // Dense by StreamId; entries of non-source streams are defaulted (kAny)
   // and never consulted.
   std::vector<StreamRoute> routes;
+  // Dense by MopId; meaningful for the stateful live m-ops only.
+  std::vector<StatePlacement> state;
   int keyed_sources = 0;
   int pinned_sources = 0;
   int pinned_components = 0;
@@ -97,6 +117,14 @@ inline int ShardOfTuple(const StreamRoute& r, std::span<const Value> values,
   }
   return static_cast<int>((*rr)++ % static_cast<uint64_t>(num_shards));
 }
+
+// The part of `state`, saved state of an m-op that `placement` places, that
+// shard `shard` of `num_shards` owns: the log entries, groups and buffer
+// slots whose key hashes there, or all of it on a pinned m-op's shard and
+// none elsewhere. The record's layout (member fingerprints, engines,
+// buffers) is kept whole, so it loads like the full record.
+MopState StateOnShard(const MopState& state, const StatePlacement& placement,
+                      int shard, int num_shards);
 
 }  // namespace rumor
 

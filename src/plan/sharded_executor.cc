@@ -14,8 +14,8 @@
 namespace rumor {
 
 namespace {
-// Ordered-mode output blocks are flushed to the merge at this many entries,
-// bounding both block latency and the size of a decoded burst.
+// Output blocks are flushed to the merge at this many entries, bounding
+// both block latency and the size of a decoded burst.
 constexpr size_t kMaxBlockEntries = 256;
 
 #if RUMOR_METRICS_ENABLED
@@ -51,7 +51,7 @@ struct ShardedExecutor::InBatch {
   }
 };
 
-// One run of encoded outputs travelling worker -> control (ordered mode).
+// One run of encoded outputs travelling worker -> control.
 // Same flat layout as InBatch, plus a per-entry stream id (one block mixes
 // output streams of different widths).
 struct ShardedExecutor::OutBlock {
@@ -81,8 +81,8 @@ struct ShardedExecutor::Shard {
   // ring capacity, so a push by whoever holds a shell can never fail.
   SpscQueue<InBatch*> in;
   SpscQueue<InBatch*> in_free;
-  SpscQueue<OutBlock*> out;       // ordered mode only
-  SpscQueue<OutBlock*> out_free;  // ordered mode only
+  SpscQueue<OutBlock*> out;
+  SpscQueue<OutBlock*> out_free;
   std::vector<std::unique_ptr<InBatch>> in_shells;
   std::vector<std::unique_ptr<OutBlock>> out_shells;
 
@@ -113,11 +113,10 @@ struct ShardedExecutor::Shard {
   std::thread thread;
 };
 
-// Worker-side OutputSink for ordered mode: encodes emissions into OutBlocks
-// and ships full blocks to the control thread. Blocking on an empty
-// out_free ring is the back-pressure path — the control thread recycles
-// shells as it merges, including incrementally mid-epoch, so this wait
-// always terminates.
+// Worker-side OutputSink: encodes emissions into OutBlocks and ships full
+// blocks to the control thread. Blocking on an empty out_free ring is the
+// back-pressure path — the control thread recycles shells as it merges,
+// including incrementally mid-epoch, so this wait always terminates.
 class ShardedExecutor::BlockSink : public OutputSink {
  public:
   BlockSink(SpscQueue<OutBlock*>* out, SpscQueue<OutBlock*>* out_free)
@@ -164,12 +163,6 @@ ShardedExecutor::ShardedExecutor(Options options, PlanFactory factory,
   RUMOR_CHECK(merge_sink_ != nullptr);
 }
 
-ShardedExecutor::ShardedExecutor(Options options, PlanFactory factory,
-                                 ShardedSink* lanes)
-    : options_(options), factory_(std::move(factory)), lanes_(lanes) {
-  RUMOR_CHECK(lanes_ != nullptr);
-}
-
 ShardedExecutor::~ShardedExecutor() { Stop(); }
 
 Status ShardedExecutor::Prepare() {
@@ -185,11 +178,9 @@ Status ShardedExecutor::Prepare() {
       sh.in_shells.push_back(std::make_unique<InBatch>());
       sh.stash.push_back(sh.in_shells.back().get());
     }
-    if (merge_sink_ != nullptr) {
-      for (size_t i = 0; i < sh.out.capacity(); ++i) {
-        sh.out_shells.push_back(std::make_unique<OutBlock>());
-        RUMOR_CHECK(sh.out_free.TryPush(sh.out_shells.back().get()));
-      }
+    for (size_t i = 0; i < sh.out.capacity(); ++i) {
+      sh.out_shells.push_back(std::make_unique<OutBlock>());
+      RUMOR_CHECK(sh.out_free.TryPush(sh.out_shells.back().get()));
     }
   }
   for (int s = 0; s < options_.num_shards; ++s) {
@@ -215,16 +206,9 @@ void ShardedExecutor::WorkerMain(int s) {
   sh.plan = std::make_unique<Plan>();
   Status built = factory_(sh.plan.get(), &sh.optimize_stats);
 
-  std::unique_ptr<BlockSink> block_sink;
-  OutputSink* sink = nullptr;
-  if (lanes_ != nullptr) {
-    sink = lanes_->Lane(s);
-  } else {
-    block_sink = std::make_unique<BlockSink>(&sh.out, &sh.out_free);
-    sink = block_sink.get();
-  }
+  BlockSink block_sink(&sh.out, &sh.out_free);
   if (built.ok()) {
-    sh.executor = std::make_unique<Executor>(sh.plan.get(), sink);
+    sh.executor = std::make_unique<Executor>(sh.plan.get(), &block_sink);
     sh.executor->SetMetricsOptions(options_.metrics);
     sh.executor->Prepare();
   }
@@ -268,10 +252,10 @@ void ShardedExecutor::WorkerMain(int s) {
           Tuple::Make(b->values.data() + start, end - start, b->ts[i]));
       start = end;
     }
-    if (block_sink != nullptr) block_sink->SetEpoch(epoch);
+    block_sink.SetEpoch(epoch);
     sh.executor->PushSourceBatch(stream, scratch);
     scratch.clear();  // release the shells' arena tuples on this thread
-    if (block_sink != nullptr) block_sink->FlushBlock();
+    block_sink.FlushBlock();
     b->Clear();
     RUMOR_CHECK(sh.in_free.TryPush(b));
     // Publish the epoch: counters/deliveries first, then the release store
@@ -279,7 +263,6 @@ void ShardedExecutor::WorkerMain(int s) {
     sh.counters = DataPlaneCounters::Capture();
     sh.deliveries = sh.executor->deliveries();
     sh.completed.store(epoch, std::memory_order_release);
-    sh.completed.notify_all();
   }
 
   // Replica state (windows, partial matches) holds tuples of this worker's
@@ -296,7 +279,7 @@ ShardedExecutor::InBatch* ShardedExecutor::AcquireShell(Shard& sh) {
   }
   InBatch* b = nullptr;
   // Failpoint: pretend the free ring was momentarily empty, forcing the
-  // slow drain/park backpressure path below even when shells are available.
+  // slow drain backpressure path below even when shells are available.
   if (!RUMOR_FAILPOINT("spsc/acquire-stall") && sh.in_free.TryPop(&b)) {
     return b;
   }
@@ -304,14 +287,10 @@ ShardedExecutor::InBatch* ShardedExecutor::AcquireShell(Shard& sh) {
   const int64_t t0 = MonotonicNs();
 #endif
   while (!sh.in_free.TryPop(&b)) {
-    if (merge_sink_ != nullptr) {
-      // The worker may itself be waiting for the ordered merge to recycle
-      // out-shells — never park without draining.
-      DrainDeliveries();
-      std::this_thread::yield();
-    } else {
-      sh.in_free.WaitNotEmpty();
-    }
+    // The worker may itself be waiting for the merge to recycle out-shells
+    // — never park without draining.
+    DrainDeliveries();
+    std::this_thread::yield();
   }
 #if RUMOR_METRICS_ENABLED
   sh.in_stall_ns += MonotonicNs() - t0;
@@ -341,11 +320,9 @@ void ShardedExecutor::PushSourceBatch(StreamId stream,
   // pass this epoch on a shard whose slice is still being staged.
   const uint64_t epoch = next_epoch_;
 #if RUMOR_METRICS_ENABLED
-  // Stamp every Nth epoch; the ordered merge records the latency when its
-  // cursor passes the stamped epoch (lanes mode has no merge to finish, so
-  // no stamp).
-  if (merge_sink_ != nullptr && options_.metrics.sample_every_n > 0 &&
-      --latency_countdown_ <= 0) {
+  // Stamp every Nth epoch; the merge records the latency when its cursor
+  // passes the stamped epoch.
+  if (options_.metrics.sample_every_n > 0 && --latency_countdown_ <= 0) {
     latency_countdown_ = options_.metrics.sample_every_n;
     pending_latency_.emplace_back(epoch, MonotonicNs());
   }
@@ -376,7 +353,7 @@ void ShardedExecutor::PushSourceBatch(StreamId stream,
     sh.last_sent = epoch;
   }
   next_epoch_ = epoch + 1;
-  if (merge_sink_ != nullptr) DrainDeliveries();
+  DrainDeliveries();
 }
 
 void ShardedExecutor::DrainDeliveries() {
@@ -440,33 +417,23 @@ void ShardedExecutor::DeliverBlock(const OutBlock& block) {
 void ShardedExecutor::Flush() {
   if (!prepared_ || stopped_ || shards_.empty()) return;
   RUMOR_TRACE_SPAN("ShardedExecutor::Flush");
-  if (merge_sink_ != nullptr) {
-    int idle_passes = 0;
-    while (next_deliver_epoch_ < next_epoch_) {
-      const uint64_t before = next_deliver_epoch_;
-      const int shard_before = deliver_shard_;
-      DrainDeliveries();
-      if (next_deliver_epoch_ != before || deliver_shard_ != shard_before) {
-        idle_passes = 0;
-        continue;
-      }
-      // No cursor progress: the cursor shard is computing. Yield first (on
-      // an oversubscribed machine that *is* how the worker runs), then back
-      // off to a micro-sleep. A hard wait on `completed` would deadlock when
-      // the worker is itself parked on out_free.
-      if (++idle_passes < 64) {
-        std::this_thread::yield();
-      } else {
-        std::this_thread::sleep_for(std::chrono::microseconds(50));
-      }
+  int idle_passes = 0;
+  while (next_deliver_epoch_ < next_epoch_) {
+    const uint64_t before = next_deliver_epoch_;
+    const int shard_before = deliver_shard_;
+    DrainDeliveries();
+    if (next_deliver_epoch_ != before || deliver_shard_ != shard_before) {
+      idle_passes = 0;
+      continue;
     }
-  } else {
-    for (const auto& shp : shards_) {
-      uint64_t c = shp->completed.load(std::memory_order_acquire);
-      while (c < shp->last_sent) {
-        shp->completed.wait(c, std::memory_order_acquire);
-        c = shp->completed.load(std::memory_order_acquire);
-      }
+    // No cursor progress: the cursor shard is computing. Yield first (on an
+    // oversubscribed machine that *is* how the worker runs), then back off
+    // to a micro-sleep. A hard wait on `completed` would deadlock when the
+    // worker is itself parked on out_free.
+    if (++idle_passes < 64) {
+      std::this_thread::yield();
+    } else {
+      std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
   }
 }

@@ -11,27 +11,21 @@
 // (plan/spsc_queue.h) and are rematerialized on the receiving thread's
 // arena.
 //
-// Two output modes:
-//
-//  * ordered (OutputSink ctor) — workers encode outputs into flat blocks;
-//    the control thread decodes and merges them into the caller's ordinary
-//    single-threaded sink in a deterministic order: epoch-major (an epoch is
-//    one PushSource/PushSourceBatch call), shard-minor, per-shard emission
-//    order. For tuples on a key-partitioned route this reproduces the exact
-//    single-threaded per-key output order; the interleaving across shards
-//    within one epoch is the one documented relaxation. No mutex anywhere on
-//    the hot path.
-//  * lanes (ShardedSink ctor) — shard s delivers straight into
-//    lanes->Lane(s) on its worker thread (benchmarks: per-shard counting
-//    with a final merge, zero cross-thread tuple traffic).
+// Output: workers encode outputs into flat blocks; the control thread
+// decodes and merges them into the caller's ordinary single-threaded sink
+// in a deterministic order: epoch-major (an epoch is one
+// PushSource/PushSourceBatch call), shard-minor, per-shard emission order.
+// For tuples on a key-partitioned route this reproduces the exact
+// single-threaded per-key output order; the interleaving across shards
+// within one epoch is the one documented relaxation. No mutex anywhere on
+// the hot path.
 //
 // Backpressure: every queue is bounded. A full in-ring makes the control
-// thread drain pending deliveries (ordered mode) or park on the ring (lanes
-// mode) until the worker catches up; a worker that outruns the merge parks
-// on the out-shell ring until the control thread recycles shells. The
-// ordered merge delivers a shard's blocks *incrementally* while that shard
-// is still mid-epoch, so a worker can never deadlock against the in-order
-// merge cursor.
+// thread drain pending deliveries until the worker catches up; a worker
+// that outruns the merge parks on the out-shell ring until the control
+// thread recycles shells. The merge delivers a shard's blocks
+// *incrementally* while that shard is still mid-epoch, so a worker can
+// never deadlock against the in-order merge cursor.
 //
 // Query churn on a running sharded engine uses MutateShards: the executor
 // quiesces (Flush), sends one command through each in-ring, and the command
@@ -63,92 +57,6 @@ namespace rumor {
 // plans with identical ids — and must not touch shared mutable state.
 using PlanFactory = std::function<Status(Plan* plan, OptimizeStats* stats)>;
 
-// Per-shard output sinks for lanes mode. Lane(s) is only ever called from
-// shard s's worker thread; implementations need no locking as long as lanes
-// don't share mutable state (keep them cache-line separated).
-class ShardedSink {
- public:
-  virtual ~ShardedSink() = default;
-  virtual OutputSink* Lane(int shard) = 0;
-};
-
-// Shard-aware CountingSink: one counter lane per worker, summed on demand.
-// All lanes are pre-sized at construction (`reserve_streams`) because
-// CountingSink::Grow while a worker runs would race with the reader —
-// growing lanes mid-flight is only safe from the owning worker itself.
-class ShardedCountingSink : public ShardedSink {
- public:
-  explicit ShardedCountingSink(int num_shards, StreamId reserve_streams = 0)
-      : cells_(num_shards) {
-    for (Cell& c : cells_) c.sink.Reserve(reserve_streams);
-  }
-  OutputSink* Lane(int shard) override { return &cells_[shard].sink; }
-
-  // Merged views; callers must quiesce (ShardedExecutor::Flush) first.
-  int64_t total() const {
-    int64_t t = 0;
-    for (const Cell& c : cells_) t += c.sink.total();
-    return t;
-  }
-  int64_t ForStream(StreamId s) const {
-    int64_t t = 0;
-    for (const Cell& c : cells_) t += c.sink.ForStream(s);
-    return t;
-  }
-
- private:
-  struct alignas(64) Cell {
-    CountingSink sink;
-  };
-  std::vector<Cell> cells_;
-};
-
-// Shard-aware CollectingSink. Lanes store flat value rows, NOT Tuples: a
-// collected Tuple would pin the worker's arena payload and then be released
-// on whatever thread reads the collection — flat rows are plain data and
-// thread-agnostic.
-class ShardedCollectingSink : public ShardedSink {
- public:
-  struct Row {
-    StreamId stream = kInvalidStream;
-    Timestamp ts = 0;
-    std::vector<Value> values;
-  };
-
-  explicit ShardedCollectingSink(int num_shards) : cells_(num_shards) {}
-  OutputSink* Lane(int shard) override { return &cells_[shard].sink; }
-
-  // Rows of one stream, lanes concatenated in shard order; quiesce first.
-  std::vector<Row> RowsForStream(StreamId s) const {
-    std::vector<Row> out;
-    for (const Cell& c : cells_) {
-      for (const Row& r : c.sink.rows) {
-        if (r.stream == s) out.push_back(r);
-      }
-    }
-    return out;
-  }
-  int64_t total() const {
-    int64_t t = 0;
-    for (const Cell& c : cells_) t += static_cast<int64_t>(c.sink.rows.size());
-    return t;
-  }
-
- private:
-  struct LaneSink : OutputSink {
-    std::vector<Row> rows;
-    void OnOutput(StreamId stream, const Tuple& tuple) override {
-      std::span<const Value> v = tuple.values();
-      rows.push_back(Row{stream, tuple.ts(),
-                         std::vector<Value>(v.begin(), v.end())});
-    }
-  };
-  struct alignas(64) Cell {
-    LaneSink sink;
-  };
-  std::vector<Cell> cells_;
-};
-
 class ShardedExecutor {
  public:
   struct Options {
@@ -166,10 +74,8 @@ class ShardedExecutor {
   using ShardCommand =
       std::function<Status(int shard, Plan& plan, Executor& executor)>;
 
-  // Ordered mode: all shard outputs merge into `sink` on the pushing thread.
+  // All shard outputs merge into `sink` on the pushing thread.
   ShardedExecutor(Options options, PlanFactory factory, OutputSink* sink);
-  // Lanes mode: shard s delivers to lanes->Lane(s) on its worker thread.
-  ShardedExecutor(Options options, PlanFactory factory, ShardedSink* lanes);
   ~ShardedExecutor();
   ShardedExecutor(const ShardedExecutor&) = delete;
   ShardedExecutor& operator=(const ShardedExecutor&) = delete;
@@ -181,15 +87,14 @@ class ShardedExecutor {
 
   // Routes one epoch of tuples to the shards. Same contract as
   // Executor::PushSource/PushSourceBatch (single pushing thread, timestamps
-  // non-decreasing). Ordered mode additionally delivers any merge-ready
-  // outputs to the sink before returning. Must not be called re-entrantly
-  // from an output handler.
+  // non-decreasing). Delivers any merge-ready outputs to the sink before
+  // returning. Must not be called re-entrantly from an output handler.
   void PushSource(StreamId stream, const Tuple& tuple);
   void PushSourceBatch(StreamId stream, std::span<const Tuple> tuples);
 
-  // Blocks until every pushed epoch is fully processed (and, in ordered
-  // mode, every output delivered to the sink). After Flush the workers are
-  // quiescent: plan(s), deliveries(s) and counters(s) are safe to read.
+  // Blocks until every pushed epoch is fully processed and every output
+  // delivered to the sink. After Flush the workers are quiescent: plan(s),
+  // deliveries(s) and counters(s) are safe to read.
   void Flush();
 
   // Quiesce-merge-resume: flushes, then runs `fn` once per shard ON that
@@ -207,8 +112,8 @@ class ShardedExecutor {
   // thread — replica state holds tuples of the worker's arena.
   void Stop();
 
-  // True while the ordered merge is inside the caller's sink (plan
-  // mutations and re-entrant pushes are illegal in this window).
+  // True while the merge is inside the caller's sink (plan mutations and
+  // re-entrant pushes are illegal in this window).
   bool busy() const { return delivering_; }
 
   int num_shards() const { return options_.num_shards; }
@@ -224,9 +129,8 @@ class ShardedExecutor {
   // Per-shard metric rows (flushes first).
   std::vector<EngineMetrics::ShardRow> ShardRows();
 
-  // Sampled end-to-end latency of ordered-mode epochs: PushSource[Batch]
-  // call to the ordered merge finishing that epoch's delivery. Empty in
-  // lanes mode and under -DRUMOR_METRICS=OFF.
+  // Sampled end-to-end latency of epochs: PushSource[Batch] call to the
+  // merge finishing that epoch's delivery. Empty under -DRUMOR_METRICS=OFF.
   const LatencyHistogram& merge_latency() const { return merge_latency_; }
 
  private:
@@ -248,8 +152,7 @@ class ShardedExecutor {
 
   Options options_;
   PlanFactory factory_;
-  OutputSink* merge_sink_ = nullptr;  // ordered mode
-  ShardedSink* lanes_ = nullptr;      // lanes mode
+  OutputSink* merge_sink_ = nullptr;
   std::vector<std::unique_ptr<Shard>> shards_;
 
   ShardPlan sharding_;
@@ -257,8 +160,8 @@ class ShardedExecutor {
 
   // Epochs start at 1 so "completed == 0" means "nothing yet".
   uint64_t next_epoch_ = 1;
-  // Ordered-merge delivery cursor: the first not-yet-fully-delivered epoch
-  // and the shard within it whose outputs are next in merge order.
+  // Merge delivery cursor: the first not-yet-fully-delivered epoch and the
+  // shard within it whose outputs are next in merge order.
   uint64_t next_deliver_epoch_ = 1;
   int deliver_shard_ = 0;
 
@@ -266,8 +169,8 @@ class ShardedExecutor {
   bool stopped_ = false;
   bool delivering_ = false;
 
-  // Ordered-mode latency sampling (control-thread-only): epochs stamped at
-  // push time, recorded when the merge cursor passes them.
+  // Latency sampling (control-thread-only): epochs stamped at push time,
+  // recorded when the merge cursor passes them.
   LatencyHistogram merge_latency_;
   std::deque<std::pair<uint64_t, int64_t>> pending_latency_;  // (epoch, t0)
   int latency_countdown_ = 1;  // sample the first epoch, then every Nth

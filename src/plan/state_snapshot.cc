@@ -403,7 +403,8 @@ Result<std::vector<MopState>> MergeShardStates(
   return merged;
 }
 
-Status LoadPlanState(Plan& plan, const std::vector<MopState>& saved) {
+Status LoadPlanState(Plan& plan, const std::vector<MopState>& saved,
+                     const ShardPlan* sharding, int shard) {
   Result<PlanFingerprints> fps_or = ComputeMemberFingerprints(plan);
   if (!fps_or.ok()) return fps_or.status();
   const PlanFingerprints& fps = fps_or.value();
@@ -487,7 +488,14 @@ Status LoadPlanState(Plan& plan, const std::vector<MopState>& saved) {
     }
   }
 
+  const bool placed = sharding != nullptr && sharding->num_shards > 1;
   for (PendingLoad& load : loads) {
+    MopState mine;
+    if (placed) {
+      mine = StateOnShard(*load.binding.src, sharding->state[load.id], shard,
+                          sharding->num_shards);
+      load.binding.src = &mine;
+    }
     RUMOR_RETURN_IF_ERROR(
         plan.mop(load.id).LoadState(*load.binding.src, load.binding));
   }

@@ -14,8 +14,9 @@
 // imply identical state content, so ties are interchangeable)
 // and applies Mop::LoadState with the resulting bindings. A sharded
 // checkpoint is first collapsed by MergeShardStates into one logical image;
-// restore onto n shards loads the full image into every replica and lets
-// each shard's partitioned routing shed the keys it does not own.
+// restore onto n shards loads into each replica only the part of the image
+// that shard's routes own (StateOnShard, plan/shard.h): a pinned m-op's
+// state on its shard, keyed state by the hash of its key.
 #ifndef RUMOR_PLAN_STATE_SNAPSHOT_H_
 #define RUMOR_PLAN_STATE_SNAPSHOT_H_
 
@@ -26,6 +27,7 @@
 #include "common/status.h"
 #include "mop/mop_state.h"
 #include "plan/plan.h"
+#include "plan/shard.h"
 
 namespace rumor {
 
@@ -48,8 +50,11 @@ Result<std::vector<MopState>> MergeShardStates(
 // Applies a saved state image onto a freshly rebuilt (empty) plan. Fails —
 // without touching any state — if the match is inconsistent: a restored
 // stateful member with no saved source, saved state no restored member
-// consumes, or mismatched operator kinds.
-Status LoadPlanState(Plan& plan, const std::vector<MopState>& saved);
+// consumes, or mismatched operator kinds. With `sharding` over several
+// shards, `plan` is the replica of shard `shard` and loads only what that
+// shard owns; otherwise it loads the whole image.
+Status LoadPlanState(Plan& plan, const std::vector<MopState>& saved,
+                     const ShardPlan* sharding = nullptr, int shard = 0);
 
 }  // namespace rumor
 

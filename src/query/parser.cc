@@ -10,21 +10,24 @@ namespace rumor {
 void Catalog::AddSource(const std::string& name, Schema schema,
                         int sharable_label) {
   by_name_[ToLower(name)].push_back(
-      QueryNode::Source(name, std::move(schema), sharable_label));
+      {QueryNode::Source(name, std::move(schema), sharable_label)});
 }
 
 void Catalog::AddQuery(const Query& query) {
-  by_name_[ToLower(query.name)].push_back(query.root);
+  by_name_[ToLower(query.name)].push_back({query.root, true});
 }
 
 bool Catalog::Remove(const std::string& name) {
   return by_name_.erase(ToLower(name)) > 0;
 }
 
-QueryNodePtr Catalog::Resolve(const std::string& name) const {
+QueryNodePtr Catalog::Resolve(const std::string& name, bool* is_query) const {
   auto it = by_name_.find(ToLower(name));
+  if (it == by_name_.end()) return nullptr;
   // Later definitions shadow earlier ones.
-  return it == by_name_.end() ? nullptr : it->second.back();
+  const Entry& entry = it->second.back();
+  if (is_query != nullptr) *is_query = entry.query;
+  return entry.node;
 }
 
 namespace {
@@ -80,9 +83,10 @@ class QueryParser {
     } else {
       name = "Q" + std::to_string(index);
     }
+    reads_.clear();
     auto node = ParseQueryBody();
     if (!node.ok()) return node.status();
-    return Query{name, node.value()};
+    return Query{name, node.value(), std::move(reads_)};
   }
 
   bool AtEnd() const { return Peek().kind == TokenKind::kEnd; }
@@ -459,11 +463,13 @@ class QueryParser {
       }
       std::string name = Peek().text;
       Advance();
-      term.node = catalog_.Resolve(name);
+      bool is_query = false;
+      term.node = catalog_.Resolve(name, &is_query);
       if (term.node == nullptr) {
         return Status::NotFound(StrCat("unknown stream or query '", name,
                                        "'"));
       }
+      if (is_query) reads_.push_back(name);
       term.alias = name;
     }
     // Optional window: '[' RANGE n ']'.
@@ -493,6 +499,7 @@ class QueryParser {
   const std::vector<Token>& tokens_;
   size_t* pos_;
   const Catalog& catalog_;
+  std::vector<std::string> reads_;  // the statement's query names so far
 };
 
 }  // namespace

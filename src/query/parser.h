@@ -32,7 +32,8 @@
 //
 // `ident` in FROM resolves to a catalog source stream or a previously
 // defined query of the same script (logical inlining; the optimizer then
-// re-shares the copies via m-rules).
+// re-shares the copies via m-rules). Query::reads lists the query names a
+// statement resolved.
 #ifndef RUMOR_QUERY_PARSER_H_
 #define RUMOR_QUERY_PARSER_H_
 
@@ -56,15 +57,21 @@ class Catalog {
   bool Remove(const std::string& name);
 
   // Subtree for `name`: a fresh Source node for sources, the defining
-  // subtree for named queries; nullptr if unknown.
-  QueryNodePtr Resolve(const std::string& name) const;
+  // subtree for named queries; nullptr if unknown. `is_query`, if given,
+  // tells which of the two it is.
+  QueryNodePtr Resolve(const std::string& name,
+                       bool* is_query = nullptr) const;
 
  private:
+  struct Entry {
+    QueryNodePtr node;
+    bool query = false;
+  };
   // Lowercase name -> definitions in registration order; the latest (back)
   // shadows earlier ones. Hash lookup keeps per-query resolution O(1) at
   // 10^5..10^6 registered queries (a linear entry scan here was quadratic
   // over a large AddQuery workload).
-  std::unordered_map<std::string, std::vector<QueryNodePtr>> by_name_;
+  std::unordered_map<std::string, std::vector<Entry>> by_name_;
 };
 
 // Parses one query (no name prefix, no trailing ';').

@@ -142,6 +142,10 @@ class QueryNode {
 struct Query {
   std::string name;
   QueryNodePtr root;
+  // The catalog queries its RQL text named in FROM (filled by the parser,
+  // which inlines their subtrees into `root`); empty for a query over
+  // sources only.
+  std::vector<std::string> reads = {};
 };
 
 // Splits an Iterate predicate into (match, rebind) conjunct groups: a

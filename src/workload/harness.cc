@@ -19,8 +19,8 @@ std::vector<StreamId> QueryStreams(const Plan& plan,
 }
 
 // Results delivered so far, summed over the queries.
-template <typename Sink>
-int64_t QueryOutputs(const Sink& sink, const std::vector<StreamId>& streams) {
+int64_t QueryOutputs(const CountingSink& sink,
+                     const std::vector<StreamId>& streams) {
   int64_t total = 0;
   for (StreamId s : streams) total += sink.ForStream(s);
   return total;
@@ -107,75 +107,6 @@ RumorRun RunRumorBatched(const std::vector<Query>& queries,
           exec.PushSourceBatch(streams[stream], batch);
         }
       });
-}
-
-RumorRun RunRumorSharded(const std::vector<Query>& queries,
-                         const OptimizerOptions& options,
-                         const std::vector<Event>& events, int64_t warmup,
-                         int64_t batch_size, int num_shards,
-                         const std::vector<std::string>& stream_names) {
-  RUMOR_CHECK(batch_size > 0);
-  RUMOR_CHECK(num_shards >= 1);
-  RumorRun run;
-  auto factory = [&queries, &options](Plan* plan,
-                                      OptimizeStats* stats) -> Status {
-    auto compiled = CompileQueries(queries, plan);
-    if (!compiled.ok()) return compiled.status();
-    *stats = Optimize(plan, options);
-    return Status::OK();
-  };
-  // Scratch replica for the stream count: the counting lanes must be fully
-  // pre-sized before workers run (growing them mid-flight would race).
-  Plan scratch;
-  OptimizeStats scratch_stats;
-  RUMOR_CHECK(factory(&scratch, &scratch_stats).ok());
-  ShardedCountingSink sink(num_shards,
-                           static_cast<StreamId>(scratch.streams().size()));
-
-  ShardedExecutor::Options ex_options;
-  ex_options.num_shards = num_shards;
-  ShardedExecutor exec(ex_options, factory, &sink);
-  RUMOR_CHECK(exec.Prepare().ok());
-  run.optimize_stats = exec.optimize_stats();
-  run.live_mops = static_cast<int>(exec.plan(0).LiveMops().size());
-  std::vector<StreamId> streams;
-  for (const std::string& name : stream_names) {
-    auto id = exec.plan(0).streams().FindSource(name);
-    RUMOR_CHECK(id.has_value()) << "unknown source " << name;
-    streams.push_back(*id);
-  }
-  const std::vector<StreamId> query_streams =
-      QueryStreams(exec.plan(0), queries);
-
-  std::vector<Tuple> batch;
-  batch.reserve(batch_size);
-  auto push_range = [&](int64_t from, int64_t to) {
-    int64_t i = from;
-    while (i < to) {
-      const int stream = events[i].stream;
-      batch.clear();
-      while (i < to && events[i].stream == stream &&
-             static_cast<int64_t>(batch.size()) < batch_size) {
-        batch.push_back(events[i].tuple);
-        ++i;
-      }
-      exec.PushSourceBatch(streams[stream], batch);
-    }
-  };
-
-  const int64_t n = static_cast<int64_t>(events.size());
-  const int64_t measured_from = std::min(warmup, n);
-  push_range(0, measured_from);
-  exec.Flush();
-  const int64_t outputs_before = QueryOutputs(sink, query_streams);
-  Stopwatch timer;
-  push_range(measured_from, n);
-  exec.Flush();  // drain in-flight epochs inside the timed region
-  run.result.seconds = timer.ElapsedSeconds();
-  run.result.events = n - measured_from;
-  run.result.outputs = QueryOutputs(sink, query_streams) - outputs_before;
-  exec.Stop();
-  return run;
 }
 
 CayugaRun RunCayuga(const std::vector<CayugaAutomaton>& automata,

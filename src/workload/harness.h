@@ -13,7 +13,6 @@
 #include "plan/compile.h"
 #include "plan/executor.h"
 #include "plan/metrics.h"
-#include "plan/sharded_executor.h"
 #include "rules/rule_engine.h"
 #include "workload/synthetic.h"
 
@@ -44,18 +43,6 @@ RumorRun RunRumorBatched(
     const std::vector<Query>& queries, const OptimizerOptions& options,
     const std::vector<Event>& events, int64_t warmup, int64_t batch_size,
     const std::vector<std::string>& stream_names = {"S", "T"});
-
-// Partition-parallel variant: the same batched feed pushed through a
-// ShardedExecutor with `num_shards` workers (plan/sharded_executor.h) in
-// lanes mode — outputs are counted per shard with no cross-thread traffic,
-// mirroring what a scale-out deployment measures. The timed region includes
-// the final Flush(), so reported throughput covers full processing, not
-// just enqueueing. num_shards == 1 measures the sharded machinery's
-// single-worker overhead (ring hops + rematerialization) against RunRumor.
-RumorRun RunRumorSharded(
-    const std::vector<Query>& queries, const OptimizerOptions& options,
-    const std::vector<Event>& events, int64_t warmup, int64_t batch_size,
-    int num_shards, const std::vector<std::string>& stream_names = {"S", "T"});
 
 // Runs the Cayuga baseline over the same events.
 struct CayugaRun {

@@ -1,6 +1,6 @@
 // The supporting structures of the hot path: TupleArena block recycling,
 // shared tuple payloads, and the FlatInt64Map the predicate index probes.
-// The batch and sharded data planes are checked against one-tuple-at-a-time
+// The batch and sharded data paths are checked against one-tuple-at-a-time
 // execution by the MQO oracle (mqo_oracle_test), and the typed and fused
 // evaluators against the expression tree by program_test.
 #include <gtest/gtest.h>

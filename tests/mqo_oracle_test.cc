@@ -5,7 +5,8 @@
 // through StreamEngine as the reference (every rule off, one shard, one
 // Push per tuple, every query added before Start) and under a drawn rule
 // subset and order, batch size, shard count, live add/remove churn or none,
-// and checkpoint cut (restored at a drawn shard count) or none. Per query,
+// and checkpoint cut (restored at a drawn shard count; one restore in two
+// is checkpointed again later and restored at another) or none. Per query,
 // the outputs of each timestamp must match as multisets (a tuple reaching an
 // m-op through two ports may do so in either order), in timestamp order
 // where the run has one shard or batch size 1, and byte for byte against
@@ -170,8 +171,9 @@ struct Case {
   std::vector<Event> feed;
   int gap = -1;  // first event after the window-clearing gap (churn only)
   int cut = -1;  // checkpoint before this event (-1: none)
+  int cut2 = -1;  // the restored engine's checkpoint (-1: none)
   OptimizerOptions options;
-  int batch = 1, shards = 1, restore_shards = 1;
+  int batch = 1, shards = 1, restore_shards = 1, restore_shards2 = 1;
   int feed_kind = 0;  // 0: from 0, 1: shifted to INT64_MIN, 2: jump to 0
   std::vector<Event> unshifted;  // feed_kind 1: the feed from 0
 };
@@ -365,7 +367,8 @@ std::vector<Event> MakeFeed(Rng& rng, uint32_t sources, int n, int gap) {
 }
 
 // Live adds (new queries, twins of live ones, re-adds of removed names) and
-// removes of queries no live query reads, between pushes before the gap.
+// removes of live queries, between pushes before the gap. A remove of a
+// query that a live query reads is refused, and the query stays live.
 void MakeChurn(Rng& rng, Case* c) {
   std::vector<char> live(c->defs.size(), 1);
   Generator gen(rng, &c->defs, &live);
@@ -373,8 +376,7 @@ void MakeChurn(Rng& rng, Case* c) {
   for (int& a : at) a = static_cast<int>(rng.UniformInt(1, c->gap));
   std::sort(at.begin(), at.end());
   for (int when : at) {
-    // Removable: live, read by no live query; re-addable: removed, reading
-    // live queries only.
+    // Removable: live; re-addable: removed, reading live queries only.
     std::vector<int> read(live.size(), 0), choices[2];
     for (size_t q = 0; q < live.size(); ++q) {
       for (int in : c->defs[q].inputs) read[in] += live[q];
@@ -382,7 +384,7 @@ void MakeChurn(Rng& rng, Case* c) {
     for (size_t q = 0; q < live.size(); ++q) {
       bool inputs_live = true;
       for (int in : c->defs[q].inputs) inputs_live &= live[in] != 0;
-      if (live[q] ? !read[q] : inputs_live) choices[!!live[q]].push_back(q);
+      if (live[q] || inputs_live) choices[!!live[q]].push_back(q);
     }
     const int64_t r = rng.UniformInt(0, 9);
     const bool remove = r < 4 && !choices[1].empty() &&
@@ -390,7 +392,7 @@ void MakeChurn(Rng& rng, Case* c) {
     if (remove || (r < 6 && !choices[0].empty())) {
       const std::vector<int>& from = choices[remove ? 1 : 0];
       const int q = from[rng.UniformInt(0, from.size() - 1)];
-      live[q] = !remove;
+      if (!remove || read[q] == 0) live[q] = !remove;
       c->ops.push_back({when, !remove, q});
     } else {
       // A draw may add its input stream first; every new query goes live.
@@ -447,6 +449,13 @@ Case MakeCase(uint64_t seed) {
   for (Event& e : std::span(c.feed).first(shifted)) {
     e.tuple = e.tuple.WithTimestamp(e.tuple.ts() + kOldest);
   }
+  // One restore in two takes part of the rest of the feed, is checkpointed
+  // again and restored at another drawn shard count. The second cut comes
+  // within about a window of the first, while restored state still counts.
+  if (c.cut >= 0 && rng.UniformInt(0, 1) == 0) {
+    c.cut2 = static_cast<int>(rng.UniformInt(c.cut, std::min(n, c.cut + 24)));
+    c.restore_shards2 = kShards[rng.UniformInt(0, 3)];
+  }
   return c;
 }
 
@@ -466,6 +475,7 @@ constexpr int kEnd = std::numeric_limits<int>::max();
 struct Record {
   std::map<std::string, std::vector<std::pair<int, Row>>> rows;
   int mark = kStart;
+  int refused_removes = 0;  // of queries that live queries read
 
   // The rows of `q` that came from mark `from` until mark `to`.
   std::vector<Row> Slice(const std::string& q, int from = kStart,
@@ -551,9 +561,22 @@ void Drive(StreamEngine& engine, const Case& c, const std::vector<Op>& ops,
       bool runs = ops[op].add != ((*live)[q] != 0);
       for (int in : c.defs[q].inputs) runs &= (*live)[in] != 0;
       if (!runs) continue;
+      const int queries = engine.num_queries();
       const Status st =
           ops[op].add ? engine.AddQueryText(c.defs[q].text, c.defs[q].name)
                       : engine.RemoveQuery(c.defs[q].name);
+      // A query that a live query reads is not removed, and nothing changes.
+      bool read = false;
+      for (size_t p = 0; p < c.defs.size(); ++p) {
+        for (int in : c.defs[p].inputs) read |= (*live)[p] && in == q;
+      }
+      if (!ops[op].add && read) {
+        EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition)
+            << c.defs[q].name << ": " << st.ToString();
+        EXPECT_EQ(engine.num_queries(), queries);
+        ++record->refused_removes;
+        continue;
+      }
       // A sharded engine refuses an add that would move the state of a
       // source that a live stateful query reads.
       bool moves_state = false;
@@ -613,7 +636,10 @@ struct Totals {
   std::map<std::string, int64_t> shape_rows;
   std::set<std::string> axes;
   std::set<std::string> mop_types;
-  int churn_cuts = 0, churn_restores = 0;
+  int churn_cuts = 0, churn_restores = 0, refused_removes = 0;
+  // Second restores, and those whose first restore ran stateful queries on
+  // several shards.
+  int second_hops = 0, sharded_second_hops = 0;
 };
 
 // Compares one query's rows from two runs: the rows of each timestamp as
@@ -644,6 +670,7 @@ void RunCase(const Case& c, uint64_t seed, Totals* totals) {
   std::string trace = StrCat(
       "seed ", seed, ": rules ", seed % 64, ", batch ", c.batch, ", shards ",
       c.shards, ", cut ", c.cut, ", restore shards ", c.restore_shards,
+      ", second cut ", c.cut2, ", second restore shards ", c.restore_shards2,
       ", feed ", c.feed_kind, "\n");
   for (const QueryDef& q : c.defs) trace += StrCat(q.name, ": ", q.text, "\n");
   for (const Op& op : c.ops) {
@@ -701,6 +728,7 @@ void RunCase(const Case& c, uint64_t seed, Totals* totals) {
   }
   Drive(*engine, c, c.ops, c.feed, split, n, c.batch, marks, &run, &live);
   if (::testing::Test::HasFatalFailure()) return;
+  totals->refused_removes += run.refused_removes;
   NoteMops(*engine, &totals->mop_types);
   ExpectCounts(*engine, run);
   const bool ordered = c.batch == 1 || c.shards == 1;
@@ -756,7 +784,7 @@ void RunCase(const Case& c, uint64_t seed, Totals* totals) {
 
   if (c.cut < 0) return;
   // The restored engine, fed the rest of the schedule.
-  Record after;
+  Record after, hop;
   auto restored = NewEngine(c.options, c.restore_shards, &after, false);
   bool churned_before_cut = false;
   for (const Op& op : c.ops) churned_before_cut |= op.at < c.cut;
@@ -778,20 +806,70 @@ void RunCase(const Case& c, uint64_t seed, Totals* totals) {
             std::count(live_at_cut.begin(), live_at_cut.end(), 1));
   NoteMops(*restored, &totals->mop_types);
   std::vector<char> live_after = live_at_cut;
-  Drive(*restored, c, c.ops, c.feed, c.cut, n, c.batch, marks, &after,
+  // What the last engine carried in for each query, from the run before
+  // its restore (saved counts carry over for the queries live at a cut).
+  std::vector<int64_t> carried(c.defs.size(), 0);
+  for (size_t q = 0; q < c.defs.size(); ++q) {
+    if (live_at_cut[q]) {
+      carried[q] = run.Slice(c.defs[q].name, kStart, c.cut).size();
+    }
+  }
+  const int hop_at = c.cut2 >= 0 ? c.cut2 : n;
+  Drive(*restored, c, c.ops, c.feed, c.cut, hop_at, c.batch, marks, &after,
         &live_after);
   if (::testing::Test::HasFatalFailure()) return;
-  const bool restored_ordered = c.batch == 1 || c.restore_shards == 1;
+  // The second hop: the restored engine's checkpoint, restored again.
+  if (c.cut2 >= 0) {
+    std::string again;
+    const Status saved = restored->Checkpoint(&again);
+    ASSERT_TRUE(saved.ok()) << saved.ToString();
+    for (size_t q = 0; q < c.defs.size(); ++q) {
+      carried[q] = live_after[q] ? restored->OutputCount(c.defs[q].name) : 0;
+    }
+    restored = NewEngine(c.options, c.restore_shards2, &hop, false);
+    const Status st2 = restored->Restore(again);
+    if (!st2.ok()) {
+      // As above, for queries added live since the first restore.
+      bool added = false;
+      for (const Op& op : c.ops) {
+        added |= op.add && op.at >= c.cut && op.at < c.cut2;
+      }
+      EXPECT_TRUE(added && st2.code() == StatusCode::kUnimplemented &&
+                  st2.ToString().find("several saved") != std::string::npos)
+          << st2.ToString();
+      return;
+    }
+    EXPECT_EQ(restored->num_queries(),
+              std::count(live_after.begin(), live_after.end(), 1));
+    ++totals->second_hops;
+    bool stateful = false;
+    for (size_t q = 0; q < c.defs.size(); ++q) {
+      stateful |= live_at_cut[q] && c.defs[q].stateful;
+    }
+    totals->sharded_second_hops += stateful && c.restore_shards > 1;
+  }
+  Drive(*restored, c, c.ops, c.feed, hop_at, n, c.batch, marks,
+        c.cut2 >= 0 ? &hop : &after, &live_after);
+  if (::testing::Test::HasFatalFailure()) return;
+  const bool restored_ordered =
+      c.batch == 1 ||
+      (c.restore_shards == 1 && (c.cut2 < 0 || c.restore_shards2 == 1));
   for (size_t q = 0; q < c.defs.size(); ++q) {
     const QueryDef& d = c.defs[q];
     const std::string what = StrCat(d.name, " restored (", d.text, ")");
-    // Saved counts carry over for the queries live at the cut.
+    const Record& last = c.cut2 >= 0 ? hop : after;
     EXPECT_EQ(restored->OutputCount(d.name),
-              static_cast<int64_t>(
-                  after.Slice(d.name).size() +
-                  (live_at_cut[q] ? run.Slice(d.name, kStart, c.cut).size()
-                                  : 0)))
+              carried[q] + static_cast<int64_t>(last.Slice(d.name).size()))
         << what;
+  }
+  // The suffix: the rows of every engine since the first cut.
+  for (auto& [name, rows] : hop.rows) {
+    std::vector<std::pair<int, Row>>& into = after.rows[name];
+    into.insert(into.end(), rows.begin(), rows.end());
+  }
+  for (size_t q = 0; q < c.defs.size(); ++q) {
+    const QueryDef& d = c.defs[q];
+    const std::string what = StrCat(d.name, " restored (", d.text, ")");
     if (!churn ? !Same(after.Slice(d.name), ref.Slice(d.name, c.cut),
                        restored_ordered, what, totals)
                : live_at_cut[q] && kept_after_cut[q] &&
@@ -826,6 +904,9 @@ TEST(MqoOracleTest, SharedPlansMatchEachQueryAlone) {
   EXPECT_GT(totals.compared, 1000000);
   EXPECT_GT(totals.churn_cuts, 0);
   EXPECT_GE(2 * totals.churn_restores, totals.churn_cuts);
+  EXPECT_GT(totals.refused_removes, 0);
+  EXPECT_GT(totals.sharded_second_hops, 0);
+  EXPECT_GE(2 * totals.sharded_second_hops, totals.second_hops);
 }
 
 }  // namespace

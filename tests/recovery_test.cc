@@ -1,6 +1,7 @@
 // Durability: snapshot round-trips, shared ⋈/;/µ state across windows
-// (Fig. 10 mixes), the per-source last timestamp (and version-1 snapshots
-// without it), and corrupted-snapshot rejection. That a restored engine's
+// (Fig. 10 mixes), restored state placed on the shard that owns it, the
+// per-source last timestamp (and version-1 snapshots without it), and
+// corrupted-snapshot rejection. That a restored engine's
 // suffix outputs match an uninterrupted run's, at any cut, shard counts and
 // churn around the cut, is the MQO oracle's checkpoint axis
 // (mqo_oracle_test).
@@ -303,6 +304,71 @@ TEST(RecoveryTest, LiveTwinOfASharedPatternMemberRestores) {
   };
   for (int shards : {1, 4}) {
     ExpectRestoreReplaysSuffix(prefix, 120, 240, shards);
+  }
+}
+
+// A COUNT(*), pinned with its source to one shard, and a SUM keyed on its
+// GROUP BY column. A restore at several shards loads each state only where
+// the routes send its tuples, so the restored engine's checkpoint holds it
+// once, and restoring that checkpoint again reads what an uninterrupted
+// engine reads: COUNT 50 over [RANGE 50], and the same SUM per key.
+TEST(RecoveryTest, RestoredStateLivesOnTheShardThatOwnsIt) {
+  const auto start = [](StreamEngine& engine, int shards, Outputs* out) {
+    Attach(engine, out);
+    ASSERT_TRUE(engine.SetShardCount(shards).ok());
+    ASSERT_TRUE(engine.RegisterSource("S", CpuSchema()).ok());
+    ASSERT_TRUE(engine.RegisterSource("T", NetSchema()).ok());
+    ASSERT_TRUE(engine
+                    .AddScript("C: SELECT COUNT(*) FROM S [RANGE 50];"
+                               "K: SELECT pid, SUM(bytes) FROM T [RANGE 50] "
+                               "GROUP BY pid;")
+                    .ok());
+    ASSERT_TRUE(engine.Start().ok());
+  };
+  const auto push = [](StreamEngine& engine, int begin, int end) {
+    for (int i = begin; i < end; ++i) {
+      ASSERT_TRUE(engine.Push("S", Tuple::MakeInts({i % 7, i}, i)).ok());
+      ASSERT_TRUE(
+          engine.Push("T", Tuple::MakeInts({i % 5, (i * 37) % 100}, i)).ok());
+    }
+    engine.Flush();
+  };
+  // Checkpoints `engine` and restores the snapshot into `into`.
+  const auto move = [](StreamEngine& engine, StreamEngine& into, int shards,
+                       Outputs* out) {
+    std::string snapshot;
+    ASSERT_TRUE(engine.Checkpoint(&snapshot).ok());
+    Attach(into, out);
+    ASSERT_TRUE(into.SetShardCount(shards).ok());
+    const Status st = into.Restore(snapshot);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+  };
+
+  Outputs expected;
+  {
+    StreamEngine engine;
+    start(engine, 1, &expected);
+    push(engine, 0, 120);
+    expected.clear();
+    push(engine, 120, 130);
+  }
+  ASSERT_EQ(expected["C"].size(), 10u);
+  EXPECT_EQ(expected["C"].back(), "[ts=129| 50]");
+  EXPECT_EQ(expected["K"].size(), 10u);
+
+  for (const auto& [first, second] : {std::pair{1, 4}, std::pair{4, 2}}) {
+    SCOPED_TRACE(testing::Message() << first << " -> " << second << " -> 1");
+    Outputs ignored, actual;
+    StreamEngine engine;
+    start(engine, first, &ignored);
+    push(engine, 0, 100);
+    StreamEngine restored;
+    move(engine, restored, second, &ignored);
+    push(restored, 100, 120);
+    StreamEngine again;
+    move(restored, again, 1, &actual);
+    push(again, 120, 130);
+    EXPECT_EQ(actual, expected);
   }
 }
 

@@ -298,7 +298,7 @@ TEST(ShardedExecutorTest, BackpressureWithTinyRings) {
         *stats = Optimize(plan);
         return Status::OK();
       },
-      static_cast<OutputSink*>(&sink));
+      &sink);
   ASSERT_TRUE(exec.Prepare().ok());
   const StreamId s = SourceId(exec.plan(0), "S");
 
@@ -359,72 +359,13 @@ TEST(ShardedExecutorTest, MergeWaitsForTheEpochBeingRouted) {
   ShardedExecutor::Options options;
   options.num_shards = 4;
   options.in_ring = 1;
-  ShardedExecutor exec(options, factory, static_cast<OutputSink*>(&sink));
+  ShardedExecutor exec(options, factory, &sink);
   ASSERT_TRUE(exec.Prepare().ok());
   const StreamId s = SourceId(exec.plan(0), "S");
   for (const Tuple& t : feed) exec.PushSource(s, t);
   exec.Flush();
   EXPECT_EQ(sink.log, reference.log);
   exec.Stop();
-}
-
-// --- shard-aware sinks (lanes mode) ------------------------------------------
-
-TEST(ShardedSinkTest, CountingAndCollectingLanesMerge) {
-  Schema schema = IntSchema(2);
-  std::vector<Query> queries = {
-      QueryBuilder::FromSource("S", schema).Select("a0 = 1").Build("ONES")};
-  auto factory = [&queries](Plan* plan, OptimizeStats* stats) {
-    auto compiled = CompileQueries(queries, plan);
-    if (!compiled.ok()) return compiled.status();
-    *stats = Optimize(plan);
-    return Status::OK();
-  };
-
-  // Counting lanes.
-  {
-    ShardedCountingSink sink(4, 64);
-    ShardedExecutor::Options options;
-    options.num_shards = 4;
-    ShardedExecutor exec(options, factory, &sink);
-    ASSERT_TRUE(exec.Prepare().ok());
-    const StreamId s = SourceId(exec.plan(0), "S");
-    std::vector<Tuple> batch;
-    for (int i = 0; i < 1000; ++i) {
-      batch.push_back(Tuple::MakeInts({i % 3, i}, i));
-    }
-    exec.PushSourceBatch(s, batch);
-    exec.Flush();
-    // a0 cycles 0,1,2 -> 333 ones in [0,1000).
-    EXPECT_EQ(sink.total(), 333);
-    auto out = exec.plan(0).OutputStreamOf("ONES");
-    ASSERT_TRUE(out.has_value());
-    EXPECT_EQ(sink.ForStream(*out), 333);
-  }
-  // Collecting lanes: flat rows, no cross-thread tuples.
-  {
-    ShardedCollectingSink sink(3);
-    ShardedExecutor::Options options;
-    options.num_shards = 3;
-    ShardedExecutor exec(options, factory, &sink);
-    ASSERT_TRUE(exec.Prepare().ok());
-    const StreamId s = SourceId(exec.plan(0), "S");
-    std::vector<Tuple> batch;
-    for (int i = 0; i < 30; ++i) batch.push_back(Tuple::MakeInts({1, i}, i));
-    exec.PushSourceBatch(s, batch);
-    exec.Flush();
-    auto out = exec.plan(0).OutputStreamOf("ONES");
-    ASSERT_TRUE(out.has_value());
-    std::vector<ShardedCollectingSink::Row> rows = sink.RowsForStream(*out);
-    ASSERT_EQ(rows.size(), 30u);
-    std::vector<int64_t> seen;
-    for (const auto& row : rows) {
-      ASSERT_EQ(row.values.size(), 2u);
-      seen.push_back(row.values[1].AsInt());
-    }
-    std::sort(seen.begin(), seen.end());
-    for (int i = 0; i < 30; ++i) EXPECT_EQ(seen[i], i);
-  }
 }
 
 // --- query churn on a running sharded engine ---------------------------------

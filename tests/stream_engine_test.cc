@@ -356,6 +356,78 @@ TEST(StreamEngineTest, LifecycleGuards) {
   EXPECT_EQ(engine.num_queries(), 1);
 }
 
+// A query that another live query's RQL text reads by name stays: the
+// reader's text, which a checkpoint saves and a restore re-parses, names it.
+// The refusal changes nothing, and once the reader is gone the query goes.
+TEST(StreamEngineTest, RemoveQueryKeepsAQueryThatAnotherReads) {
+  for (const bool started : {false, true}) {
+    SCOPED_TRACE(started ? "running" : "configuring");
+    StreamEngine engine;
+    std::map<std::string, int> seen;
+    engine.SetOutputHandler(
+        [&seen](const std::string& q, const Tuple&) { ++seen[q]; });
+    ASSERT_TRUE(engine.RegisterSource("S", CpuSchema()).ok());
+    ASSERT_TRUE(engine
+                    .AddScript("A: SELECT * FROM S WHERE pid > 1;"
+                               "B: SELECT pid, COUNT(*) FROM A [RANGE 10] "
+                               "GROUP BY pid;")
+                    .ok());
+    if (started) {
+      ASSERT_TRUE(engine.Start().ok());
+    }
+    const Status st = engine.RemoveQuery("a");
+    EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition) << st.ToString();
+    EXPECT_NE(st.message().find("'B'"), std::string::npos) << st.ToString();
+    EXPECT_EQ(engine.num_queries(), 2);
+    if (!started) {
+      ASSERT_TRUE(engine.Start().ok());
+    }
+    ASSERT_TRUE(engine.Push("S", Tuple::MakeInts({2, 5}, 0)).ok());
+    EXPECT_EQ(seen["A"], 1);
+    EXPECT_EQ(seen["B"], 1);
+
+    std::string snapshot;
+    ASSERT_TRUE(engine.Checkpoint(&snapshot).ok());
+    StreamEngine restored;
+    const Status back = restored.Restore(snapshot);
+    ASSERT_TRUE(back.ok()) << back.ToString();
+    EXPECT_EQ(restored.num_queries(), 2);
+
+    EXPECT_TRUE(engine.RemoveQuery("B").ok());
+    EXPECT_TRUE(engine.RemoveQuery("A").ok());
+    EXPECT_EQ(engine.num_queries(), 0);
+  }
+}
+
+// A query may not take a registered source's name, from any of the add
+// calls, before or after Start: it would hide the source from later
+// queries, and removing it would remove the source's catalog entry.
+TEST(StreamEngineTest, QueryNamesDoNotTakeSourceNames) {
+  StreamEngine engine;
+  ASSERT_TRUE(engine.RegisterSource("S", CpuSchema()).ok());
+  ASSERT_TRUE(engine.RegisterSource("T", CpuSchema()).ok());
+  EXPECT_EQ(engine.AddQueryText("SELECT * FROM T", "S").code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(engine.AddScript("s: SELECT * FROM T;").code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(engine
+                .AddQuery(QueryBuilder::FromSource("T", CpuSchema())
+                              .Select("pid > 0")
+                              .Build("S"))
+                .code(),
+            StatusCode::kAlreadyExists);
+  EXPECT_EQ(engine.num_queries(), 0);
+  ASSERT_TRUE(engine.AddQueryText("SELECT * FROM T", "Q").ok());
+  ASSERT_TRUE(engine.Start().ok());
+  EXPECT_EQ(engine.AddQueryText("SELECT * FROM T", "S").code(),
+            StatusCode::kAlreadyExists);
+  // S still names the source: a live query over it reads its tuples.
+  ASSERT_TRUE(engine.AddQueryText("SELECT * FROM S", "R").ok());
+  ASSERT_TRUE(engine.Push("S", Tuple::MakeInts({1, 1}, 0)).ok());
+  EXPECT_EQ(engine.OutputCount("R"), 1);
+  EXPECT_EQ(engine.OutputCount("Q"), 0);
+}
+
 TEST(StreamEngineTest, HybridScriptEndToEnd) {
   // The README/paper §4.1 script through the facade.
   StreamEngine engine;
