@@ -16,6 +16,11 @@
 // the final segment's mean per-add latency exceeds 3x the first segment's
 // (the flatness acceptance; CI runs a tiny N=5k variant gated against the
 // committed JSON). RUMOR_BENCH_TINY=<n> caps N for smoke runs.
+//
+// At each checkpoint it also times kRemoves RemoveQuery calls on random
+// standing queries, re-adding each after its remove so N stays fixed, and
+// reports their mean/p50/p99 µs beside the add columns. Remove still walks
+// the whole plan, so these are not gated; they record the baseline.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -26,6 +31,7 @@
 #include "api/stream_engine.h"
 #include "bench/figure_common.h"
 #include "common/json_writer.h"
+#include "common/rng.h"
 
 using namespace rumor;
 
@@ -73,11 +79,35 @@ std::string JoinRql(int i) {
   }
 }
 
-struct Segment {
-  int n_end = 0;            // standing queries at the checkpoint
+constexpr int kRemoves = 200;  // timed removes per σ-workload checkpoint
+
+struct Latency {
   double mean_us = 0;
   double p50_us = 0;
   double p99_us = 0;
+};
+
+Latency Percentiles(std::vector<double>& us) {
+  Latency l;
+  std::sort(us.begin(), us.end());
+  double sum = 0;
+  for (double v : us) sum += v;
+  l.mean_us = sum / static_cast<double>(us.size());
+  l.p50_us = us[us.size() / 2];
+  l.p99_us = us[us.size() * 99 / 100];
+  return l;
+}
+
+double MicrosSince(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::micro>(
+             std::chrono::steady_clock::now() - t0)
+      .count();
+}
+
+struct Segment {
+  int n_end = 0;  // standing queries at the checkpoint
+  Latency add;
+  Latency remove;  // σ workload only
   int live_mops = 0;
   double mops_per_query = 0;
 };
@@ -86,12 +116,7 @@ Segment Summarize(int n_end, std::vector<double>& us,
                   const StreamEngine& engine) {
   Segment s;
   s.n_end = n_end;
-  std::sort(us.begin(), us.end());
-  double sum = 0;
-  for (double v : us) sum += v;
-  s.mean_us = sum / static_cast<double>(us.size());
-  s.p50_us = us[us.size() / 2];
-  s.p99_us = us[us.size() * 99 / 100];
+  s.add = Percentiles(us);
   const OptimizeStats sharing = engine.CollectMetrics().optimize;
   s.live_mops = sharing.live_mops;
   s.mops_per_query = sharing.mops_per_query();
@@ -121,9 +146,7 @@ std::vector<Segment> RunJoinVariant(int total) {
     const std::string name = "J" + std::to_string(i);
     auto t0 = std::chrono::steady_clock::now();
     Status s = engine.AddQueryText(rql, name);
-    us.push_back(std::chrono::duration<double, std::micro>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count());
+    us.push_back(MicrosSince(t0));
     RUMOR_CHECK(s.ok()) << s.ToString();
     if (i + 1 == total / 2 || i + 1 == total) {
       segments.push_back(Summarize(i + 1, us, engine));
@@ -163,26 +186,38 @@ int main() {
 
   std::vector<Segment> segments;
   std::vector<double> us;  // per-add latencies of the current segment
+  std::vector<double> removes;
+  Rng pick(1);
   size_t next = 0;
   for (int i = 1; i < total; ++i) {
     const std::string rql = QueryRql(i);
     const std::string name = "Q" + std::to_string(i);
     auto t0 = std::chrono::steady_clock::now();
     Status s = engine.AddQueryText(rql, name);
-    us.push_back(std::chrono::duration<double, std::micro>(
-                     std::chrono::steady_clock::now() - t0)
-                     .count());
+    us.push_back(MicrosSince(t0));
     RUMOR_CHECK(s.ok()) << s.ToString();
     if (i + 1 == checkpoints[next]) {
       segments.push_back(Summarize(i + 1, us, engine));
       us.clear();
+      removes.clear();
+      for (int r = 0; r < kRemoves; ++r) {
+        const int victim = static_cast<int>(pick.UniformInt(0, i));
+        const std::string victim_name = "Q" + std::to_string(victim);
+        t0 = std::chrono::steady_clock::now();
+        s = engine.RemoveQuery(victim_name);
+        removes.push_back(MicrosSince(t0));
+        RUMOR_CHECK(s.ok()) << s.ToString();
+        s = engine.AddQueryText(QueryRql(victim), victim_name);
+        RUMOR_CHECK(s.ok()) << s.ToString();
+      }
+      segments.back().remove = Percentiles(removes);
       ++next;
     }
   }
   RUMOR_CHECK(next == checkpoints.size());
 
   const double flatness =
-      segments.back().mean_us / segments.front().mean_us;
+      segments.back().add.mean_us / segments.front().add.mean_us;
   const OptimizeStats& stats = engine.optimize_stats();
 
   // Join-heavy variant at a tenth of the σ population (joins carry windowed
@@ -190,16 +225,20 @@ int main() {
   const int join_total = std::max(500, total / 10);
   std::vector<Segment> join_segments = RunJoinVariant(join_total);
   const double join_flatness =
-      join_segments.back().mean_us / join_segments.front().mean_us;
+      join_segments.back().add.mean_us / join_segments.front().add.mean_us;
 
   const bool pass = flatness <= 3.0 && join_flatness <= 3.0;
 
-  std::printf("# query-scale — per-add latency vs standing query count\n");
-  std::printf("%10s %12s %12s %12s %10s %14s\n", "N", "mean_us", "p50_us",
-              "p99_us", "m-ops", "m-ops/query");
+  std::printf("# query-scale — per-add and per-remove latency vs standing "
+              "query count\n");
+  std::printf("%10s %12s %12s %12s %12s %12s %12s %10s %14s\n", "N",
+              "mean_us", "p50_us", "p99_us", "rm_mean_us", "rm_p50_us",
+              "rm_p99_us", "m-ops", "m-ops/query");
   for (const Segment& s : segments) {
-    std::printf("%10d %12.1f %12.1f %12.1f %10d %14.4f\n", s.n_end, s.mean_us,
-                s.p50_us, s.p99_us, s.live_mops, s.mops_per_query);
+    std::printf("%10d %12.1f %12.1f %12.1f %12.1f %12.1f %12.1f %10d %14.4f\n",
+                s.n_end, s.add.mean_us, s.add.p50_us, s.add.p99_us,
+                s.remove.mean_us, s.remove.p50_us, s.remove.p99_us,
+                s.live_mops, s.mops_per_query);
   }
   std::printf("# incremental merges: cse=%d attach=%d rules=%d\n",
               stats.incremental_cse_merges, stats.incremental_attach_merges,
@@ -207,8 +246,9 @@ int main() {
   std::printf("# flatness (last/first segment mean): %.2fx\n", flatness);
   std::printf("# join-heavy variant — equi-join standing queries\n");
   for (const Segment& s : join_segments) {
-    std::printf("%10d %12.1f %12.1f %12.1f %10d %14.4f\n", s.n_end, s.mean_us,
-                s.p50_us, s.p99_us, s.live_mops, s.mops_per_query);
+    std::printf("%10d %12.1f %12.1f %12.1f %10d %14.4f\n", s.n_end,
+                s.add.mean_us, s.add.p50_us, s.add.p99_us, s.live_mops,
+                s.mops_per_query);
   }
   std::printf("# join flatness (last/first segment mean): %.2fx\n",
               join_flatness);
@@ -229,11 +269,17 @@ int main() {
     w.BeginObject()
         .KV("n", s.n_end)
         .Key("mean_us")
-        .Double(s.mean_us, 3)
+        .Double(s.add.mean_us, 3)
         .Key("p50_us")
-        .Double(s.p50_us, 3)
+        .Double(s.add.p50_us, 3)
         .Key("p99_us")
-        .Double(s.p99_us, 3)
+        .Double(s.add.p99_us, 3)
+        .Key("remove_mean_us")
+        .Double(s.remove.mean_us, 3)
+        .Key("remove_p50_us")
+        .Double(s.remove.p50_us, 3)
+        .Key("remove_p99_us")
+        .Double(s.remove.p99_us, 3)
         .KV("live_mops", s.live_mops)
         .Key("mops_per_query")
         .Double(s.mops_per_query, 4)
@@ -248,11 +294,11 @@ int main() {
     w.BeginObject()
         .KV("n", s.n_end)
         .Key("mean_us")
-        .Double(s.mean_us, 3)
+        .Double(s.add.mean_us, 3)
         .Key("p50_us")
-        .Double(s.p50_us, 3)
+        .Double(s.add.p50_us, 3)
         .Key("p99_us")
-        .Double(s.p99_us, 3)
+        .Double(s.add.p99_us, 3)
         .KV("live_mops", s.live_mops)
         .Key("mops_per_query")
         .Double(s.mops_per_query, 4)

@@ -261,7 +261,7 @@ Status StreamEngine::AddQueryLive(Query query, std::string text) {
   // Compile the new query standalone into each replica, rolling back every
   // half-lowered m-op/channel/stream if compilation fails midway, then merge
   // it onto warm shared operators with O(1) probes of the replica's share
-  // index.
+  // index, and drop what the merge left dead at the plan's tail.
   std::vector<IncrementalMergeStats> merged(num_replicas());
   const Status added = ForEachReplica(
       [&](int replica, Plan& plan, Executor& exec) -> Status {
@@ -273,6 +273,7 @@ Status StreamEngine::AddQueryLive(Query query, std::string text) {
         }
         merged[replica] = MergeNewQueryIndexed(
             &plan, share_indexes_[replica].get(), marker.num_mops, options_);
+        plan.TrimTail();
         exec.Refresh();
         return Status::OK();
       });
@@ -300,12 +301,13 @@ Status StreamEngine::AddQueryLive(Query query, std::string text) {
 }
 
 Status StreamEngine::UnshareQuery(const std::string& name, PruneStats* stats) {
-  // Reference-counted unsharing: tear down exactly what no surviving query
-  // reaches, and keep the share index current (O(delta)) so a long removal
+  // Tear down exactly what no surviving query reaches, drop the plan's dead
+  // tail, and keep the share index current (O(delta)) so a long removal
   // run cannot outgrow the plan's event log between adds.
   return ForEachReplica([&](int replica, Plan& plan, Executor& exec) {
     RUMOR_CHECK(plan.UnmarkOutput(name));
     const PruneStats pruned = PruneUnreachable(&plan);
+    plan.TrimTail();
     if (replica == 0 && stats != nullptr) *stats = pruned;
     share_indexes_[replica]->Sync();
     exec.Refresh();
@@ -342,8 +344,7 @@ Status StreamEngine::RemoveQuery(const std::string& name) {
     sink_->Unbind(canonical);
     stats_.dynamic_removes += 1;
     stats_.pruned_mops += pruned.removed_mops;
-    stats_.pruned_members +=
-        pruned.pruned_index_members + pruned.deactivated_members;
+    stats_.pruned_members += pruned.deactivated_members;
   }
   for (const std::string& read : query_slots_[index].query.reads) {
     auto it = readers_.find(ToLower(read));

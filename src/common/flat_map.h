@@ -4,8 +4,8 @@
 // Mix64, a power-of-two mask, and a short linear probe over a dense array,
 // instead of library hashing, modulo, and node chasing.
 //
-// Insert-only (the m-rule targets only ever add members); no erase, no
-// iteration. Not a general-purpose container.
+// Insert-only (an emptied predicate-index bucket keeps its constant); no
+// erase, no iteration. Not a general-purpose container.
 #ifndef RUMOR_COMMON_FLAT_MAP_H_
 #define RUMOR_COMMON_FLAT_MAP_H_
 

@@ -59,7 +59,7 @@ bool AggregateMop::CanAttach(const Member& m) const {
          m.spec.attr == first.spec.attr && m.spec.window > 0;
 }
 
-AggregateMop::AttachResult AggregateMop::AttachMember(const Member& m) {
+MemberAttach AggregateMop::AttachMember(const Member& m) {
   RUMOR_CHECK(CanAttach(m));
   if (sharing_ == Sharing::kIsolated) {
     sharing_ = Sharing::kShared;

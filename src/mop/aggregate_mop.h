@@ -50,17 +50,10 @@ class AggregateMop : public Mop {
   // is either the sα target or an isolated α (which converts to an sα target
   // in place, reusing its warm engine).
   bool CanAttach(const Member& m) const;
-  // Absorbs `m` (CanAttach must hold), backfilling its state from the
-  // retained log. A deactivated member slot is reused when one exists —
-  // add/remove churn does not grow the member set without bound — in which
-  // case the slot's output port keeps its existing channel binding and the
-  // caller routes the new query onto that channel; otherwise the output
-  // ports grow by one and the caller binds the new port.
-  struct AttachResult {
-    int member = -1;
-    bool reused_slot = false;
-  };
-  AttachResult AttachMember(const Member& m);
+  // Absorbs `m` (CanAttach must hold) in the lowest inactive slot, so churn
+  // does not grow the member set without bound, or else in a new slot and
+  // output port; its state is backfilled from the retained log.
+  MemberAttach AttachMember(const Member& m);
   // Deactivates a member whose query was removed; its port stays bound but
   // the member no longer computes or emits, and its state is released.
   bool DeactivateMember(int i) override;

@@ -63,6 +63,13 @@ class Emitter {
   virtual void Emit(int output_port, ChannelTuple tuple) = 0;
 };
 
+// Where an attach placed a new member of a shared m-op: a reused inactive
+// slot, whose output port keeps its channel, or a new slot at the end.
+struct MemberAttach {
+  int member = -1;
+  bool reused_slot = false;
+};
+
 // How a multi-member m-op exposes its member outputs.
 enum class OutputMode : uint8_t {
   kPerMemberPorts,  // member i -> output port i (capacity-1 channels)
@@ -90,11 +97,11 @@ class Mop {
   // these match.
   virtual uint64_t MemberSignature(int i) const = 0;
 
-  // Member lifecycle of the shared-state targets (sα/cα, s⋈, s;, sµ): a
+  // Member lifecycle of the shared targets (sσ, sα/cα, s⋈, s;, sµ): a
   // member whose query was removed is deactivated in place. It stops
   // emitting, stops holding state and reads inactive here, so its
-  // fingerprint leaves snapshots. DeactivateMember returns false on m-ops
-  // that cannot deactivate members.
+  // fingerprint leaves snapshots; sσ and sα attaches reuse its slot.
+  // DeactivateMember returns false on m-ops that cannot deactivate members.
   virtual bool member_active(int /*i*/) const { return true; }
   virtual bool DeactivateMember(int /*i*/) { return false; }
 

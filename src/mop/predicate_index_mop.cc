@@ -1,11 +1,26 @@
 #include "mop/predicate_index_mop.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
 
 #include "expr/shape.h"
 
 namespace rumor {
+namespace {
+
+// Position of member `i` in `entries`, which ascend by member id, or where
+// it keeps them ascending: the end for a member past every other (the
+// construction path), else found by binary search.
+template <typename T>
+size_t AscendingPos(const std::vector<T>& entries, int32_t i) {
+  if (entries.empty() || entries.back().member < i) return entries.size();
+  return std::lower_bound(entries.begin(), entries.end(), i,
+                          [](const T& e, int32_t m) { return e.member < m; }) -
+         entries.begin();
+}
+
+}  // namespace
 
 PredicateIndexMop::PredicateIndexMop(std::vector<SelectionDef> members,
                                      OutputMode mode)
@@ -14,6 +29,7 @@ PredicateIndexMop::PredicateIndexMop(std::vector<SelectionDef> members,
               ? 1
               : static_cast<int>(members.size())),
       members_(std::move(members)),
+      active_(members_.size(), 1),
       mode_(mode) {
   RUMOR_CHECK(!members_.empty());
   for (int i = 0; i < static_cast<int>(members_.size()); ++i) {
@@ -24,7 +40,8 @@ PredicateIndexMop::PredicateIndexMop(std::vector<SelectionDef> members,
 void PredicateIndexMop::IndexMember(int i) {
   SelectionShape shape = AnalyzeSelection(members_[i].predicate);
   if (!shape.equality.has_value()) {
-    sequential_.push_back({i, Program::Compile(members_[i].predicate)});
+    sequential_.insert(sequential_.begin() + AscendingPos(sequential_, i),
+                       {i, Program::Compile(members_[i].predicate)});
     return;
   }
   ++num_indexed_;
@@ -66,18 +83,52 @@ void PredicateIndexMop::IndexMember(int i) {
       index->flat.clear();
     }
   }
-  index->buckets[it->second].push_back(entry);
-  index->residuals[it->second].push_back(std::move(residual));
+  std::vector<Entry>& bucket = index->buckets[it->second];
+  const size_t pos = AscendingPos(bucket, i);
+  bucket.insert(bucket.begin() + pos, entry);
+  std::vector<Program>& residuals = index->residuals[it->second];
+  residuals.insert(residuals.begin() + pos, std::move(residual));
 }
 
-int PredicateIndexMop::AddMember(SelectionDef def) {
-  members_.push_back(std::move(def));
-  const int i = num_members() - 1;
-  IndexMember(i);
-  if (mode_ == OutputMode::kPerMemberPorts) {
-    set_num_outputs(num_outputs() + 1);
+MemberAttach PredicateIndexMop::AttachMember(SelectionDef def) {
+  MemberAttach at{num_members(), !free_slots_.empty()};
+  if (at.reused_slot) {
+    std::pop_heap(free_slots_.begin(), free_slots_.end(), std::greater<>());
+    at.member = free_slots_.back();
+    free_slots_.pop_back();
+    members_[at.member] = std::move(def);
+    active_[at.member] = 1;
+  } else {
+    members_.push_back(std::move(def));
+    active_.push_back(1);
+    if (mode_ == OutputMode::kPerMemberPorts) {
+      set_num_outputs(num_outputs() + 1);
+    }
   }
-  return i;
+  IndexMember(at.member);
+  return at;
+}
+
+bool PredicateIndexMop::DeactivateMember(int i) {
+  RUMOR_CHECK(member_active(i)) << "member " << i << " is already inactive";
+  // The predicate decomposes as it did when IndexMember placed it.
+  const SelectionShape shape = AnalyzeSelection(members_[i].predicate);
+  if (!shape.equality.has_value()) {
+    sequential_.erase(sequential_.begin() + AscendingPos(sequential_, i));
+  } else {
+    for (AttrIndex& index : indexes_) {
+      if (index.attr != shape.equality->attr) continue;
+      const int32_t b = index.by_value.at(shape.equality->constant);
+      const size_t pos = AscendingPos(index.buckets[b], i);
+      index.buckets[b].erase(index.buckets[b].begin() + pos);
+      index.residuals[b].erase(index.residuals[b].begin() + pos);
+    }
+    --num_indexed_;
+  }
+  active_[i] = 0;
+  free_slots_.push_back(i);
+  std::push_heap(free_slots_.begin(), free_slots_.end(), std::greater<>());
+  return true;
 }
 
 int64_t PredicateIndexMop::StateBytes() const {

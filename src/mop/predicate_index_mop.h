@@ -18,9 +18,12 @@
 // matches 3 against 3.0.
 //
 // A tuple's matches are a list of member ids in ascending order, as
-// one-by-one evaluation emits them: buckets stay in append order, which is
-// ascending, so the list is sorted only when two attribute indexes, or an
-// index and the sequential members, both add to it.
+// one-by-one evaluation emits them: buckets and the sequential list stay
+// sorted by member id, so the list is sorted only when two attribute
+// indexes, or an index and the sequential members, both add to it.
+//
+// A deactivated member's bucket entry and residual, or its sequential entry,
+// are erased (Mop::DeactivateMember), so probes never meet it.
 //
 // This same m-op is what the Cayuga FR and AN indexes translate to in RUMOR
 // (paper §4.3).
@@ -57,11 +60,13 @@ class PredicateIndexMop : public Mop {
   int64_t flat_probes() const { return flat_probes_; }
   int64_t map_probes() const { return map_probes_; }
 
-  // Adds a member selection (online query churn: a new query's σ snaps onto
-  // the warm index). Selections are stateless, so this is always safe; in
-  // per-member-ports mode the output port count grows by one. Returns the
-  // new member index.
-  int AddMember(SelectionDef def);
+  // Attaches a member selection (online query churn: a new query's σ snaps
+  // onto the warm index; selections are stateless, so this is always safe)
+  // in the lowest inactive slot, whose port keeps its channel, or else in a
+  // new slot with, in per-member-ports mode, a new output port.
+  MemberAttach AttachMember(SelectionDef def);
+  bool DeactivateMember(int i) override;
+  bool member_active(int i) const override { return active_[i] != 0; }
 
   void Process(int input_port, const ChannelTuple& tuple,
                Emitter& out) override;
@@ -92,10 +97,11 @@ class PredicateIndexMop : public Mop {
     std::vector<std::vector<Entry>> buckets;
     // residuals[b][k] is the residual of buckets[b][k] (empty when none).
     // Kept per bucket, not in one array indexed by member id: an array that
-    // large, reallocated on every live add and rebuilt on every σ remove,
-    // raised query_churn's peak RSS by 2.5%.
+    // large, reallocated on every live add, raised query_churn's peak RSS
+    // by 2.5%.
     std::vector<std::vector<Program>> residuals;
-    // Authoritative constant -> bucket id table.
+    // Authoritative constant -> bucket id table. An emptied bucket stays
+    // mapped, as in `flat`: both grow with the distinct constants seen.
     std::unordered_map<Value, int32_t> by_value;
     // Int constant -> bucket id, kept while every constant is an int.
     bool all_int = true;
@@ -128,6 +134,8 @@ class PredicateIndexMop : public Mop {
   void EmitMatched(int sources, const Tuple& tuple, Emitter& out);
 
   std::vector<SelectionDef> members_;
+  std::vector<char> active_;         // by member
+  std::vector<int32_t> free_slots_;  // inactive members, a min-heap
   std::vector<AttrIndex> indexes_;
   std::vector<SequentialMember> sequential_;  // ascending member ids
   int num_indexed_ = 0;

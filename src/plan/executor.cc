@@ -117,20 +117,16 @@ void Executor::Refresh() {
 
 void Executor::ApplyPlanDelta(const std::vector<PlanEvent>& events) {
   if (events.empty()) return;
-  int num_channels = plan_->num_channels();
-  if (static_cast<int>(routes_.size()) < num_channels) {
-    routes_.resize(num_channels);
-    delivery_.resize(num_channels, 0);  // a fresh channel's empty route
-    batch_safe_.resize(num_channels, 0);
-    batch_safe_epoch_.resize(num_channels, 0);
-  }
-  if (static_cast<int>(channel_buffers_.size()) < num_channels) {
-    channel_buffers_.resize(num_channels);
-  }
-  if (static_cast<StreamId>(source_route_.size()) < plan_->streams().size()) {
-    source_route_.resize(plan_->streams().size(), kInvalidChannel);
-    source_roots_.resize(plan_->streams().size());
-  }
+  // The tables follow the plan's size, so an id TrimTail dropped and the
+  // plan issued again starts from a default row; its old events are skipped.
+  const int num_channels = plan_->num_channels();
+  routes_.resize(num_channels);
+  delivery_.resize(num_channels, 0);
+  batch_safe_.resize(num_channels, 0);
+  batch_safe_epoch_.resize(num_channels, 0);
+  channel_buffers_.resize(num_channels);
+  source_route_.resize(plan_->streams().size(), kInvalidChannel);
+  source_roots_.resize(plan_->streams().size());
   // Any rewiring can change reachability; invalidate all cached batch
   // safety in O(1) and recompute lazily.
   ++batch_epoch_;
@@ -141,10 +137,11 @@ void Executor::ApplyPlanDelta(const std::vector<PlanEvent>& events) {
   for (const PlanEvent& e : events) {
     switch (e.kind) {
       case PlanEvent::kInputBound:
-        if (e.b >= 0) dirty_channels.push_back(e.b);
-        if (e.c >= 0) dirty_channels.push_back(e.c);
+        if (e.b >= 0 && e.b < num_channels) dirty_channels.push_back(e.b);
+        if (e.c >= 0 && e.c < num_channels) dirty_channels.push_back(e.c);
         break;
       case PlanEvent::kChannelKilled:
+        if (e.a >= num_channels) break;
         routes_[e.a] = Route{};  // tombstone: routes stay empty
         delivery_[e.a] = 0;
         break;
@@ -159,12 +156,13 @@ void Executor::ApplyPlanDelta(const std::vector<PlanEvent>& events) {
         dirty_streams.push_back(e.a);
         dirty_streams.push_back(e.b);
         break;
-      case PlanEvent::kMopAdded:     // bindings arrive as their own events
-      case PlanEvent::kMopRemoved:   // ditto (unbinds precede it)
-      case PlanEvent::kMopGrew:      // producer-side only
-      case PlanEvent::kMopMutated:   // member specs only, wiring untouched
-      case PlanEvent::kOutputBound:  // producer-side only
-      case PlanEvent::kChannelAdded: // fresh channel: default route is right
+      case PlanEvent::kMopAdded:      // bindings arrive as their own events
+      case PlanEvent::kMopRemoved:    // ditto (unbinds precede it)
+      case PlanEvent::kMopGrew:       // producer-side only
+      case PlanEvent::kMemberReused:  // member specs only, wiring untouched
+      case PlanEvent::kOutputBound:   // producer-side only
+      case PlanEvent::kChannelAdded:  // fresh channel: default route is right
+      case PlanEvent::kTailTrimmed:   // the resizes above
         break;
       case PlanEvent::kBulk:
         RUMOR_CHECK(false) << "bulk events take the full-rebuild path";

@@ -72,12 +72,44 @@ bool Plan::MaybeKillChannel(ChannelId id) {
   return true;
 }
 
-int Plan::GcOrphanChannels() {
-  int collected = 0;
-  for (ChannelId c = 0; c < num_channels(); ++c) {
-    if (MaybeKillChannel(c)) ++collected;
+void Plan::TrimTail() {
+  int mops = num_mops();
+  while (mops > 0 && mops_[mops - 1] == nullptr) --mops;
+  int channels = num_channels();
+  while (channels > 0 && channel_dead_[channels - 1]) --channels;
+  // A dropped channel has the highest id, so it ends its streams' lists.
+  for (ChannelId c = num_channels() - 1; c >= channels; --c) {
+    for (StreamId s : channels_[c].streams()) stream_channels_[s].pop_back();
   }
-  return collected;
+  // A dead channel in the middle still names its streams, which stay.
+  auto droppable = [this](StreamId s) {
+    return !streams_.Get(s).is_source && OutputMarksOn(s) == 0 &&
+           (s >= static_cast<StreamId>(stream_channels_.size()) ||
+            stream_channels_[s].empty());
+  };
+  int streams = streams_.size();
+  while (streams > 0 && droppable(streams - 1)) --streams;
+  if (mops == num_mops() && channels == num_channels() &&
+      streams == streams_.size()) {
+    return;
+  }
+  Truncate(mops, channels, streams);
+  Emit(PlanEvent::kTailTrimmed, mops, channels, streams);
+}
+
+void Plan::Truncate(int mops, int channels, int streams) {
+  if (mops < num_mops()) input_pos_.resize(input_pos_base_[mops]);
+  mops_.resize(mops);
+  mop_inputs_.resize(mops);
+  mop_outputs_.resize(mops);
+  input_pos_base_.resize(mops);
+  channels_.resize(channels);
+  channel_dead_.resize(channels);
+  channel_pinned_.resize(channels);
+  channel_consumers_.resize(channels);
+  channel_producer_.resize(channels);
+  streams_.TruncateTo(streams);
+  stream_channels_.resize(std::min<size_t>(stream_channels_.size(), streams));
 }
 
 ChannelId Plan::SourceChannelOf(StreamId stream) {
@@ -149,9 +181,8 @@ void Plan::RemoveMop(MopId id) {
     Emit(PlanEvent::kOutputBound, id, kInvalidChannel, c);
   }
   mops_[id].reset();
-  // Release the port vectors, not just empty them: a tombstoned slot stays
-  // for good, and a predicate index rebuilt on every remove would otherwise
-  // leave its thousands of output ports behind each time.
+  // Release the port vectors, not just empty them: a tombstone in the middle
+  // of the id space stays for good (TrimTail drops only the tail).
   mop_inputs_[id] = std::vector<ChannelId>();
   mop_outputs_[id] = std::vector<ChannelId>();
   Emit(PlanEvent::kMopRemoved, id);
@@ -226,16 +257,16 @@ int Plan::AddMopOutputPort(MopId mop, ChannelId channel) {
   mop_outputs_[mop].push_back(channel);
   RUMOR_CHECK(static_cast<int>(mop_outputs_[mop].size()) ==
               mops_[mop]->num_outputs())
-      << "grow the m-op's port count (AddMember) before binding it";
+      << "grow the m-op's port count (AttachMember) before binding it";
   int port = static_cast<int>(mop_outputs_[mop].size()) - 1;
   channel_producer_[channel] = ChannelEnd{mop, port};
-  Emit(PlanEvent::kMopGrew, mop, channel);
+  Emit(PlanEvent::kMopGrew, mop, port, channel);
   return port;
 }
 
-void Plan::NotifyMopMutated(MopId mop) {
+void Plan::NotifyMemberReused(MopId mop, int member) {
   RUMOR_CHECK(IsLive(mop));
-  Emit(PlanEvent::kMopMutated, mop);
+  Emit(PlanEvent::kMemberReused, mop, member);
 }
 
 ChannelId Plan::input_channel(MopId mop, int port) const {
@@ -338,16 +369,7 @@ Plan::Marker Plan::Mark() const {
 void Plan::RollbackTo(const Marker& marker) {
   RUMOR_CHECK(marker.num_mops <= num_mops());
   RUMOR_CHECK(marker.num_channels <= num_channels());
-  mops_.resize(marker.num_mops);
-  mop_inputs_.resize(marker.num_mops);
-  if (marker.num_mops < num_mops()) {
-    input_pos_.resize(input_pos_base_[marker.num_mops]);
-  }
-  input_pos_base_.resize(marker.num_mops);
-  mop_outputs_.resize(marker.num_mops);
-  channels_.resize(marker.num_channels);
-  channel_dead_.resize(marker.num_channels);
-  streams_.TruncateTo(marker.num_streams);
+  Truncate(marker.num_mops, marker.num_channels, marker.num_streams);
   outputs_.resize(marker.num_outputs);
   source_channels_.resize(marker.num_source_channels);
   derived_counter_ = marker.derived_counter;

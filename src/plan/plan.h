@@ -13,7 +13,8 @@
 //
 // M-rules rewrite the plan by replacing a set of m-ops with a target m-op
 // and rebinding the affected channel edges (paper §2.3); RemoveMop /
-// AddMop / Bind* are the primitives they use.
+// AddMop / Bind* are the primitives they use. Ids are dense: removed m-ops
+// and dead channels stay as tombstones until TrimTail drops a trailing run.
 //
 // Scale contract (the "millions of standing queries" work): every mutation
 // primitive maintains reverse adjacency (channel -> consumers / producer)
@@ -53,7 +54,7 @@ struct PlanEvent {
     kBulk,            // wholesale change (rollback): consumers must rebuild
     kMopAdded,        // a = mop
     kMopRemoved,      // a = mop (already torn down when observed)
-    kMopGrew,         // a = mop, b = channel bound to the new output port
+    kMopGrew,         // a = mop, b = new output port (member), c = channel
     kInputBound,      // a = mop, b = new channel or -1, c = old channel or -1
     kOutputBound,     // a = mop, b = new channel or -1, c = old channel or -1
     kChannelAdded,    // a = channel
@@ -62,7 +63,8 @@ struct PlanEvent {
     kOutputMarked,    // a = stream
     kOutputUnmarked,  // a = stream
     kOutputRemapped,  // a = from stream, b = to stream
-    kMopMutated,      // a = mop — in-place member redefinition, no rewiring
+    kMemberReused,    // a = mop, b = member slot redefined in place
+    kTailTrimmed,     // a, b, c = m-op, channel and stream counts left
   };
   Kind kind;
   int32_t a = -1;
@@ -96,10 +98,11 @@ class Plan {
     RUMOR_DCHECK(id >= 0 && id < num_channels());
     return channel_dead_[id];
   }
-  // Marks every orphaned channel dead (see channel_dead); returns the number
-  // of channels newly collected. RemoveMop collects its own former channels;
-  // this sweep catches the rest after bulk teardown.
-  int GcOrphanChannels();
+  // Drops the trailing tombstoned m-ops, dead channels, and derived streams
+  // no channel carries and no output mark names (publishing kTailTrimmed):
+  // what a live merge discards sits at the tail, so a live step ending with
+  // this leaves no residue. Later adds issue the dropped ids again.
+  void TrimTail();
   // The capacity-1 channel of a source stream (created on first use).
   ChannelId SourceChannelOf(StreamId stream);
   std::optional<ChannelId> FindSourceChannel(StreamId stream) const;
@@ -107,8 +110,8 @@ class Plan {
   // Convenience: derived stream + capacity-1 channel in one step.
   ChannelId AddDerivedChannel(const std::string& name, Schema schema);
 
-  // Live channels carrying `stream` (append-only per channel; dead channels
-  // are filtered out). O(#channels carrying the stream).
+  // Live channels carrying `stream`, in id order (dead channels are
+  // filtered out). O(#channels carrying the stream).
   std::vector<ChannelId> ChannelsOfStream(StreamId stream) const;
 
   // --- m-ops ----------------------------------------------------------------
@@ -136,14 +139,12 @@ class Plan {
   void BindInput(MopId mop, int port, ChannelId channel);
   void BindOutput(MopId mop, int port, ChannelId channel);
   // Binds a freshly grown output port of `mop` (the m-op must already report
-  // the larger num_outputs(), e.g. after AddMember on a warm shared m-op);
-  // returns the new port index.
+  // the larger num_outputs(), e.g. after AttachMember on a warm shared
+  // m-op); returns the new port index.
   int AddMopOutputPort(MopId mop, ChannelId channel);
-  // Publishes that `mop` redefined one of its members in place (e.g. a
-  // shared aggregate reusing a deactivated slot for a new spec). Wiring is
-  // untouched, but member signatures may have changed, so signature-keyed
-  // consumers of the event log must re-derive the m-op.
-  void NotifyMopMutated(MopId mop);
+  // Publishes that `mop` reused inactive slot `member` for a new member: no
+  // wiring changed, but signature-keyed log consumers must re-key it.
+  void NotifyMemberReused(MopId mop, int member);
   ChannelId input_channel(MopId mop, int port) const;
   ChannelId output_channel(MopId mop, int port) const;
   const std::vector<ChannelId>& input_channels(MopId mop) const {
@@ -247,6 +248,9 @@ class Plan {
   bool ChannelPinned(ChannelId id) const { return channel_pinned_[id]; }
   // Marks `id` dead if orphaned; returns true if it was collected.
   bool MaybeKillChannel(ChannelId id);
+  // Drops the m-ops, channels and streams past these counts (TrimTail,
+  // RollbackTo), with their rows in every per-id table.
+  void Truncate(int mops, int channels, int streams);
   void Emit(PlanEvent::Kind kind, int32_t a, int32_t b = -1, int32_t c = -1);
   // Adds (mop, port) to / drops it from `channel`'s consumer list, in O(1)
   // through the consumer's recorded position (the list keeps no order).
@@ -273,8 +277,8 @@ class Plan {
   // Reverse adjacency, maintained by every wiring primitive.
   std::vector<std::vector<ChannelEnd>> channel_consumers_;  // by channel
   std::vector<ChannelEnd> channel_producer_;                // by channel
-  // Channels carrying each stream (append-only; never shrinks except on
-  // rollback). Seeds reachability walks without scanning all channels.
+  // Channels carrying each stream (append-only; shrinks only on rollback
+  // and TrimTail). Seeds reachability walks without scanning all channels.
   std::vector<std::vector<ChannelId>> stream_channels_;  // by stream id
   std::vector<std::pair<StreamId, ChannelId>> source_channels_;
   std::vector<OutputDef> outputs_;

@@ -81,7 +81,7 @@ class QueryParser {
       Advance();
       Advance();
     } else {
-      name = "Q" + std::to_string(index);
+      name = StrCat("Q", index);
     }
     reads_.clear();
     auto node = ParseQueryBody();

@@ -1,34 +1,25 @@
 #include "rules/incremental.h"
 
 #include <algorithm>
-#include <memory>
-#include <sstream>
 #include <vector>
 
 #include "common/trace.h"
 #include "mop/aggregate_mop.h"
 #include "mop/predicate_index_mop.h"
 #include "mop/selection_mop.h"
+#include "rules/rule.h"
 
 namespace rumor {
-
-std::string IncrementalMergeStats::ToString() const {
-  std::ostringstream os;
-  os << "IncrementalMergeStats{cse=" << cse_merges
-     << " attach=" << attach_merges << " rules=" << rule_merges << "}";
-  return os.str();
-}
-
-std::string PruneStats::ToString() const {
-  std::ostringstream os;
-  os << "PruneStats{mops=" << removed_mops
-     << " index_members=" << pruned_index_members
-     << " deactivated=" << deactivated_members
-     << " channels=" << collected_channels << "}";
-  return os.str();
-}
-
 namespace {
+
+// Hands the consumers and output marks of `from` over to `to`, then drops
+// the m-op that produced `from`: what CSE and a reused slot both do.
+void Reroute(Plan* plan, MopId fresh, ChannelId from, ChannelId to) {
+  plan->MoveConsumers(from, to);
+  plan->RemapOutput(plan->channel(from).stream_at(0),
+                    plan->channel(to).stream_at(0));
+  plan->RemoveMop(fresh);
+}
 
 // Applies one freshly probed candidate: exact or member CSE, a σ or α
 // attach onto a warm target, or a new predicate index formed from the
@@ -40,69 +31,21 @@ bool ApplyCandidate(Plan* plan, ShareIndex* index,
   switch (c.kind) {
     case ShareIndex::Candidate::kCseExact:
     case ShareIndex::Candidate::kCseMember: {
-      ChannelId fresh_out = plan->output_channel(c.fresh, 0);
       int port = c.kind == ShareIndex::Candidate::kCseMember ? c.member : 0;
-      ChannelId kept_out = plan->output_channel(c.target, port);
-      StreamId fresh_stream = plan->channel(fresh_out).stream_at(0);
-      StreamId kept_stream = plan->channel(kept_out).stream_at(0);
-      plan->MoveConsumers(fresh_out, kept_out);
-      plan->RemapOutput(fresh_stream, kept_stream);
-      plan->RemoveMop(c.fresh);
+      Reroute(plan, c.fresh, plan->output_channel(c.fresh, 0),
+              plan->output_channel(c.target, port));
       ++stats->cse_merges;
       return true;
     }
-    case ShareIndex::Candidate::kAttachSelection: {
-      const auto& sel = static_cast<const SelectionMop&>(plan->mop(c.fresh));
-      SelectionDef def = sel.member().def;
-      ChannelId out = plan->output_channel(c.fresh, 0);
-      auto& target = static_cast<PredicateIndexMop&>(plan->mop(c.target));
-      target.AddMember(std::move(def));
-      plan->AddMopOutputPort(c.target, out);
-      plan->RemoveMop(c.fresh);
+    case ShareIndex::Candidate::kAttachSelection:
+    case ShareIndex::Candidate::kAttachAggregate:
+      if (!AttachFreshMember(plan, c.fresh, c.target)) return false;
       ++stats->attach_merges;
       return true;
-    }
-    case ShareIndex::Candidate::kAttachAggregate: {
-      const auto& fresh = static_cast<const AggregateMop&>(plan->mop(c.fresh));
-      AggregateMop::Member member = fresh.member(0);
-      auto& target = static_cast<AggregateMop&>(plan->mop(c.target));
-      if (!target.CanAttach(member)) return false;
-      ChannelId out = plan->output_channel(c.fresh, 0);
-      AggregateMop::AttachResult res = target.AttachMember(member);
-      if (res.reused_slot) {
-        // In-place spec change on the reused slot: dirty the target so the
-        // index re-derives its member signatures.
-        plan->NotifyMopMutated(c.target);
-        ChannelId slot_out = plan->output_channel(c.target, res.member);
-        StreamId fresh_stream = plan->channel(out).stream_at(0);
-        StreamId slot_stream = plan->channel(slot_out).stream_at(0);
-        plan->MoveConsumers(out, slot_out);
-        plan->RemapOutput(fresh_stream, slot_stream);
-      } else {
-        plan->AddMopOutputPort(c.target, out);
-      }
-      plan->RemoveMop(c.fresh);
-      ++stats->attach_merges;
-      return true;
-    }
     case ShareIndex::Candidate::kFormIndex: {
       std::vector<MopId> singles = index->SinglesOn(c.channel);
       if (singles.size() < 2) return false;
-      std::vector<SelectionDef> defs;
-      std::vector<ChannelId> outs;
-      defs.reserve(singles.size());
-      for (MopId id : singles) {
-        const auto& sel = static_cast<const SelectionMop&>(plan->mop(id));
-        defs.push_back(sel.member().def);
-        outs.push_back(plan->output_channel(id, 0));
-      }
-      MopId formed = plan->AddMop(std::make_unique<PredicateIndexMop>(
-          std::move(defs), OutputMode::kPerMemberPorts));
-      plan->BindInput(formed, 0, c.channel);
-      for (size_t i = 0; i < outs.size(); ++i) {
-        plan->BindOutput(formed, static_cast<int>(i), outs[i]);
-      }
-      for (MopId id : singles) plan->RemoveMop(id);
+      FormPredicateIndex(plan, c.channel, singles);
       ++stats->rule_merges;
       return true;
     }
@@ -193,15 +136,38 @@ IncrementalMergeStats MergeNewQueryIndexed(Plan* plan, ShareIndex* index,
   return stats;
 }
 
+bool AttachFreshMember(Plan* plan, MopId fresh, MopId target) {
+  Mop& t = plan->mop(target);
+  MemberAttach attached;
+  if (t.type() == MopType::kPredicateIndex) {
+    const auto& sel = static_cast<const SelectionMop&>(plan->mop(fresh));
+    attached =
+        static_cast<PredicateIndexMop&>(t).AttachMember(sel.member().def);
+  } else {
+    const auto& agg = static_cast<const AggregateMop&>(plan->mop(fresh));
+    auto& shared = static_cast<AggregateMop&>(t);
+    if (!shared.CanAttach(agg.member(0))) return false;
+    attached = shared.AttachMember(agg.member(0));
+  }
+  const ChannelId out = plan->output_channel(fresh, 0);
+  if (attached.reused_slot) {
+    plan->NotifyMemberReused(target, attached.member);
+    Reroute(plan, fresh, out, plan->output_channel(target, attached.member));
+  } else {
+    plan->AddMopOutputPort(target, out);
+    plan->RemoveMop(fresh);
+  }
+  return true;
+}
+
 PruneStats PruneUnreachable(Plan* plan) {
   PruneStats stats;
   // One backward pass from the surviving query outputs answers both
   // questions below: reach 0 on an m-op = no surviving output depends on it
   // (remove); reach 0 on a channel = no surviving query reads it (its
-  // member slot can be dropped). O(plan + outputs) — the former per-query
-  // refcount walk plus per-output channel rescan was what made RemoveQuery
-  // quadratic on large plans. Removing unreachable m-ops cannot change the
-  // reach of anything else, so one snapshot serves both phases.
+  // member can be deactivated). O(plan + outputs). Removing unreachable
+  // m-ops cannot change the reach of anything else, so one snapshot serves
+  // both phases.
   const Plan::OutputReach reach = plan->ComputeOutputReach();
   for (MopId id : plan->LiveMops()) {
     if (reach.mops[id] == 0) {
@@ -209,58 +175,19 @@ PruneStats PruneUnreachable(Plan* plan) {
       ++stats.removed_mops;
     }
   }
-
-  // Member-level teardown on surviving shared m-ops.
-  const std::vector<uint8_t>& needed = reach.channels;
-  std::vector<MopId> index_rebuilds;
+  // Shared targets with one output port per member (sσ, sα/cα, s⋈, s;, sµ)
+  // deactivate the members no surviving query reads; their ports stay
+  // bound for a later attach to reuse.
   for (MopId id : plan->LiveMops()) {
     Mop& m = plan->mop(id);
-    if (m.type() == MopType::kPredicateIndex) {
-      const auto& index = static_cast<const PredicateIndexMop&>(m);
-      if (index.output_mode() != OutputMode::kPerMemberPorts) continue;
-      bool all_needed = true;
-      for (int i = 0; i < index.num_members(); ++i) {
-        all_needed &= needed[plan->output_channel(id, i)] != 0;
-      }
-      if (!all_needed) index_rebuilds.push_back(id);
-    } else if (m.num_members() > 1 && m.num_outputs() == m.num_members()) {
-      // Shared-state targets with per-member ports (sα/cα, s⋈, s;, sµ)
-      // deactivate the members no surviving query reads.
-      for (int i = 0; i < m.num_members(); ++i) {
-        if (!needed[plan->output_channel(id, i)] && m.member_active(i) &&
-            m.DeactivateMember(i)) {
-          ++stats.deactivated_members;
-        }
+    if (m.num_members() < 2 || m.num_outputs() != m.num_members()) continue;
+    for (int i = 0; i < m.num_members(); ++i) {
+      if (!reach.channels[plan->output_channel(id, i)] && m.member_active(i) &&
+          m.DeactivateMember(i)) {
+        ++stats.deactivated_members;
       }
     }
   }
-  // Predicate indexes are stateless: rebuild them without the members no
-  // surviving query reads.
-  for (MopId id : index_rebuilds) {
-    const auto& index = static_cast<const PredicateIndexMop&>(plan->mop(id));
-    std::vector<SelectionDef> defs;
-    std::vector<ChannelId> outs;
-    for (int i = 0; i < index.num_members(); ++i) {
-      ChannelId out = plan->output_channel(id, i);
-      if (!needed[out]) {
-        ++stats.pruned_index_members;
-        continue;
-      }
-      defs.push_back(index.member(i));
-      outs.push_back(out);
-    }
-    RUMOR_CHECK(!defs.empty()) << "fully unused index should have ref 0";
-    ChannelId input = plan->input_channel(id, 0);
-    MopId rebuilt = plan->AddMop(std::make_unique<PredicateIndexMop>(
-        std::move(defs), OutputMode::kPerMemberPorts));
-    plan->BindInput(rebuilt, 0, input);
-    for (size_t i = 0; i < outs.size(); ++i) {
-      plan->BindOutput(rebuilt, static_cast<int>(i), outs[i]);
-    }
-    plan->RemoveMop(id);
-  }
-
-  stats.collected_channels = plan->GcOrphanChannels();
   return stats;
 }
 

@@ -34,15 +34,15 @@
 // implementation of the same merge lives in tests/ as the oracle the
 // equivalence fuzz compares against.
 //
-// PruneUnreachable implements the removal half: one backward output-reach
-// pass (Plan::ComputeOutputReach) drives teardown of exactly the operators
-// no surviving query reaches, stateless shared m-ops drop the members only
-// removed queries used, shared aggregation engines deactivate theirs, and
-// orphaned channels are garbage-collected.
+// PruneUnreachable implements the removal half, the local inverse of an
+// attach: one backward output-reach pass (Plan::ComputeOutputReach) drives
+// teardown of exactly the operators no surviving query reaches, every
+// shared m-op with one output port per member deactivates the members only
+// removed queries used (keeping their slots and ports for a later attach),
+// and RemoveMop collects the channels the teardown orphans. Nothing a
+// surviving query shares is rebuilt.
 #ifndef RUMOR_RULES_INCREMENTAL_H_
 #define RUMOR_RULES_INCREMENTAL_H_
-
-#include <string>
 
 #include "plan/plan.h"
 #include "rules/rule_engine.h"
@@ -56,7 +56,6 @@ struct IncrementalMergeStats {
   int rule_merges = 0;    // stateless rule merges among leftover m-ops
 
   int total() const { return cse_merges + attach_merges + rule_merges; }
-  std::string ToString() const;
 };
 
 // Merges the fresh m-ops (live ids >= first_fresh, i.e. the plan's
@@ -73,13 +72,17 @@ IncrementalMergeStats MergeNewQueryIndexed(Plan* plan, ShareIndex* index,
                                            MopId first_fresh,
                                            const OptimizerOptions& options);
 
-struct PruneStats {
-  int removed_mops = 0;          // m-ops no surviving query reaches
-  int pruned_index_members = 0;  // members dropped from stateless sσ targets
-  int deactivated_members = 0;   // sα/cα, s⋈, s;, sµ members deactivated
-  int collected_channels = 0;    // channels garbage-collected
+// The sσ/sα attach, which the scan oracle applies too: the fresh σ or α
+// becomes a member of the per-member-ports index or aggregate `target`, in
+// its lowest inactive slot (whose channel takes over the fresh consumers
+// and output marks) or a new port bound to the fresh output channel, and
+// `fresh` goes. Returns false, changing nothing, if `target` cannot absorb
+// it.
+bool AttachFreshMember(Plan* plan, MopId fresh, MopId target);
 
-  std::string ToString() const;
+struct PruneStats {
+  int removed_mops = 0;         // m-ops no surviving query reaches
+  int deactivated_members = 0;  // sσ, sα/cα, s⋈, s;, sµ members deactivated
 };
 
 // Tears down everything no surviving query output reaches. Call after

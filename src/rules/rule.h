@@ -22,6 +22,7 @@
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "plan/plan.h"
 #include "rules/sharable.h"
@@ -51,6 +52,12 @@ class PredicateIndexRule : public MRule {
   std::string name() const override { return "sσ"; }
   int ApplyAll(Plan* plan, const SharableAnalysis* sharable) override;
 };
+
+// The sσ plan mutation, which the live merge's index formation applies too:
+// one predicate index reading `input` replaces the single-member slot-0
+// selections `singles` of it, each member keeping its output channel.
+void FormPredicateIndex(Plan* plan, ChannelId input,
+                        const std::vector<MopId>& singles);
 
 class SharedAggregateRule : public MRule {
  public:

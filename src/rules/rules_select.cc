@@ -26,24 +26,29 @@ int PredicateIndexRule::ApplyAll(Plan* plan, const SharableAnalysis*) {
   int merges = 0;
   for (auto& [input, ids] : by_input) {
     if (ids.size() < 2) continue;
-    std::vector<SelectionDef> defs;
-    std::vector<ChannelId> outputs;
-    defs.reserve(ids.size());
-    for (MopId id : ids) {
-      const auto& sel = static_cast<const SelectionMop&>(plan->mop(id));
-      defs.push_back(sel.member().def);
-      outputs.push_back(plan->output_channel(id, 0));
-    }
-    MopId target = plan->AddMop(std::make_unique<PredicateIndexMop>(
-        std::move(defs), OutputMode::kPerMemberPorts));
-    plan->BindInput(target, 0, input);
-    for (size_t i = 0; i < outputs.size(); ++i) {
-      plan->BindOutput(target, static_cast<int>(i), outputs[i]);
-    }
-    for (MopId id : ids) plan->RemoveMop(id);
+    FormPredicateIndex(plan, input, ids);
     ++merges;
   }
   return merges;
+}
+
+void FormPredicateIndex(Plan* plan, ChannelId input,
+                        const std::vector<MopId>& singles) {
+  std::vector<SelectionDef> defs;
+  std::vector<ChannelId> outputs;
+  defs.reserve(singles.size());
+  for (MopId id : singles) {
+    const auto& sel = static_cast<const SelectionMop&>(plan->mop(id));
+    defs.push_back(sel.member().def);
+    outputs.push_back(plan->output_channel(id, 0));
+  }
+  MopId target = plan->AddMop(std::make_unique<PredicateIndexMop>(
+      std::move(defs), OutputMode::kPerMemberPorts));
+  plan->BindInput(target, 0, input);
+  for (size_t i = 0; i < outputs.size(); ++i) {
+    plan->BindOutput(target, static_cast<int>(i), outputs[i]);
+  }
+  for (MopId id : singles) plan->RemoveMop(id);
 }
 
 }  // namespace rumor

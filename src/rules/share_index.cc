@@ -128,98 +128,72 @@ void ShareIndex::Sync() {
       return;
     }
   }
-  // Classify per m-op: a target that only *grew* (kMopGrew — a new member
-  // port bound by an attach) takes an append-only path that indexes just
-  // the new members, keeping each attach O(1) instead of O(members). That
-  // distinction is what keeps per-add latency flat as a popular σ-index or
-  // sα target accumulates thousands of members. Any other event on the
-  // m-op (rebinds, removal, in-place mutation) forces the full reindex.
-  struct DirtyMop {
-    MopId id;
-    int grew = 0;
-    bool other = false;
-  };
-  // Entries are merged per m-op by sorting: looking each event's m-op up in
-  // the list was quadratic when a rule pass removes a hundred m-ops at once.
-  // An m-op's events mostly come in a run, which folds into one entry.
-  std::vector<DirtyMop> dirty;
-  auto mark = [&dirty](MopId id, int grew, bool other) {
-    if (!dirty.empty() && dirty.back().id == id) {
-      dirty.back().grew += grew;
-      dirty.back().other |= other;
-    } else {
-      dirty.push_back({id, grew, other});
-    }
-  };
+  // A target that grew a member port or reused a member slot (an attach)
+  // re-posts just that member; any other event on an m-op (rebinds, adds,
+  // removal) reindexes it. The dirty ids are deduplicated by sorting: a
+  // lookup per event was quadratic when a rule pass removes a hundred m-ops.
+  std::vector<MopId> dirty;
+  std::vector<std::pair<MopId, int>> members;
   for (const PlanEvent& e : events) {
     switch (e.kind) {
       case PlanEvent::kMopGrew:
-        mark(e.a, 1, false);
+      case PlanEvent::kMemberReused:
+        members.push_back({e.a, e.b});
         break;
       case PlanEvent::kMopAdded:
       case PlanEvent::kMopRemoved:
-      case PlanEvent::kMopMutated:
       case PlanEvent::kInputBound:
       case PlanEvent::kOutputBound:
-        mark(e.a, 0, true);
+        dirty.push_back(e.a);
         break;
       default:
         break;  // channel/output-mark events do not change index content
     }
   }
-  std::sort(dirty.begin(), dirty.end(),
-            [](const DirtyMop& a, const DirtyMop& b) { return a.id < b.id; });
-  for (size_t i = 0; i < dirty.size();) {
-    DirtyMop d = dirty[i];
-    while (++i < dirty.size() && dirty[i].id == d.id) {
-      d.grew += dirty[i].grew;
-      d.other |= dirty[i].other;
-    }
-    if (d.other || !GrowMop(d.id, d.grew)) ReindexMop(d.id);
+  std::sort(dirty.begin(), dirty.end());
+  dirty.erase(std::unique(dirty.begin(), dirty.end()), dirty.end());
+  for (MopId id : dirty) ReindexMop(id);
+  // After any reindex above, which re-keys harmlessly again here.
+  for (const auto& [id, member] : members) {
+    if (!PostMember(id, member)) ReindexMop(id);
   }
 }
 
-// Append-only maintenance for a per-member-port target whose only change
-// since the last Sync is `grew` new member ports: index members
-// [old_count, num_members) and leave every existing entry in place. Returns
-// false (no state touched) when the precondition cannot be proven, in which
-// case the caller falls back to the full reindex:
-//  * the m-op must already be indexed (its pre-growth entries are valid);
-//  * it must have had >= 2 indexed members — growing past a single-member
-//    m-op retracts exact_/sel_singles_ entries, which append-only cannot do;
-//  * the member count must equal old + grew with every port bound (growth
-//    and nothing else happened).
-bool ShareIndex::GrowMop(MopId id, int grew) {
-  if (grew <= 0 || !plan_->IsLive(id)) return false;
+// Member postings ascend, with at most the target posting among them, so
+// member i's is the i-th or the next. An attach thus costs O(1), not
+// O(members): that keeps per-add latency flat as a popular σ-index or sα
+// target accumulates thousands of members.
+bool ShareIndex::PostMember(MopId id, int member) {
   auto it = postings_.find(id);
-  if (it == postings_.end()) return false;
+  if (it == postings_.end() || !plan_->IsLive(id)) return false;
   const Mop& m = plan_->mop(id);
-  if (!IsMemberTargetType(m.type())) return false;
-  // Member postings cover exactly members [0, k) (IndexMop posts them
-  // contiguously, growth appends contiguously), so the highest member index
-  // near the tail gives the count — counting them all would re-introduce the
-  // O(members)-per-attach cost this path exists to avoid.
-  int old_members = 0;
-  for (auto rit = it->second.rbegin(); rit != it->second.rend(); ++rit) {
-    if (rit->table == Posting::kMember) {
-      old_members = rit->member + 1;
-      break;
-    }
-  }
-  if (old_members < 2) return false;
-  if (m.num_members() != old_members + grew) return false;
-  if (m.num_outputs() != m.num_members() ||
-      static_cast<int>(plan_->output_channels(id).size()) != m.num_outputs()) {
+  if (!IsMemberTargetType(m.type()) || member >= m.num_members() ||
+      m.num_outputs() != m.num_members()) {
     return false;
   }
-  for (int i = old_members; i < m.num_members(); ++i) {
-    if (plan_->output_channel(id, i) == kInvalidChannel) return false;
+  std::vector<Posting>& posts = it->second;
+  const int32_t n = static_cast<int32_t>(posts.size());
+  const uint64_t key =
+      MemberKey(m.type(), m.MemberSignature(member), plan_->input_channels(id));
+  for (int32_t k = member; k <= member + 1 && k < n; ++k) {
+    Posting& p = posts[k];
+    if (p.table != Posting::kMember || p.member != member) continue;
+    Unpost(member_, p, id, k);  // a reused slot, re-keyed in place
+    p.key = key;
+    std::vector<MemberRef>& bucket = member_[key];
+    p.pos = static_cast<int32_t>(bucket.size());
+    bucket.push_back({id, member, k});
+    return true;
   }
-  for (int i = old_members; i < m.num_members(); ++i) {
-    uint64_t key =
-        MemberKey(m.type(), m.MemberSignature(i), plan_->input_channels(id));
-    Post(member_, Posting::kMember, key, id, i, &it->second);
+  // A grown member follows member - 1's posting, last or before the target
+  // posting. Growing past one member retracts exact_, which needs a reindex.
+  int32_t last = n - 1;
+  if (last > 0 && posts[last].table != Posting::kMember) --last;
+  if (member < 2 || last < 0 || posts[last].table != Posting::kMember ||
+      posts[last].member != member - 1) {
+    return false;
   }
+  Post(member_, Posting::kMember, key, id, member, &posts);
   return true;
 }
 

@@ -155,10 +155,10 @@ class ShareIndex {
   void ReindexMop(MopId id);
   void UnindexMop(MopId id);
   void IndexMop(MopId id);
-  // Appends just the entries for `grew` freshly bound member ports of an
-  // already-indexed growing target; returns false (caller must ReindexMop)
-  // when the growth-only precondition cannot be proven.
-  bool GrowMop(MopId id, int grew);
+  // Posts member `member` of a per-member-port target, grown or redefined
+  // in place by an attach, touching no other entry; returns false (caller
+  // must ReindexMop) when it cannot show where that posting goes.
+  bool PostMember(MopId id, int member);
   // Appends `id`'s entry to table[key] and its posting to `posts`.
   template <typename Table>
   void Post(Table& table, Posting::Table which, uint64_t key, MopId id,

@@ -27,7 +27,8 @@ Schema CpuSchema() {
 // plans start from the same batch-optimized query set and receive the same
 // seeded add/remove/push steps. One merges each add through its ShareIndex,
 // the other through the oracle's whole-plan scans; removal on both is
-// UnmarkOutput + PruneUnreachable. After every step both plans must explain
+// UnmarkOutput + PruneUnreachable, and both end each add and remove with
+// TrimTail, as the engine does. After every step both plans must explain
 // byte for byte alike (ids, members, wiring, counters) and every stream
 // must have delivered the same tuples. The start set holds two windows of
 // each of ⋈, ; and µ, so the batch s⋈ rule builds shared join and pattern
@@ -160,12 +161,14 @@ TEST(DynamicChurnTest, IndexedMergeMatchesScanOracleOnEveryStep) {
                                  first_fresh, options)
                 .cse_merges;
         MergeNewQuery(&oracle.plan, options);
+        for (Lane* lane : {&indexed, &oracle}) lane->plan.TrimTail();
       } else {
         const size_t victim = static_cast<size_t>(
             rng.UniformInt(0, static_cast<int64_t>(active.size()) - 1));
         for (Lane* lane : {&indexed, &oracle}) {
           ASSERT_TRUE(lane->plan.UnmarkOutput(active[victim]));
           PruneUnreachable(&lane->plan);
+          lane->plan.TrimTail();
         }
         indexed.index->Sync();
         active.erase(active.begin() + victim);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "api/stream_engine.h"
+#include "rules/share_index.h"
 
 namespace rumor {
 namespace {
@@ -416,6 +417,60 @@ TEST(DynamicQueriesTest, ChurnReusesDeactivatedAggregateSlots) {
   ASSERT_EQ(rows.size(), 1u);
   // Window (7, 12]: loads 18 (ts 8), 19 (ts 9), 100 (ts 12).
   EXPECT_DOUBLE_EQ(rows[0].at(1).AsDouble(), (18 + 19 + 100) / 3.0);
+}
+
+TEST(DynamicQueriesTest, ChurnReusesDeactivatedIndexSlots) {
+  // The σ twin of ChurnReusesDeactivatedAggregateSlots: add/remove cycles
+  // of a selection on a warm predicate index deactivate its member and reuse
+  // the slot, so the index keeps its m-op id and its slot count, and its
+  // probe counters keep counting across removes.
+  StreamEngine engine;
+  ASSERT_TRUE(engine.RegisterSource("CPU", CpuSchema()).ok());
+  ASSERT_TRUE(engine.AddQueryText("SELECT * FROM CPU WHERE pid = 1", "K1")
+                  .ok());
+  ASSERT_TRUE(engine.AddQueryText("SELECT * FROM CPU WHERE pid = 2", "K2")
+                  .ok());
+  ASSERT_TRUE(engine.Start().ok());
+  const Plan& plan = *engine.share_index_for_testing()->plan();
+  auto index_id = [&plan] {
+    for (MopId id : plan.LiveMops()) {
+      if (plan.mop(id).type() == MopType::kPredicateIndex) return id;
+    }
+    return kInvalidMop;
+  };
+  const MopId index = index_id();
+  ASSERT_NE(index, kInvalidMop);
+  for (int i = 0; i < 10; ++i) {
+    const std::string rql = "SELECT * FROM CPU WHERE pid = " +
+                            std::to_string(3 + i % 4) + " AND load > " +
+                            std::to_string(i);
+    ASSERT_TRUE(engine.AddQueryText(rql, "CHURN").ok());
+    ASSERT_TRUE(engine.Push("CPU", Tuple::MakeInts({1, 10 + i}, i)).ok());
+    const int64_t probes = engine.CollectMetrics().flat_probes;
+    if (RUMOR_METRICS_ENABLED) {
+      EXPECT_GT(probes, 0);
+    }
+    ASSERT_TRUE(engine.RemoveQuery("CHURN").ok());
+    EXPECT_EQ(engine.CollectMetrics().flat_probes, probes) << "cycle " << i;
+    ASSERT_EQ(index_id(), index) << "cycle " << i;
+    EXPECT_EQ(plan.mop(index).num_members(), 3) << "cycle " << i;
+  }
+  // A final re-add takes the recycled slot and sees what follows it.
+  std::vector<Tuple> rows;
+  engine.SetOutputHandler([&](const std::string& q, const Tuple& t) {
+    if (q == "CHURN") rows.push_back(t);
+  });
+  ASSERT_TRUE(
+      engine.AddQueryText("SELECT * FROM CPU WHERE pid = 5 AND load > 50",
+                          "CHURN")
+          .ok());
+  EXPECT_EQ(plan.mop(index).num_members(), 3);
+  ASSERT_TRUE(engine.Push("CPU", Tuple::MakeInts({5, 40}, 20)).ok());
+  ASSERT_TRUE(engine.Push("CPU", Tuple::MakeInts({5, 60}, 21)).ok());
+  ASSERT_TRUE(engine.Push("CPU", Tuple::MakeInts({1, 70}, 22)).ok());
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].ts(), 21);
+  EXPECT_EQ(engine.OutputCount("K1"), 11);
 }
 
 TEST(DynamicQueriesTest, QueryNamesAreCaseInsensitive) {

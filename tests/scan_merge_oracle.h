@@ -17,6 +17,7 @@
 #define RUMOR_TESTS_SCAN_MERGE_ORACLE_H_
 
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -80,41 +81,54 @@ inline int MemberCse(Plan* plan) {
   return merges;
 }
 
-// sσ attach: single-member selections whose input stream already carries a
-// warm predicate index join it as new members (stateless, so nothing to
-// preserve beyond wiring). Keeps the invariant that no single-member
-// selection coexists with an index on the same channel.
-inline int AttachSelections(Plan* plan) {
-  std::unordered_map<ChannelId, MopId> index_by_input;
+// sσ and sα attach: a fresh single-member σ or α joins the oldest warm
+// target with its key through the live merge's own attach action
+// (AttachFreshMember). `target_key` keys a target (an sσ index by input
+// channel; an sα engine or lone aggregate by channel, fn, attr and slot)
+// and `fresh_key` a candidate member, each or nullopt. Only the first
+// target of a key is tried: one that cannot absorb the member is not
+// passed over for a younger one.
+template <typename TargetKey, typename FreshKey>
+int AttachToOldest(Plan* plan, TargetKey target_key, FreshKey fresh_key) {
+  std::unordered_map<uint64_t, MopId> target_by_key;
   for (MopId id : plan->LiveMops()) {
-    const Mop& m = plan->mop(id);
-    if (m.type() != MopType::kPredicateIndex) continue;
-    const auto& index = static_cast<const PredicateIndexMop&>(m);
-    if (index.output_mode() != OutputMode::kPerMemberPorts) continue;
-    // Two per-member-port indexes can coexist on one channel (e.g. after a
-    // sharded re-merge); attach to the *oldest* deterministically instead
-    // of whichever the scan happens to see first.
-    auto [it, inserted] = index_by_input.emplace(plan->input_channel(id, 0),
-                                                 id);
-    if (!inserted && id < it->second) it->second = id;
+    if (std::optional<uint64_t> key = target_key(id, plan->mop(id))) {
+      target_by_key.emplace(*key, id);  // LiveMops ascend: the oldest wins
+    }
   }
-  if (index_by_input.empty()) return 0;
   int attached = 0;
   for (MopId id : plan->LiveMops()) {
-    const Mop& m = plan->mop(id);
-    if (m.type() != MopType::kSelection) continue;
-    const auto& sel = static_cast<const SelectionMop&>(m);
-    if (sel.member().input_slot != 0) continue;
-    auto it = index_by_input.find(plan->input_channel(id, 0));
-    if (it == index_by_input.end() || it->second == id) continue;
-    ChannelId out = plan->output_channel(id, 0);
-    auto& index = static_cast<PredicateIndexMop&>(plan->mop(it->second));
-    index.AddMember(sel.member().def);
-    plan->AddMopOutputPort(it->second, out);
-    plan->RemoveMop(id);
-    ++attached;
+    std::optional<uint64_t> key = fresh_key(id, plan->mop(id));
+    if (!key.has_value()) continue;
+    auto it = target_by_key.find(*key);
+    if (it == target_by_key.end() || it->second == id) continue;
+    if (AttachFreshMember(plan, id, it->second)) ++attached;
   }
   return attached;
+}
+
+// sσ attach: single-member selections whose input stream already carries a
+// warm per-member-port predicate index join the oldest one. Keeps the
+// invariant that no single-member selection coexists with an index on the
+// same channel.
+inline int AttachSelections(Plan* plan) {
+  return AttachToOldest(
+      plan,
+      [plan](MopId id, const Mop& m) -> std::optional<uint64_t> {
+        if (m.type() != MopType::kPredicateIndex ||
+            static_cast<const PredicateIndexMop&>(m).output_mode() !=
+                OutputMode::kPerMemberPorts) {
+          return std::nullopt;
+        }
+        return plan->input_channel(id, 0);
+      },
+      [plan](MopId id, const Mop& m) -> std::optional<uint64_t> {
+        if (m.type() != MopType::kSelection ||
+            static_cast<const SelectionMop&>(m).member().input_slot != 0) {
+          return std::nullopt;
+        }
+        return plan->input_channel(id, 0);
+      });
 }
 
 // sα attach: a lone isolated aggregate joins a warm shared-aggregation
@@ -130,51 +144,28 @@ inline int AttachAggregates(Plan* plan) {
                       static_cast<uint64_t>(agg.member(0).input_slot));
     return key;
   };
-  // Oldest candidate target per key (oldest = warmest).
-  std::unordered_map<uint64_t, MopId> target_by_key;
-  for (MopId id : plan->LiveMops()) {
-    const Mop& m = plan->mop(id);
-    if (m.type() != MopType::kAggregate &&
-        m.type() != MopType::kSharedAggregate) {
-      continue;
-    }
-    const auto& agg = static_cast<const AggregateMop&>(m);
-    if (agg.output_mode() != OutputMode::kPerMemberPorts) continue;
-    target_by_key.emplace(key_of(id, agg), id);
-  }
-  int attached = 0;
-  for (MopId id : plan->LiveMops()) {
-    const Mop& m = plan->mop(id);
-    if (m.type() != MopType::kAggregate || m.num_members() != 1 ||
-        m.num_outputs() != 1) {
-      continue;
-    }
-    const auto& agg = static_cast<const AggregateMop&>(m);
-    if (agg.sharing() != AggregateMop::Sharing::kIsolated) continue;
-    auto it = target_by_key.find(key_of(id, agg));
-    if (it == target_by_key.end() || it->second == id) continue;
-    auto& target = static_cast<AggregateMop&>(plan->mop(it->second));
-    if (!target.CanAttach(agg.member(0))) continue;
-    ChannelId out = plan->output_channel(id, 0);
-    AggregateMop::AttachResult res = target.AttachMember(agg.member(0));
-    if (res.reused_slot) {
-      // The reactivated slot keeps its port and channel; route the new
-      // query's consumers and output mark onto them. The slot's member spec
-      // changed in place (no wiring event), so publish the mutation for
-      // signature-keyed log consumers.
-      plan->NotifyMopMutated(it->second);
-      ChannelId slot_out = plan->output_channel(it->second, res.member);
-      StreamId fresh_stream = plan->channel(out).stream_at(0);
-      StreamId slot_stream = plan->channel(slot_out).stream_at(0);
-      plan->MoveConsumers(out, slot_out);
-      plan->RemapOutput(fresh_stream, slot_stream);
-    } else {
-      plan->AddMopOutputPort(it->second, out);
-    }
-    plan->RemoveMop(id);
-    ++attached;
-  }
-  return attached;
+  return AttachToOldest(
+      plan,
+      [&](MopId id, const Mop& m) -> std::optional<uint64_t> {
+        if (m.type() != MopType::kAggregate &&
+            m.type() != MopType::kSharedAggregate) {
+          return std::nullopt;
+        }
+        const auto& agg = static_cast<const AggregateMop&>(m);
+        if (agg.output_mode() != OutputMode::kPerMemberPorts) {
+          return std::nullopt;
+        }
+        return key_of(id, agg);
+      },
+      [&](MopId id, const Mop& m) -> std::optional<uint64_t> {
+        if (m.type() != MopType::kAggregate || m.num_members() != 1 ||
+            m.num_outputs() != 1 ||
+            static_cast<const AggregateMop&>(m).sharing() !=
+                AggregateMop::Sharing::kIsolated) {
+          return std::nullopt;
+        }
+        return key_of(id, static_cast<const AggregateMop&>(m));
+      });
 }
 
 }  // namespace scan_oracle

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/str_util.h"
 #include "mop/predicate_index_mop.h"
 #include "mop_test_util.h"
@@ -172,7 +174,7 @@ TEST_P(PredicateIndexPropertyTest, MatchesReference) {
   }
   preds.push_back(Expr::And(EqConst(1, 1), GtConst(2, 0)));
   const int num_members = static_cast<int>(preds.size());
-  // Members past `num_initial` join through AddMember mid-feed.
+  // Members past `num_initial` join through AttachMember mid-feed.
   const int num_initial = static_cast<int>(rng.UniformInt(1, num_members));
 
   std::vector<Tuple> feed;
@@ -231,7 +233,9 @@ TEST_P(PredicateIndexPropertyTest, MatchesReference) {
       };
       push(0, add_at);
       for (int m = num_initial; m < num_members; ++m) {
-        EXPECT_EQ(optimized.AddMember({preds[m]}), m);
+        const MemberAttach attached = optimized.AttachMember({preds[m]});
+        EXPECT_EQ(attached.member, m);
+        EXPECT_FALSE(attached.reused_slot);
       }
       EXPECT_EQ(optimized.num_outputs(),
                 mode == OutputMode::kChannel ? 1 : num_members);
@@ -246,6 +250,207 @@ TEST_P(PredicateIndexPropertyTest, MatchesReference) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PredicateIndexPropertyTest,
                          ::testing::Range<uint64_t>(0, 15));
+
+// The member kinds a slot can hold over its lifecycle: indexed on an int
+// constant (the flat table while every constant of the index is an int),
+// indexed on a double constant (the Value map), or sequential.
+enum class MemberKind { kIntIndexed, kDoubleIndexed, kSequential };
+
+ExprPtr LifecyclePredicate(Rng& rng, MemberKind kind) {
+  const int attr = static_cast<int>(rng.UniformInt(0, 2));
+  const int other = static_cast<int>(rng.UniformInt(0, 2));
+  const int64_t c = rng.UniformInt(0, kDomain - 1);
+  switch (kind) {
+    case MemberKind::kIntIndexed:
+      return rng.Bernoulli(0.5)
+                 ? EqConst(attr, c)
+                 : Expr::And(EqConst(attr, c),
+                             GtConst(other, rng.UniformInt(0, kDomain - 1)));
+    case MemberKind::kDoubleIndexed:
+      return Expr::And(EqValue(attr, Value(static_cast<double>(c))),
+                       GtConst(other, rng.UniformInt(0, kDomain - 1)));
+    default:
+      return rng.Bernoulli(0.5) ? GtConst(attr, c)
+                                : Expr::Or(EqConst(0, c), EqConst(1, c));
+  }
+}
+
+// Property: an index whose members are deactivated and whose slots are
+// reused ≡ one isolated σ per active slot, on every port and in emission
+// order (so each tuple's matches come in ascending member order), through
+// Process and ProcessBatch, in both output modes. Even seeds use int
+// constants and int tuples only (flat-table probes); odd seeds add double
+// constants and mixed tuples (Value-map probes). Reused slots move between
+// indexed and sequential members.
+class PredicateIndexLifecycleTest : public ::testing::TestWithParam<uint64_t> {
+};
+
+TEST_P(PredicateIndexLifecycleTest, DeactivateAndReuseMatchIsolatedMembers) {
+  const bool int_only = GetParam() % 2 == 0;
+  auto random_kind = [&](Rng& rng) {
+    const int64_t k = rng.UniformInt(0, int_only ? 1 : 2);
+    if (k == 0) return MemberKind::kSequential;
+    return k == 1 ? MemberKind::kIntIndexed : MemberKind::kDoubleIndexed;
+  };
+  // One script of lifecycle steps, replayed on every configuration: a step
+  // deactivates a random active slot or attaches a member, then pushes a
+  // chunk of tuples.
+  struct Step {
+    int deactivate = -1;  // slot, or -1 for an attach of `pred`
+    ExprPtr pred;
+    std::vector<Tuple> chunk;
+  };
+  Rng rng(GetParam());
+  std::vector<ExprPtr> initial;
+  std::vector<MemberKind> kinds;
+  for (int i = 0; i < 12; ++i) {
+    kinds.push_back(random_kind(rng));
+    initial.push_back(LifecyclePredicate(rng, kinds.back()));
+  }
+  std::vector<Step> script;
+  std::vector<char> active(initial.size(), 1);
+  int moved_to_sequential = 0, moved_to_indexed = 0;
+  Timestamp ts = 0;
+  for (int round = 0; round < 40; ++round) {
+    Step step;
+    std::vector<int> live;
+    for (size_t m = 0; m < active.size(); ++m) {
+      if (active[m]) live.push_back(static_cast<int>(m));
+    }
+    if (live.size() > 1 && rng.Bernoulli(0.5)) {
+      step.deactivate = live[rng.UniformInt(0, live.size() - 1)];
+      active[step.deactivate] = 0;
+    } else {
+      auto slot = std::find(active.begin(), active.end(), 0);
+      MemberKind kind = random_kind(rng);
+      if (slot != active.end()) {
+        const MemberKind old = kinds[slot - active.begin()];
+        if (rng.Bernoulli(0.5)) {
+          kind = old == MemberKind::kSequential ? MemberKind::kIntIndexed
+                                                : MemberKind::kSequential;
+        }
+        moved_to_sequential += old != MemberKind::kSequential &&
+                               kind == MemberKind::kSequential;
+        moved_to_indexed += old == MemberKind::kSequential &&
+                            kind != MemberKind::kSequential;
+        kinds[slot - active.begin()] = kind;
+        *slot = 1;
+      } else {
+        kinds.push_back(kind);
+        active.push_back(1);
+      }
+      step.pred = LifecyclePredicate(rng, kind);
+    }
+    for (int i = 0; i < 20; ++i) {
+      step.chunk.push_back(
+          int_only ? Tuple::MakeInts({rng.UniformInt(0, kDomain - 1),
+                                      rng.UniformInt(0, kDomain - 1),
+                                      rng.UniformInt(0, kDomain - 1),
+                                      rng.UniformInt(0, kDomain - 1)},
+                                     ts)
+                   : RandomMixedTuple(rng, ts));
+      ++ts;
+    }
+    script.push_back(std::move(step));
+  }
+  EXPECT_GT(moved_to_sequential + moved_to_indexed, 0);
+
+  for (OutputMode mode : {OutputMode::kPerMemberPorts, OutputMode::kChannel}) {
+    // The reference: the slots' current predicates as isolated σs; a tuple
+    // goes to the active slots whose σ passed it.
+    std::vector<ExprPtr> preds = initial;
+    std::vector<char> on(initial.size(), 1);
+    SequenceEmitter ref_out;
+    for (const Step& step : script) {
+      if (step.deactivate >= 0) {
+        on[step.deactivate] = 0;
+      } else {
+        auto slot = std::find(on.begin(), on.end(), 0);
+        if (slot == on.end()) {
+          preds.push_back(step.pred);
+          on.push_back(1);
+        } else {
+          preds[slot - on.begin()] = step.pred;
+          *slot = 1;
+        }
+      }
+      IsolatedMembers isolated;
+      for (const ExprPtr& p : preds) {
+        isolated.Add(
+            std::make_unique<SelectionMop>(SelectionMop::Member{0, {p}}), {0});
+      }
+      for (const Tuple& t : step.chunk) {
+        BitVector passed(isolated.size());
+        isolated.Process(0, Plain(t)).ForEach([&](int m) {
+          if (on[m]) passed.Set(m);
+        });
+        EmitForMembers(mode, passed, t, ref_out);
+      }
+    }
+    ASSERT_FALSE(ref_out.log.empty());
+
+    for (size_t batch : {size_t{0}, size_t{1}, size_t{7}, size_t{64}}) {
+      std::vector<SelectionDef> defs;
+      for (const ExprPtr& p : initial) defs.push_back({p});
+      PredicateIndexMop index(defs, mode);
+      std::vector<char> slots(initial.size(), 1);
+      SequenceEmitter out;
+      int64_t probes = 0;
+      for (const Step& step : script) {
+        if (step.deactivate >= 0) {
+          ASSERT_TRUE(index.DeactivateMember(step.deactivate));
+          EXPECT_FALSE(index.member_active(step.deactivate));
+          slots[step.deactivate] = 0;
+        } else {
+          // The lowest inactive slot is reused; with none, one is appended.
+          auto slot = std::find(slots.begin(), slots.end(), 0);
+          const MemberAttach attached = index.AttachMember({step.pred});
+          EXPECT_EQ(attached.reused_slot, slot != slots.end());
+          EXPECT_EQ(attached.member, slot - slots.begin());
+          if (slot == slots.end()) {
+            slots.push_back(1);
+          } else {
+            *slot = 1;
+          }
+          EXPECT_TRUE(index.member_active(attached.member));
+        }
+        EXPECT_EQ(index.num_members(), static_cast<int>(slots.size()));
+        EXPECT_EQ(index.num_outputs(), mode == OutputMode::kChannel
+                                           ? 1
+                                           : static_cast<int>(slots.size()));
+        std::vector<ChannelTuple> chunk;
+        for (const Tuple& t : step.chunk) {
+          if (batch == 0) {
+            index.Process(0, Plain(t), out);
+            continue;
+          }
+          chunk.push_back(Plain(t));
+          if (chunk.size() == batch) {
+            index.ProcessBatch(0, chunk.data(), chunk.size(), out);
+            chunk.clear();
+          }
+        }
+        if (!chunk.empty()) {
+          index.ProcessBatch(0, chunk.data(), chunk.size(), out);
+        }
+        // Probe counters keep counting across deactivations.
+        const int64_t now = index.flat_probes() + index.map_probes();
+        EXPECT_GE(now, probes);
+        probes = now;
+      }
+      EXPECT_EQ(out.log, ref_out.log)
+          << "batch " << batch << (mode == OutputMode::kChannel
+                                       ? " channel mode"
+                                       : " per-member ports");
+      if (RUMOR_METRICS_ENABLED) {
+        EXPECT_GT(int_only ? index.flat_probes() : index.map_probes(), 0);
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PredicateIndexLifecycleTest,
+                         ::testing::Range<uint64_t>(0, 12));
 
 // StateBytes counts what the index holds: its bucket entries and the heap
 // of every residual and sequential Program, not only fixed-size records.

@@ -8,8 +8,12 @@
 // The predicate pool is bounded (~200 distinct shapes) so the shared plan
 // stays small while the add/remove volume stays large: the point is to
 // grind the index's delta maintenance, not to grow a 10k-m-op plan.
+//
+// Beside it, the plan-residue check: add/push/remove steps on perfbench's
+// query_churn mix must leave the plan at its post-Start size.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -105,6 +109,84 @@ TEST(ShareIndexStressTest, TenThousandQueryChurnKeepsIndexExact) {
 
   // The merged plan stayed bounded by the shape pool, not the add volume.
   EXPECT_LT(engine.CollectMetrics().live_mops, 300);
+}
+
+// The perfbench query_churn mix on CPU(pid, load): 45% `pid = c AND load >
+// t`, 45% `load > t`, 10% AVG/MAX(load) [RANGE w] GROUP BY pid.
+std::string ChurnMixRql(Rng& rng) {
+  const int64_t kind = rng.UniformInt(0, 19);
+  if (kind < 9) {
+    return "SELECT * FROM CPU WHERE pid = " +
+           std::to_string(rng.UniformInt(0, 63)) +
+           " AND load > " + std::to_string(rng.UniformInt(0, 99));
+  }
+  if (kind < 18) {
+    return "SELECT * FROM CPU WHERE load > " +
+           std::to_string(rng.UniformInt(0, 99));
+  }
+  return std::string("SELECT pid, ") + (kind == 18 ? "AVG" : "MAX") +
+         "(load) FROM CPU [RANGE " + std::to_string(rng.UniformInt(8, 120)) +
+         "] GROUP BY pid";
+}
+
+// Live add/push/remove steps on the query_churn mix leave no plan residue,
+// at 1 and 4 shards: the m-ops, channels and streams a step discards are
+// dropped from the plan's tail, removed σ members free index slots that
+// later adds reuse, and so the plan stays at its post-Start size.
+TEST(ChurnResidueTest, QueryChurnMixLeavesNoPlanResidue) {
+  constexpr int kStanding = 500;
+  constexpr int kSteps = 2000;
+  for (int shards : {1, 4}) {
+    Rng rng(0xfeed + shards);
+    StreamEngine engine;
+    ASSERT_TRUE(engine.SetShardCount(shards).ok());
+    ASSERT_TRUE(engine.RegisterSource("CPU", CpuSchema()).ok());
+    std::vector<std::string> live;
+    int live_sigma = 0;
+    std::vector<char> is_sigma;  // by query number
+    auto add = [&](int n) {
+      const std::string rql = ChurnMixRql(rng);
+      is_sigma.push_back(rql.find("WHERE") != std::string::npos);
+      live_sigma += is_sigma.back();
+      live.push_back("q" + std::to_string(n));
+      return engine.AddQueryText(rql, live.back());
+    };
+    for (int n = 0; n < kStanding; ++n) ASSERT_TRUE(add(n).ok());
+    ASSERT_TRUE(engine.Start().ok());
+    const Plan& plan = *engine.share_index_for_testing()->plan();
+    const int mops = plan.num_mops();
+    const int channels = plan.num_channels();
+    const int streams = plan.streams().size();
+    int max_live_sigma = live_sigma;
+    Timestamp ts = 0;
+    for (int step = 0; step < kSteps; ++step) {
+      ASSERT_TRUE(add(kStanding + step).ok());
+      max_live_sigma = std::max(max_live_sigma, live_sigma);
+      std::vector<Tuple> batch;
+      for (int i = 0; i < 16; ++i) {
+        batch.push_back(Tuple::MakeInts(
+            {rng.UniformInt(0, 63), rng.UniformInt(0, 99)}, ++ts));
+      }
+      ASSERT_TRUE(engine.PushBatch("CPU", batch).ok());
+      const size_t victim =
+          static_cast<size_t>(rng.UniformInt(0, live.size() - 1));
+      ASSERT_TRUE(engine.RemoveQuery(live[victim]).ok());
+      live_sigma -= is_sigma[std::stoi(live[victim].substr(1))];
+      live[victim] = live.back();
+      live.pop_back();
+    }
+    EXPECT_LE(plan.num_mops(), mops + 64) << shards << " shards";
+    EXPECT_LE(plan.num_channels(), channels + 64) << shards << " shards";
+    EXPECT_LE(plan.streams().size(), streams + 64) << shards << " shards";
+    int slots = 0;
+    for (MopId id : plan.LiveMops()) {
+      if (plan.mop(id).type() == MopType::kPredicateIndex) {
+        slots += plan.mop(id).num_members();
+      }
+    }
+    EXPECT_GT(slots, 0);
+    EXPECT_LE(slots, max_live_sigma) << shards << " shards";
+  }
 }
 
 }  // namespace

@@ -185,9 +185,9 @@ TEST(ShareIndexTest, IndexedMergeMatchesScanOnRandomSequences) {
 
 // Regression: AttachMember can *reuse* a deactivated member slot of a shared
 // aggregate, replacing its spec — and so its member signature — with no
-// wiring event. The plan must publish the in-place mutation (NotifyMopMutated)
-// so the index re-derives the target; a stale signature would otherwise
-// survive until the next unrelated reindex of that m-op.
+// wiring event. The plan must publish the reuse (NotifyMemberReused) so the
+// index re-keys that member; a stale signature would otherwise survive
+// until the next unrelated reindex of that m-op.
 TEST(ShareIndexTest, ReusedAggregateSlotKeepsIndexFresh) {
   Plan plan;
   auto s = QueryBuilder::FromSource("S", TenInts());
